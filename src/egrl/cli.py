@@ -19,7 +19,16 @@ import time
 
 from .field import FieldCtx, FieldError
 from .matrix import FieldMatrix, MatrixError
-from .linear import BudgetExceeded, DEFAULT_BUDGET, LinearCode, macwilliams, nmds_distribution
+from .linear import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    InconsistentInput,
+    LinearCode,
+    NegativeCount,
+    ZeroCode,
+    macwilliams,
+    nmds_distribution,
+)
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
 from .construction import (
     EgrlParams,
@@ -428,6 +437,9 @@ def cmd_sweep(args) -> int:
             if k + 1 > q:
                 records.append({"q": q, "k": k, "skipped": "k+1 > q"})
                 continue
+            if k < 3:
+                records.append({"q": q, "k": k, "skipped": "k < 3"})
+                continue
             rng = random.Random(args.seed * 1_000_003 + q * 1_009 + k)
             before = len(failures)
             for trial in range(args.trials):
@@ -509,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing")
         p.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
-            help="max messages for exhaustive enumeration",
+            help="max code size q^k for exhaustive enumeration",
         )
     return parser
 
@@ -530,10 +542,13 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"{exc}; raise --budget to allow it", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidParams, FieldError, MatrixError, SubsetSumError,
+    except (InvalidParams, FieldError, MatrixError, SubsetSumError, ZeroCode,
             OSError, ValueError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (InconsistentInput, NegativeCount) as exc:
+        print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ operations refuse them rather than extrapolate.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -510,16 +511,7 @@ def special_nmds_distribution(
     )
 
 
-_TAIL_PATTERNS = [
-    (False, False, False),
-    (False, False, True),
-    (False, True, False),
-    (False, True, True),
-    (True, False, False),
-    (True, False, True),
-    (True, True, False),
-    (True, True, True),
-]
+_TAIL_PATTERNS = list(itertools.product((False, True), repeat=3))
 
 
 def dual_support_pattern_census(
@@ -536,18 +528,13 @@ def dual_support_pattern_census(
     """
     _require_shape(params)
     dual = egrl_code(params).dual()
-    n = params.n
-    k = params.k
+    n, k, q = params.n, params.k, params.q
     counts = {pat: 0 for pat in _TAIL_PATTERNS}
-    for block in dual.codeword_blocks(budget):
-        w = np.count_nonzero(block, axis=1)
-        sel = block[w == k]
-        if sel.shape[0] == 0:
-            continue
-        tails = sel[:, n : n + 3] != 0
+    # Scaling preserves the weight and the tail zero pattern, so each
+    # enumerated scalar class stands for q-1 codewords.
+    for mask, weights in dual.weight_blocks(budget):
+        tails = mask[weights == k, n : n + 3]
         idx = tails[:, 0] * 4 + tails[:, 1] * 2 + tails[:, 2]
-        for i, c in enumerate(np.bincount(idx, minlength=8)):
-            if c:
-                pat = (bool(i & 4), bool(i & 2), bool(i & 1))
-                counts[pat] += int(c)
+        for pat, c in zip(_TAIL_PATTERNS, np.bincount(idx, minlength=8)):
+            counts[pat] += (q - 1) * int(c)
     return counts

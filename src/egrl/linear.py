@@ -2,14 +2,23 @@
 Singleton-defect classification, the MacWilliams transform, and the
 closed-form weight distributions of NMDS codes.
 
-Exhaustive enumeration walks all q**k messages in lexicographic order
-(first generator row = most significant symbol).  Work is split into
-contiguous lexicographic blocks -- the leading message symbols index the
-blocks -- and per-block weight counts are merged by addition, so results
-do not depend on the blocking.  Blocks are materialized as numpy arrays of
-element codes whenever the context supports operation tables (q <= 512);
-a plain-Python block builder covers larger fields, where the message
-budget keeps instances tiny anyway.
+Exhaustive enumeration is projective: every nonzero codeword has q-1
+nonzero scalar multiples with the same weight and support, so only the
+(q**k - 1)/(q - 1) messages whose first nonzero symbol is 1 are walked
+(generator in reduced echelon form, first row = most significant symbol),
+and each stands for its whole scalar class.  The messages with lead row j
+form the coset row_j + span(rows j+1..k-1).  Work is split into blocks --
+the trailing rows' span is built once as a numpy array, and the leading
+message symbols give an offset per block -- and per-block counts are merged
+by addition, so results do not depend on the blocking.  Codewords are never
+materialized: consumers only ask which symbols are nonzero, and
+tail + offset != 0 exactly when tail != -offset, so each block is the
+boolean mask of that comparison.  The numpy path needs operation tables
+(q <= 512); a plain-Python builder of the same masks covers larger fields,
+where the budget keeps instances tiny anyway.
+
+Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
+actually walked, so a budget admits the same codes as plain enumeration.
 
 All counts are exact Python integers.
 """
@@ -26,8 +35,8 @@ import numpy as np
 from .field import FieldCtx
 from .matrix import FieldMatrix
 
-DEFAULT_BUDGET = 1 << 26  # messages; overridable per call
-_BLOCK_LIMIT = 1 << 20
+DEFAULT_BUDGET = 1 << 26  # code size q**k; overridable per call
+_BLOCK_LIMIT = 1 << 16  # max rows per block
 
 MDS = "MDS"
 AMDS = "AMDS"
@@ -45,7 +54,7 @@ class ZeroCode(CodeError):
 
 
 class BudgetExceeded(CodeError):
-    """Exhaustive enumeration would need more messages than allowed."""
+    """Exhaustive enumeration of a code with more than budget codewords (q**k)."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(f"enumeration needs {required} messages, budget is {budget}")
@@ -159,7 +168,12 @@ class LinearCode:
     def codeword_blocks(
         self, budget: int = DEFAULT_BUDGET, *, _tables: bool = True
     ) -> Iterator[np.ndarray]:
-        """Yield numpy blocks of codeword rows covering all q**k messages once."""
+        """Yield boolean blocks with one row per scalar class of nonzero codewords.
+
+        Row r of a block marks the nonzero symbols of the codeword of a
+        message whose first nonzero symbol is 1; the blocks together hold
+        each of the (q**k - 1)/(q - 1) such messages once.
+        """
         ctx, q, k, n = self.ctx, self.ctx.q, self.k, self.n
         total = q**k
         if total > budget:
@@ -168,50 +182,77 @@ class LinearCode:
         if _tables and q <= 512:
             add_t = ctx.add_table()
             mul_t = ctx.mul_table()
+            neg = np.array([ctx.neg(a) for a in range(q)], dtype=np.uint16)
             arange = np.arange(q, dtype=np.uint16)
             scaled = [mul_t[arange[:, None], np.array(r, dtype=np.uint16)[None, :]] for r in rows]
-            tail_len = 1
-            while tail_len < k and q ** (tail_len + 1) <= _BLOCK_LIMIT:
+            tail_len = 0
+            while tail_len < k - 1 and q ** (tail_len + 1) <= _BLOCK_LIMIT:
                 tail_len += 1
-            block = scaled[k - 1]
-            for i in range(k - 2, k - 1 - tail_len, -1):
-                block = add_t[scaled[i][:, None, :], block[None, :, :]].reshape(-1, n)
             head = k - tail_len
-            if head == 0:
-                yield block
-                return
-            for syms in itertools.product(range(q), repeat=head):
-                offset = np.zeros(n, dtype=np.uint16)
-                for i, f in enumerate(syms):
-                    offset = add_t[offset, scaled[i][f]]
-                yield add_t[block, offset]
+            # span(rows head..k-1), one codeword per column, the symbol of
+            # row head most significant: its first q**m columns span the
+            # last m rows.  Column-major keeps the compares and the per-row
+            # weight sums contiguous.
+            tail = np.zeros((n, 1), dtype=np.uint16)
+            for i in range(k - 1, head - 1, -1):
+                tail = add_t[scaled[i].T[:, :, None], tail[:, None, :]].reshape(n, -1)
+            for lead in range(k):
+                span = tail[:, : q ** min(tail_len, k - 1 - lead)]
+                for syms in itertools.product(range(q), repeat=max(head - 1 - lead, 0)):
+                    offset = scaled[lead][1]
+                    for i, f in enumerate(syms, lead + 1):
+                        offset = add_t[offset, scaled[i][f]]
+                    yield (span != neg[offset][:, None]).T
             return
         # Plain-Python fallback for contexts without operation tables.
         add, mul = ctx.add, ctx.mul
-        buf: list[list[int]] = []
-        for msg in itertools.product(range(q), repeat=k):
-            cw = [0] * n
-            for f, row in zip(msg, rows):
-                if f:
-                    cw = [add(c, mul(f, g)) for c, g in zip(cw, row)]
-            buf.append(cw)
-            if len(buf) >= _BLOCK_LIMIT:
-                yield np.array(buf, dtype=np.int64)
-                buf = []
+        buf: list[list[bool]] = []
+        for lead in range(k):
+            for tail_syms in itertools.product(range(q), repeat=k - 1 - lead):
+                cw = rows[lead]
+                for f, row in zip(tail_syms, rows[lead + 1 :]):
+                    if f:
+                        cw = [add(c, mul(f, g)) for c, g in zip(cw, row)]
+                buf.append([c != 0 for c in cw])
+                if len(buf) >= _BLOCK_LIMIT:
+                    yield np.array(buf, dtype=bool)
+                    buf = []
         if buf:
-            yield np.array(buf, dtype=np.int64)
+            yield np.array(buf, dtype=bool)
+
+    def weight_blocks(
+        self, budget: int = DEFAULT_BUDGET, *, _tables: bool = True
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (nonzero mask, row weights) for each block of codeword_blocks.
+
+        Checks exactness on the way: no walked message may give the zero
+        codeword (the generator has full rank), and the blocks must hold
+        exactly (q**k - 1)/(q - 1) rows.
+        """
+        q = self.ctx.q
+        # uint8 sums are the fastest; they would wrap from n = 256 on.
+        wdtype = np.uint8 if self.n < 256 else np.intp
+        walked = 0
+        for mask in self.codeword_blocks(budget, _tables=_tables):
+            weights = mask.sum(axis=1, dtype=wdtype)
+            if not weights.all():
+                raise InconsistentInput("a nonzero message gave the zero codeword")
+            walked += len(weights)
+            yield mask, weights
+        if walked != (q**self.k - 1) // (q - 1):
+            raise InconsistentInput(f"enumeration walked {walked} scalar classes")
 
     def weight_distribution(
         self, budget: int = DEFAULT_BUDGET, *, _tables: bool = True
     ) -> WeightDistribution:
-        """Exact weight counts by exhausting all q**k messages."""
-        counts = [0] * (self.n + 1)
-        for block in self.codeword_blocks(budget, _tables=_tables):
-            w = np.count_nonzero(block, axis=1)
-            for i, c in enumerate(np.bincount(w, minlength=self.n + 1)):
-                counts[i] += int(c)
-        dist = WeightDistribution(self.n, tuple(counts))
-        if dist.total() != self.ctx.q**self.k:
+        """Exact weight counts: A_0 = 1, A_w = (q-1) * (scalar classes of weight w)."""
+        q = self.ctx.q
+        classes = [0] * (self.n + 1)
+        for _, weights in self.weight_blocks(budget, _tables=_tables):
+            for i, c in enumerate(np.bincount(weights, minlength=self.n + 1)):
+                classes[i] += int(c)
+        dist = WeightDistribution(self.n, (1, *((q - 1) * c for c in classes[1:])))
+        if dist.total() != q**self.k:
             raise InconsistentInput("enumeration lost codewords")  # pragma: no cover
         return dist
 

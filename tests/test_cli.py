@@ -1,9 +1,12 @@
 import json
+from math import comb
 
 import pytest
 
+import egrl.cli
 from egrl.cli import main
 from egrl.field import FieldCtx
+from egrl.linear import InconsistentInput, NegativeCount
 from egrl.matrix import FieldMatrix
 
 
@@ -146,6 +149,50 @@ def test_weights_raw_generator_file(capsys, tmp_path):
     assert "enumerator: 1+2x^3" in out
 
 
+def test_weights_gf729_raw_generator_uses_python_path(capsys, tmp_path):
+    # q = 729 has no operation tables, so enumeration takes the plain-Python
+    # path; two rows with distinct second entries give an [n, 2] MDS code.
+    q, n = 729, 5
+    gen = tmp_path / "mds.txt"
+    gen.write_text(f"2 {n}\n" + " ".join(["1"] * n) + "\n" + " ".join(map(str, range(n))) + "\n")
+    rc, out, _ = run(
+        capsys, "weights", "--q", str(q), "--generator", str(gen), "--method", "brute",
+        "--json",
+    )
+    assert rc == 0
+    d = n - 1
+    expected = [1] + [0] * (d - 1) + [
+        comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                         for j in range(w - d + 1))
+        for w in range(d, n + 1)
+    ]
+    assert json.loads(out)["results"]["distribution"] == [str(c) for c in expected]
+
+
+def test_weights_zero_generator_exit2(capsys, tmp_path):
+    gen = tmp_path / "zero.txt"
+    gen.write_text("1 4\n0 0 0 0\n")
+    rc, out, err = run(
+        capsys, "weights", "--q", "5", "--generator", str(gen), "--method", "brute",
+    )
+    assert rc == 2 and out == ""
+    assert err == "ZeroCode: generator has rank 0\n"
+
+
+@pytest.mark.parametrize("error", [InconsistentInput, NegativeCount])
+def test_verification_errors_exit4(capsys, monkeypatch, error):
+    def broken(params):
+        raise error("closed form failed its check")
+
+    monkeypatch.setattr(egrl.cli, "special_nmds_distribution", broken)
+    rc, out, err = run(
+        capsys, "weights", "--q", "9", "--mod", "2,1,1", "--k", "5", "--b", "2",
+        "--M", "1,1,2,1", "--special", "--method", "formula",
+    )
+    assert rc == 4 and out == ""
+    assert err == f"verification failed: {error.__name__}: closed form failed its check\n"
+
+
 def test_weights_budget_guidance(capsys):
     rc, _, err = run(
         capsys, "weights", "--q", "9", "--mod", "2,1,1", "--k", "5", "--b", "2",
@@ -196,6 +243,16 @@ def test_sweep_deterministic_output(capsys):
     rc2, out2, _ = run(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_sweep_records_small_k_as_skipped(capsys):
+    rc, out, _ = run(capsys, "sweep", "--q-list", "5", "--k-list", "2,4", "--trials", "2")
+    assert rc == 0
+    assert out.splitlines()[0] == "q=5 k=2: skipped (k < 3)"
+    assert "0 disagreements" in out
+    rc, out, _ = run(capsys, "sweep", "--q-list", "5", "--k-list", "2", "--json")
+    assert rc == 0
+    assert json.loads(out)["results"]["records"] == [{"q": "5", "k": "2", "skipped": "k < 3"}]
 
 
 def test_sweep_empty_lists_usage_error(capsys):

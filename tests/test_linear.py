@@ -1,11 +1,16 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_weights
+from egrl import linear
+from egrl.construction import dual_support_pattern_census, special_construction
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
 from egrl.linear import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     InconsistentInput,
     LinearCode,
@@ -25,6 +30,7 @@ def test_repetition_code_basics(gf2, gf3):
     c = repetition(gf2, 3)
     assert (c.n, c.k) == (3, 1)
     assert repetition(gf3, 3).weight_distribution().counts == (1, 0, 0, 2)
+    assert repetition(gf3, 300).weight_distribution().counts == (1,) + (0,) * 299 + (2,)
 
 
 def test_rank_normalization(gf5):
@@ -70,11 +76,53 @@ def test_weight_distribution_matches_python_oracle():
             assert code.weight_distribution().counts == expected
 
 
-def test_python_fallback_matches_table_path(gf9):
+_FIELDS = {q: FieldCtx.from_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+
+
+@st.composite
+def small_generators(draw):
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 7))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return q, draw(st.lists(entries, min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_generators(), st.sampled_from([1, 8, linear._BLOCK_LIMIT]), st.booleans())
+@example((2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]]), linear._BLOCK_LIMIT, True)  # q = 2
+@example((7, [[3, 0, 5, 1, 6]]), linear._BLOCK_LIMIT, True)  # k = 1: a single coset
+def test_projective_enumeration_matches_python_oracle(case, block_limit, tables):
+    # Small block limits move rows from the shared tail block into the
+    # per-block offsets, so every split of head and tail gets exercised.
+    q, rows = case
+    ctx = _FIELDS[q]
+    try:
+        code = LinearCode(FieldMatrix(ctx, rows))
+    except ZeroCode:
+        return
+    expected = tuple(brute_weights(ctx, code.gen.to_lists()))
+    with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
+        assert code.weight_distribution(_tables=tables).counts == expected
+
+
+def test_python_fallback_matches_table_path(gf9, monkeypatch):
     rng = random.Random(3)
     g = FieldMatrix(gf9, [[rng.randrange(9) for _ in range(6)] for _ in range(3)])
     code = LinearCode(g)
     assert code.weight_distribution(_tables=False) == code.weight_distribution()
+
+    mix = FieldMatrix(gf9, [[1, 1], [2, 1]])
+    params = special_construction(gf9, 7, 2, mix)
+    table_census = dual_support_pattern_census(params)
+    assert sum(table_census.values()) > 0
+    table_blocks = LinearCode.codeword_blocks
+
+    def python_blocks(self, budget=DEFAULT_BUDGET, *, _tables=True):
+        return table_blocks(self, budget, _tables=False)
+
+    monkeypatch.setattr(LinearCode, "codeword_blocks", python_blocks)
+    assert dual_support_pattern_census(params) == table_census
 
 
 def test_budget_exceeded_reports_requirement(gf9):
