@@ -10,7 +10,6 @@ from .field import (
     CompositeCharacteristic,
     CtxMismatch,
     FieldCtx,
-    FieldElem,
     FieldError,
     NoPrimitive,
     NonMonic,
@@ -73,6 +72,7 @@ from .construction import (
     egrl_code,
     generator_matrix,
     is_special_instance,
+    min_weight_census,
     parity_check_matrix,
     special_construction,
     special_nmds_distribution,

@@ -113,7 +113,7 @@ class EgrlParams:
             raise RangeViolation(
                 f"mixing matrix must be {self.ell}x{self.ell} over the instance field"
             )
-        if int(self.mix.det()) == 0:
+        if self.mix.det() == 0:
             raise SingularM("mixing matrix must be nonsingular")
 
     @property
@@ -473,27 +473,36 @@ def _require_special(params: EgrlParams):
         )
 
 
-def dual_min_weight_count(params: EgrlParams) -> int:
-    """Number of minimum-weight (weight-k) codewords of the dual code.
+_TAIL_PATTERNS = list(itertools.product((False, True), repeat=3))
 
-    Census over the two mixing columns: a column with top entry a_1s != 0
-    contributes (q-1) * [ N(k-1, a_2s/a_1s) + N(k-2, a_2s/a_1s) ] subsets
-    of F_q^* (each supporting q-1 scalar multiples); columns with
-    a_1s = 0 contribute nothing.
+
+def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
+    """Closed-form count of weight-k dual codewords per tail zero pattern.
+
+    Keys are the patterns of dual_support_pattern_census.  A mixing column
+    s with top entry a_1s != 0 contributes (q-1) * N(k-1, a_2s/a_1s)
+    codewords nonzero at column s alone and (q-1) * N(k-2, a_2s/a_1s) nonzero
+    at column s and the b column (N counts subsets of F_q^*, each supporting
+    q-1 scalar multiples); every other pattern has none.
     """
     _require_special(params)
     ctx = params.ctx
     q, k = params.q, params.k
-    total = 0
+    census = {pat: 0 for pat in _TAIL_PATTERNS}
     for s in range(2):
         a1 = params.mix.at(0, s)
         if a1 == 0:
             continue
         ratio = ctx.div(params.mix.at(1, s), a1)
-        total += (q - 1) * (
-            count_li_wan(ctx, STAR, k - 1, ratio) + count_li_wan(ctx, STAR, k - 2, ratio)
-        )
-    return total
+        column = (s == 0, s == 1)
+        census[(*column, False)] = (q - 1) * count_li_wan(ctx, STAR, k - 1, ratio)
+        census[(*column, True)] = (q - 1) * count_li_wan(ctx, STAR, k - 2, ratio)
+    return census
+
+
+def dual_min_weight_count(params: EgrlParams) -> int:
+    """Number of minimum-weight (weight-k) codewords of the dual code."""
+    return sum(min_weight_census(params).values())
 
 
 def special_nmds_distribution(
@@ -511,9 +520,6 @@ def special_nmds_distribution(
     )
 
 
-_TAIL_PATTERNS = list(itertools.product((False, True), repeat=3))
-
-
 def dual_support_pattern_census(
     params: EgrlParams, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[bool, bool, bool], int]:
@@ -523,8 +529,7 @@ def dual_support_pattern_census(
     coordinates (the two mixing columns and the b column).  For special
     instances, patterns with both mixing coordinates nonzero, with only the
     b coordinate nonzero, or with an all-zero tail carry no codewords, and
-    each surviving pattern matches a (q-1) * N(...) term of the
-    minimum-weight census.
+    each surviving pattern matches its term of min_weight_census.
     """
     _require_shape(params)
     dual = egrl_code(params).dual()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import CtxMismatch, FieldCtx, FieldElem
+from .field import CtxMismatch, FieldCtx
 
 
 class MatrixError(Exception):
@@ -193,7 +193,7 @@ class FieldMatrix:
             basis.append(vec)
         return FieldMatrix(ctx, basis, cols=self.cols)
 
-    def det(self) -> FieldElem:
+    def det(self) -> int:
         if self.rows != self.cols:
             raise NotSquare(f"determinant of {self.rows}x{self.cols} matrix")
         ctx = self.ctx
@@ -207,7 +207,7 @@ class FieldMatrix:
                     pivot_row = i
                     break
             if pivot_row is None:
-                return ctx.elem(0)
+                return 0
             if pivot_row != c:
                 work[c], work[pivot_row] = work[pivot_row], work[c]
                 det = ctx.neg(det)
@@ -218,7 +218,7 @@ class FieldMatrix:
                 if work[i][c]:
                     f = ctx.mul(work[i][c], inv)
                     work[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[i], work[c])]
-        return ctx.elem(det)
+        return det
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -252,7 +252,7 @@ class FieldMatrix:
         return cls(ctx, data, cols=cols)
 
 
-def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> FieldElem:
+def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> int:
     """(sum xs) * prod_{i<j} (xs[j] - xs[i]) for pairwise-distinct nodes.
 
     Equals the determinant of the modified Vandermonde matrix whose rows are
@@ -271,4 +271,4 @@ def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> FieldElem:
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             prod = ctx.mul(prod, ctx.sub(nodes[j], nodes[i]))
-    return ctx.elem(ctx.mul(total, prod))
+    return ctx.mul(total, prod)

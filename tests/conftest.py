@@ -56,6 +56,39 @@ def gf13():
     return FieldCtx(13)
 
 
+def _poly_digits(ctx: FieldCtx, code: int) -> list[int]:
+    return [code // ctx.p**i % ctx.p for i in range(ctx.s)]
+
+
+def _poly_code(ctx: FieldCtx, digits) -> int:
+    return sum((c % ctx.p) * ctx.p**i for i, c in enumerate(digits))
+
+
+def poly_add(ctx: FieldCtx, a: int, b: int) -> int:
+    """a + b by digit-wise addition mod p (oracle)."""
+    return _poly_code(ctx, [x + y for x, y in zip(_poly_digits(ctx, a), _poly_digits(ctx, b))])
+
+
+def poly_neg(ctx: FieldCtx, a: int) -> int:
+    """-a by digit-wise negation mod p (oracle)."""
+    return _poly_code(ctx, [-x for x in _poly_digits(ctx, a)])
+
+
+def poly_mul(ctx: FieldCtx, a: int, b: int) -> int:
+    """a * b by schoolbook multiplication, then reduction by the modulus (oracle)."""
+    s, f = ctx.s, ctx.modulus
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(_poly_digits(ctx, a)):
+        for j, y in enumerate(_poly_digits(ctx, b)):
+            prod[i + j] += x * y
+    for i in range(2 * s - 2, s - 1, -1):
+        # x**i = -x**(i-s) * (f_0 + ... + f_{s-1} x**(s-1)) modulo f
+        c, prod[i] = prod[i], 0
+        for j in range(s):
+            prod[i - s + j] -= c * f[j]
+    return _poly_code(ctx, prod[:s])
+
+
 def brute_subset_count(ctx: FieldCtx, codes, m: int, b: int) -> int:
     """Count m-subsets summing to b by enumerating all combinations."""
     total = 0

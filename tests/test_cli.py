@@ -130,6 +130,37 @@ def test_weights_both_golden(capsys):
     assert "agreement: true" in out
 
 
+def test_weights_both_mismatch_exit4(capsys, monkeypatch):
+    # A closed form that swaps primal and dual must be caught by the
+    # brute-force comparison, with the report still emitted once.
+    real = egrl.cli.special_nmds_distribution
+    monkeypatch.setattr(egrl.cli, "special_nmds_distribution", lambda p: real(p)[::-1])
+    primal = ["1", "0", "0", "0", "0", "0", "224", "1520", "4880", "14040", "22240", "16144"]
+    dual = ["1", "0", "0", "0", "0", "224", "2352", "11280", "47000", "125240", "199824",
+            "145520"]
+    argv = ["weights", "--q", "9", "--mod", "2,1,1", "--k", "5", "--b", "2",
+            "--M", "1,1,2,1", "--special", "--method", "both"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 4 and err == ""
+    assert out == (
+        "enumerator: 1+224x^5+2352x^6+11280x^7+47000x^8+125240x^9+199824x^10+145520x^11\n"
+        f"distribution: {json.dumps(dual)}\n"
+        "agreement: false\n"
+    )
+    rc, out, err = run(capsys, *argv, "--json")
+    assert rc == 4 and err == ""
+    report = json.loads(out)
+    assert sorted(report) == ["argv", "command", "instance", "oracle_agreement", "results",
+                              "schema"]
+    assert report["oracle_agreement"] == {"distribution": False, "dual_distribution": False}
+    assert report["results"] == {
+        "method": "both",
+        "distribution": dual,
+        "dual_distribution": primal,
+        "brute_distribution": primal,
+    }
+
+
 def test_weights_formula_requires_special(capsys):
     rc, _, err = run(
         capsys, "weights", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9",
@@ -150,8 +181,8 @@ def test_weights_raw_generator_file(capsys, tmp_path):
 
 
 def test_weights_gf729_raw_generator_uses_python_path(capsys, tmp_path):
-    # q = 729 has no operation tables, so enumeration takes the plain-Python
-    # path; two rows with distinct second entries give an [n, 2] MDS code.
+    # A field larger than the desk-scale ones, walked with k = 2 (no addition
+    # table); two rows with distinct second entries give an [n, 2] MDS code.
     q, n = 729, 5
     gen = tmp_path / "mds.txt"
     gen.write_text(f"2 {n}\n" + " ".join(["1"] * n) + "\n" + " ".join(map(str, range(n))) + "\n")

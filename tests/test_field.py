@@ -1,16 +1,22 @@
 import itertools
+import random
 
 import pytest
 
+from conftest import poly_add, poly_mul, poly_neg
+from egrl.cli import main
 from egrl.field import (
+    MAX_ORDER,
     CompositeCharacteristic,
     CtxMismatch,
     FieldCtx,
+    FieldError,
     NoPrimitive,
     NonMonic,
     ReducibleModulus,
     ZeroInverse,
 )
+from egrl.matrix import FieldMatrix
 
 
 # -- construction ----------------------------------------------------------------
@@ -116,6 +122,61 @@ def test_identities_hold_everywhere():
                 assert ctx.mul(a, ctx.inv(a)) == 1
 
 
+def _check_against_oracle(ctx, pairs):
+    for a, b in pairs:
+        assert ctx.add(a, b) == poly_add(ctx, a, b), (a, b)
+        assert ctx.mul(a, b) == poly_mul(ctx, a, b), (a, b)
+    for a, _ in pairs:
+        assert ctx.neg(a) == poly_neg(ctx, a), a
+        if a:
+            assert poly_mul(ctx, a, ctx.inv(a)) == 1, a
+
+
+@pytest.mark.parametrize(
+    "q,modulus",
+    [(2, None), (3, None), (4, None), (8, None), (9, None), (16, None), (25, None),
+     (27, None), (49, None), (64, None),
+     (9, (1, 0, 1))],  # x^2 + 1: irreducible, but x has order 4, not 8
+)
+def test_arithmetic_matches_polynomial_oracle(q, modulus):
+    ctx = FieldCtx.from_order(q, modulus)
+    _check_against_oracle(ctx, itertools.product(range(q), repeat=2))
+
+
+@pytest.mark.parametrize(
+    "q,modulus",
+    [(243, None), (256, None), (4096, None),
+     # An explicit primitive modulus skips the ~14 s default-modulus search.
+     (65536, (1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1))],
+)
+def test_arithmetic_matches_polynomial_oracle_sampled(q, modulus):
+    ctx = FieldCtx.from_order(q, modulus)
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    _check_against_oracle(ctx, pairs + [(0, 0), (1, q - 1), (q - 1, q - 1)])
+
+
+def test_non_primitive_modulus_searches_generator():
+    ctx = FieldCtx(3, 2, (1, 0, 1))
+    # x (code 3) has order 4; x + 1 (code 4) squares to 2x and has order 8.
+    assert ctx.primitive_element() == 4
+    assert ctx.generator_powers() == [1, 4, 6, 7, 2, 8, 3, 5]
+
+
+def test_field_order_ceiling(capsys):
+    assert MAX_ORDER == 1 << 16
+    with pytest.raises(FieldError):
+        FieldCtx.from_order(65537)
+    with pytest.raises(FieldError):
+        FieldCtx(2, 17)
+    argv = ["subsetsum", "--q", "65537", "--domain", "star", "--m", "1", "--b", "1",
+            "--method", "lw"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("FieldError: ")
+
+
 def test_zero_inverse_raises(gf9):
     with pytest.raises(ZeroInverse):
         gf9.inv(0)
@@ -202,25 +263,11 @@ def test_find_primitive():
         FieldCtx(2).primitive_element()
 
 
-# -- element wrappers ------------------------------------------------------------------
+# -- contexts ------------------------------------------------------------------------
 
 
-def test_elem_operators(gf7):
-    a, b = gf7.elem(3), gf7.elem(5)
-    assert int(a + b) == 1
-    assert int(a * b) == 1
-    assert int(a - b) == 5
-    assert int(-a) == 4
-    assert int(a / b) == int(a * b.inv())
-    assert int(a**6) == 1
-    assert str(b) == "5"
-
-
-def test_ctx_mismatch(gf7, gf5):
+def test_ctx_mismatch(gf9):
+    # Same order, different modulus: the element codes mean different things.
+    other = FieldCtx(3, 2, (1, 0, 1))
     with pytest.raises(CtxMismatch):
-        gf7.elem(3) + gf5.elem(2)
-
-
-def test_elem_range_checked(gf7):
-    with pytest.raises(ValueError):
-        gf7.elem(7)
+        FieldMatrix.identity(gf9, 2).matmul(FieldMatrix.identity(other, 2))

@@ -89,10 +89,10 @@ def small_generators(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_generators(), st.sampled_from([1, 8, linear._BLOCK_LIMIT]), st.booleans())
-@example((2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]]), linear._BLOCK_LIMIT, True)  # q = 2
-@example((7, [[3, 0, 5, 1, 6]]), linear._BLOCK_LIMIT, True)  # k = 1: a single coset
-def test_projective_enumeration_matches_python_oracle(case, block_limit, tables):
+@given(small_generators(), st.sampled_from([1, 8, linear._BLOCK_LIMIT]))
+@example((2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]]), linear._BLOCK_LIMIT)  # q = 2
+@example((7, [[3, 0, 5, 1, 6]]), linear._BLOCK_LIMIT)  # k = 1: a single coset
+def test_projective_enumeration_matches_python_oracle(case, block_limit):
     # Small block limits move rows from the shared tail block into the
     # per-block offsets, so every split of head and tail gets exercised.
     q, rows = case
@@ -103,26 +103,7 @@ def test_projective_enumeration_matches_python_oracle(case, block_limit, tables)
         return
     expected = tuple(brute_weights(ctx, code.gen.to_lists()))
     with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
-        assert code.weight_distribution(_tables=tables).counts == expected
-
-
-def test_python_fallback_matches_table_path(gf9, monkeypatch):
-    rng = random.Random(3)
-    g = FieldMatrix(gf9, [[rng.randrange(9) for _ in range(6)] for _ in range(3)])
-    code = LinearCode(g)
-    assert code.weight_distribution(_tables=False) == code.weight_distribution()
-
-    mix = FieldMatrix(gf9, [[1, 1], [2, 1]])
-    params = special_construction(gf9, 7, 2, mix)
-    table_census = dual_support_pattern_census(params)
-    assert sum(table_census.values()) > 0
-    table_blocks = LinearCode.codeword_blocks
-
-    def python_blocks(self, budget=DEFAULT_BUDGET, *, _tables=True):
-        return table_blocks(self, budget, _tables=False)
-
-    monkeypatch.setattr(LinearCode, "codeword_blocks", python_blocks)
-    assert dual_support_pattern_census(params) == table_census
+        assert code.weight_distribution().counts == expected
 
 
 def test_budget_exceeded_reports_requirement(gf9):
