@@ -12,6 +12,7 @@ with --timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -34,7 +35,6 @@ from .construction import (
     EgrlParams,
     InvalidParams,
     UnsupportedShape,
-    check_dual_amds,
     check_mds,
     dual_min_weight_count,
     dual_support_pattern_census,
@@ -192,9 +192,8 @@ def cmd_classify(args) -> int:
     criteria_ran = params.ell == 2 and params.t == 0
     if criteria_ran:
         report = check_mds(params)
-        damds = check_dual_amds(params)
         results["mds"] = report.is_mds
-        results["dual_amds"] = damds
+        results["dual_amds"] = report.dual_amds
         if report.is_mds:
             lines.append("MDS: true")
         elif report.alpha_zero_index is not None:
@@ -206,7 +205,7 @@ def cmd_classify(args) -> int:
             lines.append(
                 f"MDS: false; witness I_{m}={{{','.join(map(str, subset))}}} j={j}"
             )
-        lines.append(f"dual AMDS: {'true' if damds else 'false'}")
+        lines.append(f"dual AMDS: {'true' if report.dual_amds else 'false'}")
     else:
         lines.append(
             f"criteria unsupported for (ell,t)=({params.ell},{params.t}): brute-force only"
@@ -371,9 +370,10 @@ def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: s
         if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
             failures.append(f"{tag}: parity-check identity failed")
     cls = egrl_code(params).classify(budget)
-    if check_mds(params).is_mds != (cls.singleton_defect == 0):
+    report = check_mds(params)
+    if report.is_mds != (cls.singleton_defect == 0):
         failures.append(f"{tag}: MDS criterion disagrees with brute force")
-    if check_dual_amds(params) != (cls.dual_defect == 1):
+    if report.dual_amds != (cls.dual_defect == 1):
         failures.append(f"{tag}: dual-AMDS criterion disagrees with brute force")
 
 
@@ -452,6 +452,7 @@ def cmd_sweep(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egrl",

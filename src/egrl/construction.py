@@ -30,7 +30,7 @@ import numpy as np
 from .field import FieldCtx
 from .matrix import FieldMatrix
 from .linear import DEFAULT_BUDGET, LinearCode, WeightDistribution, nmds_distribution
-from .subsetsum import STAR, count_dp, count_li_wan, find_subset
+from .subsetsum import STAR, count_li_wan, find_subset
 
 
 class ConstructionError(Exception):
@@ -205,6 +205,11 @@ class MdsReport:
     alpha_zero_index: Optional[int] = None
     witness: Optional[tuple[int, int, tuple[int, ...]]] = None
 
+    @property
+    def dual_amds(self) -> bool:
+        """The dual-AMDS verdict: all evaluation points nonzero, not MDS."""
+        return self.alpha_zero_index is None and not self.is_mds
+
 
 def generator_matrix(params: EgrlParams) -> FieldMatrix:
     """The k x (n + ell + 1) generator in the standard evaluation form.
@@ -278,10 +283,7 @@ def _completion_row(params: EgrlParams, u: tuple[int, ...]) -> list[int]:
         powers.append([ctx.mul(x, a) for x, a in zip(powers[-1], params.alpha)])
 
     def weighted_sum(coeffs: Sequence[int], exp: int) -> int:
-        acc = 0
-        for c, x in zip(coeffs, powers[exp]):
-            acc = ctx.add(acc, ctx.mul(c, x))
-        return acc
+        return ctx.sum(ctx.mul(c, x) for c, x in zip(coeffs, powers[exp]))
 
     h = {i: weighted_sum(u, n - 1 + i) for i in range(1, k - 2)}
     g: dict[int, int] = {}
@@ -325,28 +327,15 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     if not 4 <= k <= n - 1:
         raise RangeViolation(f"parity-check form needs 4 <= k <= n-1, got k={k}, n={n}")
     u = compute_u(ctx, params.alpha)
-    sum_v = 0
-    for x in params.v:
-        sum_v = ctx.add(sum_v, x)
-    sum_alpha = 0
-    for a in params.alpha:
-        sum_alpha = ctx.add(sum_alpha, a)
+    sum_v = ctx.sum(params.v)
     minus_one = ctx.neg(1)
-    s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(sum_alpha)]])
+    s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(ctx.sum(params.alpha))]])
     r_mat = s_mat.matmul(params.mix.transpose().inverse())
-
-    def classical_row_valid() -> bool:
-        if sum_v == 0:
-            return False
-        for i in range(1, k):
-            acc = 0
-            for vs, a in zip(params.v, params.alpha):
-                acc = ctx.add(acc, ctx.mul(vs, ctx.pow(a, i)))
-            if acc != 0:
-                return False
-        return True
-
-    if classical_row_valid():
+    classical_row_valid = sum_v != 0 and all(
+        ctx.sum(ctx.mul(vs, ctx.pow(a, i)) for vs, a in zip(params.v, params.alpha)) == 0
+        for i in range(1, k)
+    )
+    if classical_row_valid:
         first = [1] * n + [0, 0, ctx.neg(ctx.div(sum_v, params.b))]
     else:
         first = _completion_row(params, u)
@@ -372,8 +361,8 @@ def check_mds(params: EgrlParams) -> MdsReport:
     mixing column j with top entry a_1j != 0, no subset of the evaluation
     points of size k-1 or k-2 sums to a_2j / a_1j.  Columns with a_1j = 0
     pass (2) automatically (a_2j != 0 by nonsingularity).  Subset existence
-    is decided by counting; a witness subset is recovered by backtracking
-    only when violated.
+    is decided by a boolean reachability DP; a witness subset is recovered
+    only when one exists.
     """
     _require_shape(params)
     ctx = params.ctx
@@ -387,8 +376,8 @@ def check_mds(params: EgrlParams) -> MdsReport:
             if a1 == 0:
                 continue
             target = ctx.div(params.mix.at(1, j), a1)
-            if count_dp(ctx, params.alpha, size, target) > 0:
-                subset = find_subset(ctx, params.alpha, size, target)
+            subset = find_subset(ctx, params.alpha, size, target)
+            if subset is not None:
                 return MdsReport(False, witness=(m, j + 1, subset))
     return MdsReport(True)
 
@@ -400,10 +389,7 @@ def check_dual_amds(params: EgrlParams) -> bool:
     size-(k-2) subset attains a mixing-column ratio -- that is, among
     all-nonzero instances the dual is AMDS exactly when the code is not MDS.
     """
-    _require_shape(params)
-    if any(a == 0 for a in params.alpha):
-        return False
-    return not check_mds(params).is_mds
+    return check_mds(params).dual_amds
 
 
 # -- the special construction on all of F_q^* ---------------------------------

@@ -151,11 +151,7 @@ class FieldMatrix:
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if work[i][c]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot_row is None:
                 continue
             work[r], work[pivot_row] = work[pivot_row], work[r]
@@ -201,11 +197,7 @@ class FieldMatrix:
         work = self.to_lists()
         det = 1
         for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if work[i][c]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(c, n) if work[i][c]), None)
             if pivot_row is None:
                 return 0
             if pivot_row != c:
@@ -264,9 +256,7 @@ def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> int:
         raise ValueError("need at least two nodes")
     if len(set(nodes)) != len(nodes):
         raise DuplicateNodes(f"nodes must be pairwise distinct: {nodes}")
-    total = 0
-    for x in nodes:
-        total = ctx.add(total, x)
+    total = ctx.sum(nodes)
     prod = 1
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):

@@ -12,6 +12,15 @@ Three routes are provided and kept deliberately independent:
   :class:`OutOfStatedRange` outside them so callers can fall back to
   ``count_li_wan``.
 
+One numpy DP serves counting, existence and witnesses.  It walks the n
+domain elements in reverse and updates all subset sizes at once,
+T[1:] += T[:-1][:, t - x], on one (m+1)-by-q table: exact counts in Python
+integers (dtype object), existence in bool (+ is logical or).  The bool
+pass of :func:`find_subset` holds (m+1)*q bytes; only when a witness exists
+does it run again keeping all n+1 suffix tables, (n+1)*(m+1)*q bytes --
+about 1.7e9 at q = 4096, m = 100, where checkpointed recovery (an open
+item of ROADMAP.md) is still needed.
+
 Counts are plain Python integers (arbitrary precision); the division by q
 inside the closed forms is always exact and is checked.
 
@@ -22,7 +31,9 @@ the closed forms evaluated at m = 0.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .field import FieldCtx
 
@@ -44,40 +55,45 @@ class OutOfStatedRange(SubsetSumError):
     """Parameters outside the window where the vanishing rules are valid."""
 
 
-def _domain_codes(ctx: FieldCtx, domain: Domain) -> list[int]:
+def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> list[int]:
     if isinstance(domain, str):
-        if domain == FULL:
-            return ctx.elements()
-        if domain == STAR:
-            return ctx.units()
-        raise ValueError(f"unknown domain {domain!r} (use 'full', 'star', or a code list)")
-    codes = [ctx._check(int(x)) for x in domain]
-    if len(set(codes)) != len(codes):
-        raise ValueError(f"explicit domain must be duplicate-free: {codes}")
+        if domain not in (FULL, STAR):
+            raise ValueError(f"unknown domain {domain!r} (use 'full', 'star', or a code list)")
+        codes = ctx.elements() if domain == FULL else ctx.units()
+    else:
+        codes = [ctx._check(int(x)) for x in domain]
+        if len(set(codes)) != len(codes):
+            raise ValueError(f"explicit domain must be duplicate-free: {codes}")
+    ctx._check(b)
+    if not 0 <= m <= len(codes):
+        raise DomainSize(f"subset size {m} outside [0, {len(codes)}]")
     return codes
+
+
+def _suffix_tables(ctx: FieldCtx, codes: list[int], m: int, dtype) -> Iterator[np.ndarray]:
+    """Yield T[j, t] = #(j-subsets of codes[i:] summing to t) for i = n, ..., 0.
+
+    The one table is updated in place; copy what must be kept.  Rows below
+    m - i can no longer grow into an m-subset and are left stale.
+    """
+    q, p, n = ctx.q, ctx.p, len(codes)
+    tbl = np.zeros((m + 1, q), dtype=dtype)
+    tbl[0, 0] = 1
+    yield tbl
+    # t - x digit by digit: O(q*s) per element, never the q-by-q add table.
+    digits = [(np.arange(q) // p**d % p, p**d) for d in range(ctx.s)]
+    for i in range(n - 1, -1, -1):
+        x = ctx.digits(codes[i])
+        shift = sum((dig - x[d]) % p * w for d, (dig, w) in enumerate(digits))
+        lo, hi = max(1, m - i), min(n - i, m)
+        tbl[lo : hi + 1] += tbl[lo - 1 : hi][:, shift]
+        yield tbl
 
 
 def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     """Number of m-element subsets of the domain whose field sum is b."""
-    codes = _domain_codes(ctx, domain)
-    ctx._check(b)
-    if not 0 <= m <= len(codes):
-        raise DomainSize(f"subset size {m} outside [0, {len(codes)}]")
-    q = ctx.q
-    add = ctx.add
-    table = [[0] * q for _ in range(m + 1)]
-    table[0][0] = 1
-    seen = 0
-    for x in codes:
-        seen += 1
-        for j in range(min(seen, m), 0, -1):
-            prev = table[j - 1]
-            cur = table[j]
-            for t in range(q):
-                c = prev[t]
-                if c:
-                    cur[add(t, x)] += c
-    return table[m][b]
+    *_, tbl = _suffix_tables(ctx, _domain_codes(ctx, domain, m, b), m, object)
+    return tbl[m, b]
 
 
 def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...] | None:
@@ -87,38 +103,20 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     whenever a completion still exists, so for a sorted domain the result
     is the lexicographically smallest witness.
     """
-    codes = _domain_codes(ctx, domain)
-    ctx._check(b)
-    if not 0 <= m <= len(codes):
-        raise DomainSize(f"subset size {m} outside [0, {len(codes)}]")
-    q = ctx.q
-    n = len(codes)
-    # suffix[i][j][t] = number of j-subsets of codes[i:] summing to t
-    suffix = [[[0] * q for _ in range(m + 1)] for _ in range(n + 1)]
-    suffix[n][0][0] = 1
-    for i in range(n - 1, -1, -1):
-        x = codes[i]
-        for j in range(m + 1):
-            skip = suffix[i + 1][j]
-            take = suffix[i + 1][j - 1] if j else None
-            out = suffix[i][j]
-            for t in range(q):
-                v = skip[t]
-                if take is not None:
-                    v += take[ctx.sub(t, x)]
-                out[t] = v
-    if suffix[0][m][b] == 0:
+    codes = _domain_codes(ctx, domain, m, b)
+    *_, tbl = _suffix_tables(ctx, codes, m, bool)
+    if not tbl[m, b]:
         return None
+    suffix = [t.copy() for t in _suffix_tables(ctx, codes, m, bool)][::-1]
     picked = []
-    need_j, need_t = m, b
-    for i in range(n):
-        if need_j == 0:
+    for i, x in enumerate(codes):
+        if len(picked) == m:
             break
-        rest = ctx.sub(need_t, codes[i])
-        if suffix[i + 1][need_j - 1][rest] > 0:
-            picked.append(codes[i])
-            need_j -= 1
-            need_t = rest
+        rest = ctx.sub(b, x)
+        # len(picked) <= i, so this row is never one of the stale ones.
+        if suffix[i + 1][m - len(picked) - 1, rest]:
+            picked.append(x)
+            b = rest
     return tuple(picked)
 
 

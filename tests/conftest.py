@@ -1,14 +1,16 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately avoid the library's own code paths: subset
-counting enumerates combinations, determinants expand by cofactors, and
-polynomial arithmetic is re-derived from digit vectors.  They exist to
+counting enumerates combinations, determinants expand by cofactors,
+polynomial arithmetic is re-derived from digit vectors, and the MacWilliams
+transform and the NMDS expansion are summed term by term.  They exist to
 cross-check the production implementations, so keep them dumb.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -99,6 +101,43 @@ def brute_subset_count(ctx: FieldCtx, codes, m: int, b: int) -> int:
         if acc == b:
             total += 1
     return total
+
+
+def krawtchouk_transform(counts, k: int, q: int) -> tuple[int, ...]:
+    """MacWilliams transform as the literal Krawtchouk sum (oracle).
+
+    B_j = q**-k * sum_i A_i sum_l (-1)**l C(i, l) C(n-i, j-l) (q-1)**(j-l).
+    """
+    n = len(counts) - 1
+    out = []
+    for j in range(n + 1):
+        acc = sum(
+            a_i * (-1) ** l * comb(i, l) * comb(n - i, j - l) * (q - 1) ** (j - l)
+            for i, a_i in enumerate(counts)
+            for l in range(min(i, j) + 1)
+        )
+        val, rem = divmod(acc, q**k)
+        assert rem == 0
+        out.append(val)
+    return tuple(out)
+
+
+def nmds_formula(n: int, k: int, q: int, a_min: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Primal and dual counts of an [n, k, n-k] NMDS code, term by term (oracle).
+
+    A_{n-k+s} = C(n, k-s) sum_{j<s} (-1)**j C(n-k+s, j) (q**(s-j) - 1) + (-1)**s C(k, s) A_{n-k},
+    and the same with k and n-k swapped for the dual.
+    """
+
+    def side(dim, codim):
+        counts = [0] * (n + 1)
+        counts[0], counts[codim] = 1, a_min
+        for s in range(1, dim + 1):
+            inner = sum((-1) ** j * comb(codim + s, j) * (q ** (s - j) - 1) for j in range(s))
+            counts[codim + s] = comb(n, dim - s) * inner + (-1) ** s * comb(dim, s) * a_min
+        return tuple(counts)
+
+    return side(k, n - k), side(n - k, k)
 
 
 def cofactor_det(ctx: FieldCtx, rows) -> int:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
 import egrl.cli
+import egrl.construction
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.linear import InconsistentInput, NegativeCount
@@ -93,6 +97,26 @@ def test_classify_witness_line(capsys):
     assert rc == 0
     assert "MDS: false; witness I_1={1,2,7,8} j=1" in out
     assert "dual AMDS: true" in out
+
+
+def test_classify_runs_mds_criterion_once(capsys, monkeypatch):
+    # The dual-AMDS verdict is read off the same MdsReport.
+    calls = []
+    real = egrl.construction.check_mds
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(egrl.cli, "check_mds", counted)
+    monkeypatch.setattr(egrl.construction, "check_mds", counted)
+    rc, out, _ = run(
+        capsys, "classify", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9",
+        "--b", "1", "--M", "1,0,5,1",
+    )
+    assert rc == 0
+    assert out.endswith("dual AMDS: true\n")
+    assert len(calls) == 1
 
 
 def test_classify_unsupported_shape_brute_forces(capsys):
@@ -306,3 +330,29 @@ def test_instance_file_roundtrip(capsys, tmp_path):
 def test_missing_instance_flags_exit2(capsys):
     rc, _, err = run(capsys, "classify", "--q", "13")
     assert rc == 2
+
+
+def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
+    # One process reuses one parser: a usage error, --help and a normal
+    # command must print and exit exactly as they do in fresh interpreters.
+    sequence = [
+        ["subsetsum", "--q", "5", "--domain", "nowhere"],
+        ["--help"],
+        ["subsetsum", "--q", "5", "--domain", "star", "--m", "2", "--b", "1"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    egrl.cli._build_parser.cache_clear()
+    in_process = [run(capsys, *argv) for argv in sequence]
+    assert egrl.cli._build_parser() is egrl.cli._build_parser()
+    src = os.path.dirname(os.path.dirname(egrl.cli.__file__))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    script = "import sys; from egrl.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [rc for rc, _, _ in in_process] == [2, 0, 0]
+    assert in_process == fresh

@@ -313,6 +313,14 @@ def test_check_mds_zero_alpha(gf13):
     assert check_dual_amds(p) is False
 
 
+def test_mds_report_dual_amds(gf13):
+    # dual AMDS exactly when every evaluation point is nonzero and not MDS
+    mds = check_mds(make_params(gf13, EX13_ALPHA, 5, EX13_MIX))
+    witness = check_mds(make_params(gf13, EX13_ALPHA, 5, [[1, 0], [5, 1]]))
+    zero = check_mds(make_params(gf13, (0, 1, 2, 7, 9), 5, EX13_MIX))
+    assert (mds.dual_amds, witness.dual_amds, zero.dual_amds) == (False, True, False)
+
+
 def test_check_mds_refuses_other_shapes(gf13):
     p = make_params(gf13, (1, 2, 3, 4, 5, 6), 5, EX13_MIX, t=1)
     with pytest.raises(UnsupportedShape):

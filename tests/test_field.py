@@ -15,6 +15,9 @@ from egrl.field import (
     NonMonic,
     ReducibleModulus,
     ZeroInverse,
+    _is_generator,
+    _is_irreducible,
+    _prime_factors,
 )
 from egrl.matrix import FieldMatrix
 
@@ -86,6 +89,24 @@ def bruteforce_smallest_primitive_quadratic(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_default_modulus_is_smallest_primitive(p):
     assert FieldCtx(p, 2).modulus == bruteforce_smallest_primitive_quadratic(p)
+
+
+def _exhaustive_default_modulus(p, s):
+    # Every monic degree-s candidate in order, the x | f ones included.
+    for coeffs in itertools.product(range(p), repeat=s):
+        f = coeffs + (1,)
+        if _is_irreducible(f, p) and _is_generator((0, 1), f, p, _prime_factors(p**s - 1)):
+            return f
+    raise AssertionError("no primitive polynomial")
+
+
+@pytest.mark.parametrize(
+    "p,s",
+    [(p, s) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+     for s in range(2, 11) if p**s <= 1024],
+)
+def test_default_modulus_matches_exhaustive_search(p, s):
+    assert FieldCtx(p, s).modulus == _exhaustive_default_modulus(p, s)
 
 
 def test_default_gf9_modulus(gf9):

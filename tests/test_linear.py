@@ -4,9 +4,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_weights
+from conftest import brute_weights, krawtchouk_transform, nmds_formula
 from egrl import linear
-from egrl.construction import dual_support_pattern_census, special_construction
+from egrl.construction import (
+    dual_min_weight_count,
+    dual_support_pattern_census,
+    special_construction,
+)
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
 from egrl.linear import (
@@ -136,6 +140,40 @@ def test_macwilliams_involution_and_dual_agreement():
             assert macwilliams(dual_dist, code.n - code.k, ctx) == dist
 
 
+@st.composite
+def balanced_generators(draw):
+    # Both the code and its dual have dimension at most 3, so brute force
+    # stays cheap on either side.
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, k + 3))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return q, draw(st.lists(entries, min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_generators())
+@example((3, [[1, 2, 0, 1]]))  # k = 1
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # k = n: the dual is the zero code
+def test_macwilliams_matches_krawtchouk_oracle(case):
+    q, rows = case
+    ctx = _FIELDS[q]
+    try:
+        code = LinearCode(FieldMatrix(ctx, rows))
+    except ZeroCode:
+        return
+    n, k = code.n, code.k
+    primal = WeightDistribution(n, tuple(brute_weights(ctx, code.gen.to_lists())))
+    if k == n:
+        dual = WeightDistribution(n, (1,) + (0,) * n)
+    else:
+        dual = WeightDistribution(n, tuple(brute_weights(ctx, code.dual().gen.to_lists())))
+    assert macwilliams(primal, k, ctx).counts == krawtchouk_transform(primal.counts, k, q)
+    assert macwilliams(dual, n - k, ctx).counts == krawtchouk_transform(dual.counts, n - k, q)
+    assert macwilliams(primal, k, ctx) == dual
+    assert macwilliams(macwilliams(dual, n - k, ctx), k, ctx) == dual
+
+
 def test_macwilliams_rejects_bad_sum(gf2):
     with pytest.raises(InconsistentInput):
         macwilliams(WeightDistribution(3, (1, 0, 0, 5)), 1, gf2)
@@ -215,6 +253,22 @@ def test_nmds_distribution_first_step_formula(gf9):
     n, k = 11, 5
     primal, _ = nmds_distribution(n, k, gf9, 0)
     assert primal.counts[n - k + 1] == math.comb(n, k - 1) * (9 - 1)
+
+
+@pytest.mark.parametrize("q", [64, 128, 243, 256])
+def test_nmds_distribution_matches_literal_formula(q):
+    # Seeded with the Li-Wan minimum-weight count of a special instance.
+    ctx = FieldCtx.from_order(q)
+    rng = random.Random(q)
+    for k in (5, 8):
+        while True:
+            mix = FieldMatrix.from_flat(ctx, 2, 2, [rng.randrange(q) for _ in range(4)])
+            if mix.det():
+                break
+        sp = special_construction(ctx, k, rng.randrange(1, q), mix)
+        a_min = dual_min_weight_count(sp)
+        primal, dual = nmds_distribution(sp.length, k, ctx, a_min)
+        assert (primal.counts, dual.counts) == nmds_formula(sp.length, k, q, a_min)
 
 
 def test_nmds_distribution_infeasible_amin(gf9):

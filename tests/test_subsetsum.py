@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_subset_count
 from egrl.field import FieldCtx
@@ -140,3 +142,43 @@ def test_find_subset_always_valid(q):
                 for x in got:
                     acc = ctx.add(acc, x)
                 assert acc == b
+
+
+_FIELDS = {q: FieldCtx.from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)}
+
+
+@st.composite
+def explicit_instances(draw):
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    codes = draw(st.lists(st.integers(0, q - 1), unique=True, max_size=min(q, 14)))
+    return q, tuple(codes), draw(st.integers(0, len(codes))), draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_instances())
+@example((5, (), 0, 0))
+@example((16, tuple(range(15, -1, -1)), 8, 0))
+def test_dp_and_witness_match_enumeration(case):
+    q, codes, m, b = case
+    ctx = _FIELDS[q]
+    assert count_dp(ctx, codes, m, b) == brute_subset_count(ctx, codes, m, b)
+    first = None
+    for combo in itertools.combinations(codes, m):
+        acc = 0
+        for x in combo:
+            acc = ctx.add(acc, x)
+        if acc == b:
+            first = combo
+            break
+    assert find_subset(ctx, codes, m, b) == first
+
+
+@pytest.mark.parametrize("domain", [STAR, FULL])
+def test_dp_counts_exact_beyond_64_bits(domain):
+    # Over GF(83) the counts reach about C(83, 41) / 83 > 2**73.
+    ctx = FieldCtx(83)
+    for m in (40, 41):
+        for b in (0, 1, 82):
+            count = count_dp(ctx, domain, m, b)
+            assert count > 1 << 64
+            assert count == count_li_wan(ctx, domain, m, b)
