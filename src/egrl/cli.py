@@ -12,6 +12,7 @@ with --timing).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -76,19 +77,34 @@ def _jsonable(value):
     return value
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the process-wide int-to-str digit limit only while egrl renders counts."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # older interpreters have no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_report(args, command: str, instance, results, agreement=None, started=None):
-    report = {
-        "schema": 1,
-        "command": command,
-        "argv": list(args._argv),
-        "instance": _jsonable(instance),
-        "results": _jsonable(results),
-    }
-    if agreement is not None:
-        report["oracle_agreement"] = _jsonable(agreement)
-    if getattr(args, "timing", False) and started is not None:
-        report["timing"] = {"seconds": f"{time.time() - started:.3f}"}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    with _all_digits():
+        report = {
+            "schema": 1,
+            "command": command,
+            "argv": list(args._argv),
+            "instance": _jsonable(instance),
+            "results": _jsonable(results),
+        }
+        if agreement is not None:
+            report["oracle_agreement"] = _jsonable(agreement)
+        if getattr(args, "timing", False) and started is not None:
+            report["timing"] = {"seconds": f"{time.time() - started:.3f}"}
+        print(json.dumps(report, sort_keys=True, indent=2))
 
 
 def _build_ctx(args) -> FieldCtx:
@@ -123,14 +139,7 @@ def _load_instance(args) -> EgrlParams:
         raise InvalidParams(f"--n {args.n} disagrees with {n} evaluation points")
     v = tuple(_int_list(args.v)) if args.v else (1,) * n
     return EgrlParams(
-        ctx=ctx,
-        n=n,
-        k=args.k,
-        ell=args.ell,
-        t=args.t,
-        alpha=alpha,
-        v=v,
-        b=args.b,
+        ctx=ctx, n=n, k=args.k, ell=args.ell, t=args.t, alpha=alpha, v=v, b=args.b,
         mix=_mix_from_flag(ctx, args.M, args.ell),
     )
 
@@ -280,26 +289,25 @@ def cmd_weights(args) -> int:
     if args.method == "brute":
         primal = brute
         results["distribution"] = list(brute.counts)
-    lines = [
-        f"enumerator: {primal.poly_str()}",
-        f"distribution: {json.dumps(primal.as_strings())}",
-    ]
     agreement = None
-    exit_code = EXIT_OK
-    if args.method == "formula":
-        lines.append(f"dual distribution: {json.dumps(dual.as_strings())}")
-    elif args.method == "both":
+    if args.method == "both":
         brute_dual = macwilliams(brute, code.k, code.ctx)
         agreement = {"distribution": primal == brute, "dual_distribution": dual == brute_dual}
-        ok = all(agreement.values())
-        lines.append(f"agreement: {'true' if ok else 'false'}")
-        if not ok:
-            exit_code = EXIT_MISMATCH
+    ok = agreement is None or all(agreement.values())
     if args.json:
         _emit_report(args, "weights", instance, results, agreement, started)
     else:
-        print("\n".join(lines))
-    return exit_code
+        with _all_digits():
+            lines = [
+                f"enumerator: {primal.poly_str()}",
+                f"distribution: {json.dumps(primal.as_strings())}",
+            ]
+            if args.method == "formula":
+                lines.append(f"dual distribution: {json.dumps(dual.as_strings())}")
+            elif args.method == "both":
+                lines.append(f"agreement: {'true' if ok else 'false'}")
+            print("\n".join(lines))
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 # -- subsetsum --------------------------------------------------------------------
@@ -322,14 +330,16 @@ def cmd_subsetsum(args) -> int:
         results["closed_form"] = closed
         results["dp"] = dp
         if closed != dp:
-            print(f"closed form {closed} != dp {dp}", file=sys.stderr)
+            with _all_digits():
+                print(f"closed form {closed} != dp {dp}", file=sys.stderr)
             return EXIT_MISMATCH
         count = closed
     results["count"] = count
     if args.json:
         _emit_report(args, "subsetsum", {"field": str(ctx)}, results, agreement, started)
     else:
-        print(count)
+        with _all_digits():
+            print(count)
     return EXIT_OK
 
 

@@ -141,19 +141,10 @@ class EgrlParams:
         }
 
     def to_text(self) -> str:
-        d = self.to_dict()
-        lines = [
-            f"field: {d['field']}",
-            f"n: {d['n']}",
-            f"k: {d['k']}",
-            f"ell: {d['ell']}",
-            f"t: {d['t']}",
-            f"alpha: {','.join(map(str, d['alpha']))}",
-            f"v: {','.join(map(str, d['v']))}",
-            f"b: {d['b']}",
-            f"M: {','.join(map(str, d['M']))}",
-        ]
-        return "\n".join(lines)
+        return "\n".join(
+            f"{key}: {','.join(map(str, val)) if isinstance(val, list) else val}"
+            for key, val in self.to_dict().items()
+        )
 
 
 def params_from_dict(d: dict) -> EgrlParams:
@@ -161,15 +152,9 @@ def params_from_dict(d: dict) -> EgrlParams:
     ell = int(d.get("ell", 2))
     mix = FieldMatrix.from_flat(ctx, ell, ell, [int(x) for x in d["M"]])
     return EgrlParams(
-        ctx=ctx,
-        n=int(d["n"]),
-        k=int(d["k"]),
-        ell=ell,
-        t=int(d.get("t", 0)),
-        alpha=tuple(int(a) for a in d["alpha"]),
-        v=tuple(int(x) for x in d["v"]),
-        b=int(d["b"]),
-        mix=mix,
+        ctx=ctx, n=int(d["n"]), k=int(d["k"]), ell=ell, t=int(d.get("t", 0)),
+        alpha=tuple(int(a) for a in d["alpha"]), v=tuple(int(x) for x in d["v"]),
+        b=int(d["b"]), mix=mix,
     )
 
 
@@ -427,15 +412,8 @@ def special_construction(
     else:
         raise ValueError(f"order must be 'ascending' or 'generator', got {order!r}")
     return EgrlParams(
-        ctx=ctx,
-        n=ctx.q - 1,
-        k=k,
-        ell=2,
-        t=0,
-        alpha=tuple(alpha),
-        v=(1,) * (ctx.q - 1),
-        b=b,
-        mix=mix,
+        ctx=ctx, n=ctx.q - 1, k=k, ell=2, t=0, alpha=tuple(alpha), v=(1,) * (ctx.q - 1),
+        b=b, mix=mix,
     )
 
 

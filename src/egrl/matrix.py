@@ -99,11 +99,8 @@ class FieldMatrix:
     # -- structural operations ---------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.ctx,
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        cols = [self.data[j :: self.cols] for j in range(self.cols)]
+        return FieldMatrix(self.ctx, cols, cols=self.rows)
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.ctx != other.ctx:
@@ -133,12 +130,8 @@ class FieldMatrix:
             raise DimMismatch(f"need {self.cols} column scalars, got {len(scalars)}")
         if any(d == 0 for d in scalars):
             raise ZeroScale("column scalars must be nonzero")
-        mul = self.ctx.mul
-        return FieldMatrix(
-            self.ctx,
-            [[mul(self.at(i, j), scalars[j]) for j in range(self.cols)] for i in range(self.rows)],
-            cols=self.cols,
-        )
+        rows = [map(self.ctx.mul, self.row(i), scalars) for i in range(self.rows)]
+        return FieldMatrix(self.ctx, rows, cols=self.cols)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.data)

@@ -14,15 +14,19 @@ Three routes are provided and kept deliberately independent:
 
 One numpy DP serves counting, existence and witnesses.  It walks the n
 domain elements in reverse and updates all subset sizes at once,
-T[1:] += T[:-1][:, t - x], on one (m+1)-by-q table: exact counts in Python
-integers (dtype object), existence in bool (+ is logical or).  The bool
-pass of :func:`find_subset` holds (m+1)*q bytes; only when a witness exists
-does it run again keeping all n+1 suffix tables, (n+1)*(m+1)*q bytes --
-about 1.7e9 at q = 4096, m = 100, where checkpointed recovery (an open
-item of ROADMAP.md) is still needed.
+T[1:] += T[:-1][:, t - x], on one (m+1)-by-q-by-limbs table.  Exact counts
+are carry-save base-2**32 limbs in uint64, limbs = ceil(log2(max_j C(n, j))
+/ 32), normalised every 30 steps and read back into a Python integer;
+existence is bool with one limb (+ is logical or).  The index array t - x
+comes from a per-digit translation table built once per call.  Counting
+holds (m+1)*q*limbs*8 bytes.  The existence pass of :func:`find_subset`
+keeps every (isqrt(n)+1)-th table of (m+1)*q bytes; only when a witness
+exists does recovery recompute the tables one segment at a time from
+those checkpoints, left to right: about 2*sqrt(n) tables held and two
+passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).
 
-Counts are plain Python integers (arbitrary precision); the division by q
-inside the closed forms is always exact and is checked.
+Counts are returned as Python integers (arbitrary precision); the division
+by q inside the closed forms is always exact and is checked.
 
 Size-0 convention: N(0, 0) = 1 and N(0, b) = 0 for b != 0, consistent with
 the closed forms evaluated at m = 0.
@@ -30,8 +34,8 @@ the closed forms evaluated at m = 0.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Iterator, Sequence, Union
+from math import comb, isqrt
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -70,30 +74,64 @@ def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> list[int]:
     return codes
 
 
-def _suffix_tables(ctx: FieldCtx, codes: list[int], m: int, dtype) -> Iterator[np.ndarray]:
-    """Yield T[j, t] = #(j-subsets of codes[i:] summing to t) for i = n, ..., 0.
+# Counts are carry-save base-2**32 numbers along the last table axis.  After
+# a normalisation every limb is below 2**33 (a 32-bit remainder plus a carry
+# below 2**31); one DP step at most doubles the largest limb, so within
+# _NORMALISE_EVERY = 30 steps every limb stays below 2**63 and uint64 never
+# wraps.  The top limb never carries: a cell holds at most
+# max_j C(n, j) < 2**(32 * limbs), and no limb is negative.
+_LIMB_BITS = 32
+_NORMALISE_EVERY = 30
 
-    The one table is updated in place; copy what must be kept.  Rows below
-    m - i can no longer grow into an m-subset and are left stale.
+
+def _shifts(ctx: FieldCtx) -> Callable[[int], np.ndarray]:
+    """x -> the index array [t - x for t in range(q)], O(1) numpy calls per x.
+
+    Prime fields subtract mod q.  Otherwise the translation table
+    A[d, v, t] = ((digit_d(t) - v) mod p) * p**d (s*p*q entries, never the
+    q-by-q add table) is built once and summed at the digits of x.
     """
-    q, p, n = ctx.q, ctx.p, len(codes)
-    tbl = np.zeros((m + 1, q), dtype=dtype)
-    tbl[0, 0] = 1
-    yield tbl
-    # t - x digit by digit: O(q*s) per element, never the q-by-q add table.
-    digits = [(np.arange(q) // p**d % p, p**d) for d in range(ctx.s)]
-    for i in range(n - 1, -1, -1):
-        x = ctx.digits(codes[i])
-        shift = sum((dig - x[d]) % p * w for d, (dig, w) in enumerate(digits))
-        lo, hi = max(1, m - i), min(n - i, m)
-        tbl[lo : hi + 1] += tbl[lo - 1 : hi][:, shift]
-        yield tbl
+    q, p, s = ctx.q, ctx.p, ctx.s
+    t = np.arange(q)
+    if s == 1:
+        return lambda x: (t - x) % q
+    w = p ** np.arange(s)
+    table = (t // w[:, None, None] % p - np.arange(p)[:, None]) % p * w[:, None, None]
+    rows = np.arange(s)
+    return lambda x: table[rows, x // w % p].sum(axis=0)
+
+
+def _steps(codes: list[int], m: int, shift, tbl: np.ndarray, hi: int, lo: int = 0
+           ) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i, T_i) for i = hi, hi-1, ..., lo, given T_hi as tbl.
+
+    T_i[j, t] is #(j-subsets of codes[i:] summing to t), in limbs along the
+    last axis; a bool table has one limb and + is logical or.  The one
+    table is updated in place; copy what must be kept.  Rows below m - i
+    can no longer grow into an m-subset and are left stale.
+    """
+    n = len(codes)
+    yield hi, tbl
+    for i in range(hi - 1, lo - 1, -1):
+        r0, r1 = max(1, m - i), min(n - i, m)
+        tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift(codes[i]), axis=1)
+        if tbl.shape[-1] > 1 and (n - i) % _NORMALISE_EVERY == 0:
+            carry = tbl >> _LIMB_BITS
+            tbl &= (1 << _LIMB_BITS) - 1
+            tbl[..., 1:] += carry[..., :-1]
+        yield i, tbl
 
 
 def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     """Number of m-element subsets of the domain whose field sum is b."""
-    *_, tbl = _suffix_tables(ctx, _domain_codes(ctx, domain, m, b), m, object)
-    return tbl[m, b]
+    codes = _domain_codes(ctx, domain, m, b)
+    n = len(codes)
+    limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
+    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
+    tbl[0, 0, 0] = 1  # the empty subset
+    for _ in _steps(codes, m, _shifts(ctx), tbl, n):
+        pass
+    return sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(tbl[m, b]))
 
 
 def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...] | None:
@@ -104,17 +142,24 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     is the lexicographically smallest witness.
     """
     codes = _domain_codes(ctx, domain, m, b)
-    *_, tbl = _suffix_tables(ctx, codes, m, bool)
-    if not tbl[m, b]:
+    n, shift, seg = len(codes), _shifts(ctx), isqrt(len(codes)) + 1
+    tbl = np.zeros((m + 1, ctx.q, 1), bool)
+    tbl[0, 0, 0] = True  # the empty subset
+    marks = {i: t.copy() for i, t in _steps(codes, m, shift, tbl, n) if i % seg == 0 or i == n}
+    if not tbl[m, b, 0]:
         return None
-    suffix = [t.copy() for t in _suffix_tables(ctx, codes, m, bool)][::-1]
-    picked = []
+    picked, suffix = [], {}
     for i, x in enumerate(codes):
         if len(picked) == m:
             break
+        if i % seg == 0:
+            # This segment's suffix tables i+1 .. hi, recomputed from the checkpoint at hi.
+            hi = min(n, i + seg)
+            suffix.clear()
+            suffix.update((j, t.copy()) for j, t in _steps(codes, m, shift, marks.pop(hi), hi, i + 1))
         rest = ctx.sub(b, x)
         # len(picked) <= i, so this row is never one of the stale ones.
-        if suffix[i + 1][m - len(picked) - 1, rest]:
+        if suffix[i + 1][m - len(picked) - 1, rest, 0]:
             picked.append(x)
             b = rest
     return tuple(picked)

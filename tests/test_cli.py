@@ -356,3 +356,29 @@ def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [rc for rc, _, _ in in_process] == [2, 0, 0]
     assert in_process == fresh
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_counts_render_under_caller_digit_limit(capsys):
+    # Dual counts at q = 512 reach about 1,370 digits and the subset count at
+    # q = 4096 about 1,230: a caller's limit of 640 must neither break the
+    # output nor be changed by it.
+    formula = ["weights", "--special", "--q", "512", "--k", "8", "--b", "1",
+               "--M", "1,1,1,2", "--method", "formula"]
+    lw = ["subsetsum", "--q", "4096", "--domain", "star", "--m", "2047", "--b", "0",
+          "--method", "lw"]
+    argvs = [formula, formula + ["--json"], lw, lw + ["--json"]]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [run(capsys, *argv) for argv in argvs]
+        sys.set_int_max_str_digits(640)
+        got = [run(capsys, *argv) for argv in argvs]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0]
+    assert got == expected
+    dual = json.loads(expected[1][1])["results"]["dual_distribution"]
+    assert max(map(len, dual)) > 640
+    assert len(expected[2][1].strip()) > 640

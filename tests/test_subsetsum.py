@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import brute_subset_count
 from egrl.field import FieldCtx
 from egrl.subsetsum import (
+    _LIMB_BITS,
+    _NORMALISE_EVERY,
     FULL,
     STAR,
     DomainSize,
@@ -15,6 +17,7 @@ from egrl.subsetsum import (
     count_li_wan,
     find_subset,
     vanishes,
+    _shifts,
 )
 
 
@@ -182,3 +185,40 @@ def test_dp_counts_exact_beyond_64_bits(domain):
             count = count_dp(ctx, domain, m, b)
             assert count > 1 << 64
             assert count == count_li_wan(ctx, domain, m, b)
+
+
+_LIMB_FIELDS = {q: FieldCtx.from_order(q) for q in (27, 49, 81, 125, 128, 243, 256)}
+
+
+@st.composite
+def limb_instances(draw):
+    q = draw(st.sampled_from(sorted(_LIMB_FIELDS)))
+    domain = draw(st.sampled_from((FULL, STAR)))
+    n = q if domain == FULL else q - 1
+    return q, domain, draw(st.integers(n // 4, n - n // 4)), draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(limb_instances())
+@example((81, STAR, 40, 0))
+@example((256, FULL, 128, 1))
+def test_dp_limbs_match_li_wan(case):
+    # Middle sizes: from q = 49 on the counts span several 32-bit limbs, and
+    # from q = 81 on the n >= 80 steps normalise at least twice (q = 27 keeps
+    # one limb and never normalises).
+    q, domain, m, b = case
+    ctx = _LIMB_FIELDS[q]
+    n = q if domain == FULL else q - 1
+    if q >= 49:
+        assert math.comb(n, min(m, n // 2)).bit_length() > _LIMB_BITS
+    if q >= 81:
+        assert n >= 2 * _NORMALISE_EVERY
+    assert count_dp(ctx, domain, m, b) == count_li_wan(ctx, domain, m, b)
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 27, 31, 243])
+def test_shift_table_is_field_subtraction(q):
+    ctx = FieldCtx.from_order(q)
+    shift = _shifts(ctx)
+    for x in range(q):
+        assert shift(x).tolist() == [ctx.sub(t, x) for t in range(q)], x
