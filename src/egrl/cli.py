@@ -3,6 +3,14 @@
 Subcommands: construct, classify, weights, subsetsum, sweep.
 Exit codes: 0 ok, 2 bad input, 3 unsupported shape, 4 verification failure.
 
+Each ``cmd_*`` only computes: it returns a :class:`Report` and writes
+nothing.  ``main`` starts the clock, runs the command and hands its report
+to ``_emit_report``, the one place output is written -- the JSON document
+(--json), the command's text form derived from the same results, the
+--out file, or an early exit's stderr line.  ``_emit_report`` is also the
+one place the int-to-str digit limit is lifted, so counts of any length
+render under a caller's limit, which is restored afterwards.
+
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
 is rendered as a decimal string so counts survive any magnitude.  Identical
 invocation and seed give byte-identical output (timing is only attached
@@ -18,6 +26,7 @@ import json
 import random
 import sys
 import time
+from typing import Iterator, NamedTuple
 
 from .field import FieldCtx, FieldError
 from .matrix import FieldMatrix, MatrixError
@@ -27,6 +36,7 @@ from .linear import (
     InconsistentInput,
     LinearCode,
     NegativeCount,
+    WeightDistribution,
     ZeroCode,
     macwilliams,
     nmds_distribution,
@@ -56,6 +66,21 @@ EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
 
+class Report(NamedTuple):
+    """What one command computed; only ``_emit_report`` renders it.
+
+    A false entry in ``agreement`` makes the exit code EXIT_MISMATCH.
+    ``error`` marks an early exit: the string, formatted with ``results``,
+    is the whole output, on stderr.
+    """
+
+    instance: dict
+    results: dict
+    agreement: dict | None = None
+    exit_code: int = EXIT_OK
+    error: str | None = None
+
+
 def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -66,6 +91,8 @@ def _int_list(text: str) -> list[int]:
 def _jsonable(value):
     # Decimal-string policy: counts can exceed any fixed width, so every
     # number in a report body is serialized as a string.
+    if isinstance(value, WeightDistribution):
+        value = value.counts
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -91,20 +118,78 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _emit_report(args, command: str, instance, results, agreement=None, started=None):
+def _construct_text(report: Report) -> Iterator[str]:
+    res = report.results
+    return (part for key in ("G", "H") if key in res for part in (key, res[key]))
+
+
+def _classify_text(report: Report) -> Iterator[str]:
+    res = report.results
+    if "mds" not in res:
+        ell, t = report.instance["ell"], report.instance["t"]
+        yield f"criteria unsupported for (ell,t)=({ell},{t}): brute-force only"
+    elif res["mds"]:
+        yield "MDS: true"
+    elif "alpha_zero_index" in res:
+        yield f"MDS: false; alpha[{res['alpha_zero_index']}] = 0"
+    else:
+        w = res["witness"]
+        yield f"MDS: false; witness I_{w['m']}={{{','.join(map(str, w['subset']))}}} j={w['j']}"
+    if "mds" in res:
+        yield f"dual AMDS: {json.dumps(res['dual_amds'])}"
+    if "classification" in res:
+        cls = res["classification"]
+        (n, k, d), dual_d = cls["parameters"], cls["dual_parameters"][2]
+        yield f"parameters: [{n},{k},{d}] {cls['label']}"
+        yield f"dual parameters: [{n},{n - k},{dual_d}]"
+    if report.agreement:
+        yield f"brute force agrees: {json.dumps(all(report.agreement.values()))}"
+
+
+def _weights_text(report: Report) -> Iterator[str]:
+    res = report.results
+    yield f"enumerator: {res['distribution'].poly_str()}"
+    yield f"distribution: {json.dumps(_jsonable(res['distribution']))}"
+    if res["method"] == "formula":
+        yield f"dual distribution: {json.dumps(_jsonable(res['dual_distribution']))}"
+    elif report.agreement is not None:
+        yield f"agreement: {json.dumps(all(report.agreement.values()))}"
+
+
+def _sweep_text(report: Report) -> Iterator[str]:
+    for r in report.results["records"]:
+        status = (f"skipped ({r['skipped']})" if "skipped" in r
+                  else f"{r['new_failures']} new failures")
+        yield f"q={r['q']} k={r['k']}: {status}"
+    yield from (f"FAIL {f}" for f in report.results["failures"])
+    yield report.results["summary"]
+
+
+def _emit_report(args, report: Report, started: float) -> int:
+    """Write ``report`` -- the only output a command makes -- and return its exit code."""
     with _all_digits():
-        report = {
-            "schema": 1,
-            "command": command,
-            "argv": list(args._argv),
-            "instance": _jsonable(instance),
-            "results": _jsonable(results),
-        }
-        if agreement is not None:
-            report["oracle_agreement"] = _jsonable(agreement)
-        if getattr(args, "timing", False) and started is not None:
-            report["timing"] = {"seconds": f"{time.time() - started:.3f}"}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        if report.error is not None:
+            print(report.error.format(**report.results), file=sys.stderr)
+        elif args.json:
+            doc = {
+                "schema": 1,
+                "command": args.command,
+                "argv": list(args._argv),
+                "instance": _jsonable(report.instance),
+                "results": _jsonable(report.results),
+            }
+            if report.agreement is not None:
+                doc["oracle_agreement"] = _jsonable(report.agreement)
+            if args.timing:
+                doc["timing"] = {"seconds": f"{time.time() - started:.3f}"}
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            out = getattr(args, "out", None)
+            with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext() as fh:
+                print("\n".join(args.text(report)), file=fh)
+    if report.agreement and not all(report.agreement.values()):
+        return EXIT_MISMATCH
+    return report.exit_code
 
 
 def _build_ctx(args) -> FieldCtx:
@@ -163,39 +248,16 @@ def _add_instance_flags(sub):
     )
 
 
-# -- construct -----------------------------------------------------------------
-
-
-def cmd_construct(args) -> int:
-    started = time.time()
+def cmd_construct(args) -> Report:
     params = _load_instance(args)
-    g = generator_matrix(params)
-    h = parity_check_matrix(params) if args.with_h else None
-    if args.json:
-        results = {"G": g.to_text()}
-        if h is not None:
-            results["H"] = h.to_text()
-        _emit_report(args, "construct", params.to_dict(), results, started=started)
-    else:
-        out = ["G", g.to_text()]
-        if h is not None:
-            out += ["H", h.to_text()]
-        text = "\n".join(out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    return EXIT_OK
+    results = {"G": generator_matrix(params).to_text()}
+    if args.with_h:
+        results["H"] = parity_check_matrix(params).to_text()
+    return Report(params.to_dict(), results)
 
 
-# -- classify -------------------------------------------------------------------
-
-
-def cmd_classify(args) -> int:
-    started = time.time()
+def cmd_classify(args) -> Report:
     params = _load_instance(args)
-    lines: list[str] = []
     results: dict = {}
     agreement: dict = {}
     criteria_ran = params.ell == 2 and params.t == 0
@@ -203,74 +265,43 @@ def cmd_classify(args) -> int:
         report = check_mds(params)
         results["mds"] = report.is_mds
         results["dual_amds"] = report.dual_amds
-        if report.is_mds:
-            lines.append("MDS: true")
-        elif report.alpha_zero_index is not None:
+        if report.alpha_zero_index is not None:
             results["alpha_zero_index"] = report.alpha_zero_index
-            lines.append(f"MDS: false; alpha[{report.alpha_zero_index}] = 0")
-        else:
+        elif not report.is_mds:
             m, j, subset = report.witness
             results["witness"] = {"m": m, "j": j, "subset": list(subset)}
-            lines.append(
-                f"MDS: false; witness I_{m}={{{','.join(map(str, subset))}}} j={j}"
-            )
-        lines.append(f"dual AMDS: {'true' if report.dual_amds else 'false'}")
     else:
-        lines.append(
-            f"criteria unsupported for (ell,t)=({params.ell},{params.t}): brute-force only"
-        )
         results["criteria"] = "brute-force only"
 
-    exit_code = EXIT_OK
     if args.verify or not criteria_ran:
         code = egrl_code(params)
         cls = code.classify(args.budget)
-        d = code.n - code.k + 1 - cls.singleton_defect
-        dual_d = code.k + 1 - cls.dual_defect
         results["classification"] = {
             "label": cls.label,
-            "parameters": [code.n, code.k, d],
-            "dual_parameters": [code.n, code.n - code.k, dual_d],
+            "parameters": [code.n, code.k, code.n - code.k + 1 - cls.singleton_defect],
+            "dual_parameters": [code.n, code.n - code.k, code.k + 1 - cls.dual_defect],
             "singleton_defect": cls.singleton_defect,
             "dual_defect": cls.dual_defect,
         }
-        lines.append(f"parameters: [{code.n},{code.k},{d}] {cls.label}")
-        lines.append(f"dual parameters: [{code.n},{code.n - code.k},{dual_d}]")
         if criteria_ran:
             agreement["mds"] = results["mds"] == (cls.singleton_defect == 0)
             agreement["dual_amds"] = results["dual_amds"] == (cls.dual_defect == 1)
-            ok = all(agreement.values())
-            lines.append(f"brute force agrees: {'true' if ok else 'false'}")
-            if not ok:
-                exit_code = EXIT_MISMATCH
-    if args.json:
-        _emit_report(
-            args, "classify", params.to_dict(), results,
-            agreement or None, started=started,
-        )
-    else:
-        print("\n".join(lines))
-    return exit_code
+    return Report(params.to_dict(), results, agreement or None)
 
 
-# -- weights --------------------------------------------------------------------
-
-
-def cmd_weights(args) -> int:
-    started = time.time()
+def cmd_weights(args) -> Report:
     if args.generator:
         if args.method != "brute":
             raise InvalidParams("a raw generator file supports --method brute only")
         ctx = _build_ctx(args)
         with open(args.generator, "r", encoding="utf-8") as fh:
             code = LinearCode(FieldMatrix.from_text(ctx, fh.read()))
-        instance = {"field": str(ctx), "generator": args.generator}
-        params = None
+        instance, params = {"field": str(ctx), "generator": args.generator}, None
     else:
-        params = _load_instance(args)
+        params, code = _load_instance(args), None
         instance = params.to_dict()
-        code = None
 
+    # Distributions stay WeightDistribution values; _emit_report renders them.
     results: dict = {"method": args.method}
     if args.method in ("formula", "both"):
         if params is None or not is_special_instance(params):
@@ -278,69 +309,34 @@ def cmd_weights(args) -> int:
                 "--method formula needs a special-construction instance "
                 "(alpha = F_q^*, unit multipliers, k in the supported range)"
             )
-        primal, dual = special_nmds_distribution(params)
-        results["distribution"] = list(primal.counts)
-        results["dual_distribution"] = list(dual.counts)
+        results["distribution"], results["dual_distribution"] = special_nmds_distribution(params)
     if args.method in ("brute", "both"):
         if code is None:
             code = egrl_code(params)
-        brute = code.weight_distribution(args.budget)
-        results["brute_distribution"] = list(brute.counts)
-    if args.method == "brute":
-        primal = brute
-        results["distribution"] = list(brute.counts)
-    agreement = None
-    if args.method == "both":
-        brute_dual = macwilliams(brute, code.k, code.ctx)
-        agreement = {"distribution": primal == brute, "dual_distribution": dual == brute_dual}
-    ok = agreement is None or all(agreement.values())
-    if args.json:
-        _emit_report(args, "weights", instance, results, agreement, started)
-    else:
-        with _all_digits():
-            lines = [
-                f"enumerator: {primal.poly_str()}",
-                f"distribution: {json.dumps(primal.as_strings())}",
-            ]
-            if args.method == "formula":
-                lines.append(f"dual distribution: {json.dumps(dual.as_strings())}")
-            elif args.method == "both":
-                lines.append(f"agreement: {'true' if ok else 'false'}")
-            print("\n".join(lines))
-    return EXIT_OK if ok else EXIT_MISMATCH
+        results["brute_distribution"] = brute = code.weight_distribution(args.budget)
+        results.setdefault("distribution", brute)
+    if args.method != "both":
+        return Report(instance, results)
+    brute_dual = macwilliams(brute, code.k, code.ctx)
+    agreement = {"distribution": results["distribution"] == brute,
+                 "dual_distribution": results["dual_distribution"] == brute_dual}
+    return Report(instance, results, agreement)
 
 
-# -- subsetsum --------------------------------------------------------------------
-
-
-def cmd_subsetsum(args) -> int:
-    started = time.time()
+def cmd_subsetsum(args) -> Report:
     ctx = _build_ctx(args)
     domain = {"star": STAR, "full": FULL}[args.domain]
+    instance = {"field": str(ctx)}
     results: dict = {"domain": args.domain, "m": args.m, "b": args.b}
-    agreement = None
-    if args.method == "dp":
-        count = count_dp(ctx, domain, args.m, args.b)
-    elif args.method == "lw":
-        count = count_li_wan(ctx, domain, args.m, args.b)
-    else:
-        closed = count_li_wan(ctx, domain, args.m, args.b)
-        dp = count_dp(ctx, domain, args.m, args.b)
-        agreement = {"closed_form_vs_dp": closed == dp}
-        results["closed_form"] = closed
-        results["dp"] = dp
-        if closed != dp:
-            with _all_digits():
-                print(f"closed form {closed} != dp {dp}", file=sys.stderr)
-            return EXIT_MISMATCH
-        count = closed
-    results["count"] = count
-    if args.json:
-        _emit_report(args, "subsetsum", {"field": str(ctx)}, results, agreement, started)
-    else:
-        with _all_digits():
-            print(count)
-    return EXIT_OK
+    if args.method != "both":
+        count = count_dp if args.method == "dp" else count_li_wan
+        results["count"] = count(ctx, domain, args.m, args.b)
+        return Report(instance, results)
+    closed = count_li_wan(ctx, domain, args.m, args.b)
+    results.update(closed_form=closed, dp=count_dp(ctx, domain, args.m, args.b), count=closed)
+    agree = closed == results["dp"]
+    return Report(instance, results, {"closed_form_vs_dp": agree},
+                  error=None if agree else "closed form {closed_form} != dp {dp}")
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -416,13 +412,12 @@ def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, ta
                 failures.append(f"{label}: support-pattern census disagrees")
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def cmd_sweep(args) -> Report:
     qs = _int_list(args.q_list)
     ks = _int_list(args.k_list)
     if not qs or not ks:
-        print("sweep needs nonempty --q-list and --k-list", file=sys.stderr)
-        return EXIT_USAGE
+        return Report({}, {}, exit_code=EXIT_USAGE,
+                      error="sweep needs nonempty --q-list and --k-list")
     failures: list[str] = []
     records = []
     for q in qs:
@@ -442,21 +437,10 @@ def cmd_sweep(args) -> int:
             if k in special_k_range(ctx):
                 _sweep_special_checks(ctx, k, args.budget, failures, f"q={q} k={k} special")
             records.append({"q": q, "k": k, "new_failures": len(failures) - before})
-    summary = f"{len(failures)} disagreements"
-    if args.json:
-        results = {"records": records, "failures": failures, "summary": summary}
-        _emit_report(args, "sweep", {"q_list": qs, "k_list": ks, "trials": args.trials,
-                                     "seed": args.seed}, results, started=started)
-    else:
-        for rec in records:
-            if "skipped" in rec:
-                print(f"q={rec['q']} k={rec['k']}: skipped ({rec['skipped']})")
-            else:
-                print(f"q={rec['q']} k={rec['k']}: {rec['new_failures']} new failures")
-        for f in failures:
-            print(f"FAIL {f}")
-        print(summary)
-    return EXIT_MISMATCH if failures else EXIT_OK
+    instance = {"q_list": qs, "k_list": ks, "trials": args.trials, "seed": args.seed}
+    results = {"records": records, "failures": failures,
+               "summary": f"{len(failures)} disagreements"}
+    return Report(instance, results, exit_code=EXIT_MISMATCH if failures else EXIT_OK)
 
 
 # -- entry point -------------------------------------------------------------------
@@ -476,12 +460,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_con)
     p_con.add_argument("--with-h", action="store_true", help="also emit the parity-check matrix")
     p_con.add_argument("--out", help="write matrices to a file instead of stdout")
-    p_con.set_defaults(func=cmd_construct)
+    p_con.set_defaults(func=cmd_construct, text=_construct_text)
 
     p_cls = sub.add_parser("classify", help="MDS / dual-AMDS verdicts, optionally verified")
     _add_instance_flags(p_cls)
     p_cls.add_argument("--verify", action="store_true", help="brute-force and compare")
-    p_cls.set_defaults(func=cmd_classify)
+    p_cls.set_defaults(func=cmd_classify, text=_classify_text)
 
     p_wts = sub.add_parser("weights", help="weight distribution by formula and/or enumeration")
     _add_instance_flags(p_wts)
@@ -490,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("formula", "brute", "both"), default="both",
         help="closed form, exhaustive enumeration, or both with an equality check",
     )
-    p_wts.set_defaults(func=cmd_weights)
+    p_wts.set_defaults(func=cmd_weights, text=_weights_text)
 
     p_ss = sub.add_parser("subsetsum", help="count subsets of F_q or F_q^* with a given sum")
     p_ss.add_argument("--q", type=int, required=True)
@@ -502,14 +486,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("lw", "dp", "both"), default="both",
         help="closed form, dynamic programming, or both with a cross-check",
     )
-    p_ss.set_defaults(func=cmd_subsetsum)
+    p_ss.set_defaults(func=cmd_subsetsum, text=lambda report: [str(report.results["count"])])
 
     p_sw = sub.add_parser("sweep", help="randomized + exhaustive formula-vs-oracle verification")
     p_sw.add_argument("--q-list", required=True, help="comma-separated field orders")
     p_sw.add_argument("--k-list", required=True, help="comma-separated dimensions")
     p_sw.add_argument("--trials", type=int, default=20, help="random instances per (q, k)")
     p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.set_defaults(func=cmd_sweep)
+    p_sw.set_defaults(func=cmd_sweep, text=_sweep_text)
 
     for p in (p_con, p_cls, p_wts, p_ss, p_sw):
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -529,8 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = argv
+    started = time.time()
     try:
-        return args.func(args)
+        return _emit_report(args, args.func(args), started)
     except UnsupportedShape as exc:
         print(f"unsupported shape: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

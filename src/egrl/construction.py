@@ -148,14 +148,16 @@ class EgrlParams:
 
 
 def params_from_dict(d: dict) -> EgrlParams:
-    ctx = FieldCtx.from_text(d["field"])
-    ell = int(d.get("ell", 2))
-    mix = FieldMatrix.from_flat(ctx, ell, ell, [int(x) for x in d["M"]])
-    return EgrlParams(
-        ctx=ctx, n=int(d["n"]), k=int(d["k"]), ell=ell, t=int(d.get("t", 0)),
-        alpha=tuple(int(a) for a in d["alpha"]), v=tuple(int(x) for x in d["v"]),
-        b=int(d["b"]), mix=mix,
-    )
+    try:  # a value of the wrong JSON type: a string, number or list where another belongs
+        ctx = FieldCtx.from_text(d["field"])
+        ell = int(d.get("ell", 2))
+        mix = FieldMatrix.from_flat(ctx, ell, ell, [int(x) for x in d["M"]])
+        n, k, t = int(d["n"]), int(d["k"]), int(d.get("t", 0))
+        alpha, v = tuple(int(a) for a in d["alpha"]), tuple(int(x) for x in d["v"])
+        b = int(d["b"])
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise InvalidParams(f"malformed instance: {exc}") from None
+    return EgrlParams(ctx=ctx, n=n, k=k, ell=ell, t=t, alpha=alpha, v=v, b=b, mix=mix)
 
 
 def params_from_text(text: str) -> EgrlParams:

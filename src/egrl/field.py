@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_ORDER = 1 << 16  # largest supported field order q
+_MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
 
 
 class FieldError(Exception):
@@ -213,7 +214,7 @@ class FieldCtx:
     def __init__(self, p: int, s: int = 1, modulus: Sequence[int] | None = None):
         if s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s}")
-        if p**s > MAX_ORDER:
+        if abs(p) > 1 and s > _MAX_DEGREE or p**s > MAX_ORDER:  # no huge power for a huge s
             raise FieldError(f"field order {p}^{s} exceeds the supported maximum {MAX_ORDER}")
         if not _is_prime(p):
             raise CompositeCharacteristic(f"characteristic {p} is not prime")

@@ -100,10 +100,6 @@ class WeightDistribution:
                 return i
         raise InconsistentInput("distribution has no nonzero-weight codewords")
 
-    def as_strings(self) -> list[str]:
-        """Counts as decimal strings (JSON-safe at any magnitude)."""
-        return [str(c) for c in self.counts]
-
     def poly_str(self) -> str:
         """Enumerator polynomial, e.g. '1+224x^6+1520x^7'."""
         terms = []
@@ -142,7 +138,7 @@ class LinearCode:
     __slots__ = ("ctx", "gen", "n", "k")
 
     def __init__(self, gen: FieldMatrix):
-        reduced, pivots = gen._rref_pivots()
+        reduced, pivots, _ = gen._rref_pivots()
         if not pivots:
             raise ZeroCode("generator has rank 0")
         self.ctx = gen.ctx

@@ -138,16 +138,24 @@ class FieldMatrix:
 
     # -- elimination ---------------------------------------------------------------
 
-    def _rref_pivots(self) -> tuple[list[list[int]], list[int]]:
+    def _rref_pivots(self) -> tuple[list[list[int]], list[int], int]:
+        """(reduced rows, pivot columns, (-1)^swaps * product of the pivots).
+
+        For a square matrix of full rank the last entry is the determinant.
+        """
         ctx = self.ctx
         work = self.to_lists()
         pivots: list[int] = []
+        det = 1
         r = 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot_row is None:
                 continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
+            if pivot_row != r:
+                work[r], work[pivot_row] = work[pivot_row], work[r]
+                det = ctx.neg(det)
+            det = ctx.mul(det, work[r][c])
             inv = ctx.inv(work[r][c])
             if inv != 1:
                 work[r] = [ctx.mul(inv, x) for x in work[r]]
@@ -159,10 +167,10 @@ class FieldMatrix:
             r += 1
             if r == self.rows:
                 break
-        return work, pivots
+        return work, pivots, det
 
     def rref(self) -> "FieldMatrix":
-        work, _ = self._rref_pivots()
+        work, _, _ = self._rref_pivots()
         return FieldMatrix(self.ctx, work, cols=self.cols)
 
     def rank(self) -> int:
@@ -170,7 +178,7 @@ class FieldMatrix:
 
     def null_space(self) -> "FieldMatrix":
         """Basis of the right kernel, one row per free column (ascending)."""
-        work, pivots = self._rref_pivots()
+        work, pivots, _ = self._rref_pivots()
         ctx = self.ctx
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
@@ -185,25 +193,8 @@ class FieldMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise NotSquare(f"determinant of {self.rows}x{self.cols} matrix")
-        ctx = self.ctx
-        n = self.rows
-        work = self.to_lists()
-        det = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if work[i][c]), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                det = ctx.neg(det)
-            piv = work[c][c]
-            det = ctx.mul(det, piv)
-            inv = ctx.inv(piv)
-            for i in range(c + 1, n):
-                if work[i][c]:
-                    f = ctx.mul(work[i][c], inv)
-                    work[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[i], work[c])]
-        return det
+        _, pivots, det = self._rref_pivots()
+        return det if len(pivots) == self.rows else 0
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -213,7 +204,7 @@ class FieldMatrix:
             self.ctx,
             [list(self.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)],
         )
-        red, pivots = aug._rref_pivots()
+        red, pivots, _ = aug._rref_pivots()
         if pivots != list(range(n)):
             raise MatrixError("matrix is singular")
         return FieldMatrix(self.ctx, [r[n:] for r in red], cols=n)
@@ -228,6 +219,8 @@ class FieldMatrix:
     @classmethod
     def from_text(cls, ctx: FieldCtx, text: str) -> "FieldMatrix":
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+        if not lines:
+            raise DimMismatch("matrix text has no 'rows cols' header line")
         rows, cols = map(int, lines[0].split())
         if len(lines) != rows + 1:
             raise DimMismatch(f"expected {rows} rows, got {len(lines) - 1}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import egrl.cli
 import egrl.construction
@@ -382,3 +385,64 @@ def test_counts_render_under_caller_digit_limit(capsys):
     dual = json.loads(expected[1][1])["results"]["dual_distribution"]
     assert max(map(len, dual)) > 640
     assert len(expected[2][1].strip()) > 640
+
+
+def _one_line_failure(argv: list[str]) -> None:
+    # Any input ends in a documented exit code, never a traceback, and a
+    # failure says why in exactly one stderr line.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(alphabet="0123456789 -\n\tx", max_size=30),
+                      st.sampled_from(["", "\n \n", "2", "1 3", "1 3\n1 1", "0 4",
+                                       "2 2\n1 0\n0 1"])),
+       q=st.sampled_from([2, 3, 9]))
+def test_generator_file_text_exits_documented(tmp_path_factory, text, q):
+    gen = tmp_path_factory.mktemp("gen") / "g.txt"
+    gen.write_text(text)
+    _one_line_failure(["weights", "--q", str(q), "--generator", str(gen), "--method", "brute",
+                       "--budget", "4096"])
+
+
+_INSTANCE = {"field": "p=13 s=1 mod=0,1", "n": 5, "k": 5, "ell": 2, "t": 0,
+             "alpha": [1, 2, 7, 8, 9], "v": [1, 1, 1, 1, 1], "b": 1, "M": [1, 0, 5, 1]}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["p=5 s=1 mod=0,1", "p=3 s=2 mod=2,2,1", "p=3 s=40000000 mod=1",
+                       "p=4 s=1 mod=0,1", "1,2", "7"]),
+    lambda inner: st.lists(inner, max_size=6), max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed=st.dictionaries(st.sampled_from(sorted(_INSTANCE)), _JSON_VALUES, max_size=3),
+       dropped=st.sets(st.sampled_from(sorted(_INSTANCE)), max_size=1))
+def test_instance_json_value_types_exit_documented(tmp_path_factory, changed, dropped):
+    doc = {key: value for key, value in {**_INSTANCE, **changed}.items() if key not in dropped}
+    inst = tmp_path_factory.mktemp("inst") / "inst.json"
+    inst.write_text(json.dumps(doc))
+    _one_line_failure(["classify", "--instance", str(inst), "--budget", "4096"])
+
+
+@pytest.mark.parametrize("path,text", [
+    ("--generator", ""),
+    ("--instance", json.dumps({**_INSTANCE, "field": 3})),
+    ("--instance", json.dumps({**_INSTANCE, "alpha": 7})),
+    ("--instance", json.dumps({**_INSTANCE, "n": [5]})),
+    ("--instance", json.dumps({**_INSTANCE, "b": float("inf")})),
+], ids=["empty-generator", "field-int", "alpha-int", "n-list", "b-infinity"])
+def test_malformed_input_files_exit2(capsys, tmp_path, path, text):
+    target = tmp_path / "input"
+    target.write_text(text)
+    argv = (["weights", "--q", "5", "--generator", str(target), "--method", "brute"]
+            if path == "--generator" else ["classify", "--instance", str(target)])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    expected = "DimMismatch: " if path == "--generator" else "InvalidParams: malformed instance: "
+    assert err.startswith(expected) and err.count("\n") == 1

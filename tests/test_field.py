@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -292,3 +293,12 @@ def test_ctx_mismatch(gf9):
     other = FieldCtx(3, 2, (1, 0, 1))
     with pytest.raises(CtxMismatch):
         FieldMatrix.identity(gf9, 2).matmul(FieldMatrix.identity(other, 2))
+
+
+@pytest.mark.parametrize("p,s", [(2, 10**12), (3, 16_000_000), (-3, 10**9 + 1)])
+def test_huge_extension_degree_rejected_at_once(p, s):
+    # The degree bound comes before p**s: these would take seconds to hours.
+    started = time.perf_counter()
+    with pytest.raises(FieldError, match=rf"^field order {p}\^{s} exceeds the supported maximum"):
+        FieldCtx(p, s)
+    assert time.perf_counter() - started < 0.1
