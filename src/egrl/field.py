@@ -7,18 +7,22 @@ and code 1 the multiplicative identity; for prime fields the code is the
 residue itself.  Every public API speaks this encoding, which keeps text
 and JSON output byte-stable.
 
-A :class:`FieldCtx` owns the modulus polynomial and one arithmetic scheme
-for every field: the antilog table exp[i] = g**i of the smallest-code
-primitive element g, its inverse log, and the Zech logarithms
-Z[d] = log(1 + g**d) (Huber, 1990), so that
+A :class:`FieldCtx` owns the modulus polynomial and two table families,
+each the same for every field.  For scalars and for ``multiples``: the
+antilog table exp[i] = g**i of the smallest-code primitive element g, its
+inverse log, and the Zech logarithms Z[d] = log(1 + g**d) (Huber, 1990), so
+that
 
     g**a + g**b = g**(a + Z[b - a])        (zero when Z[b - a] = -1).
 
 Scalar operations are lookups in these q-sized lists; the tables are built
-once, by numpy, from the polynomial helpers below.  Field orders are capped
-at q <= 2**16 (``MAX_ORDER``).  At q = 2**16 the tables take about 0.04 s
-and 12 MiB (21 MiB peak while building); the default-modulus search before
-them takes under 0.02 s for every q (2-vCPU Xeon, Python 3.11).
+once, by numpy, from the polynomial helpers below.  For numpy addition (the
+subset-sum DP and code enumeration): ``translate`` sums rows of a lazily
+built s*p*q digit table (prime fields add mod q), and ``add_table`` stacks
+all q of its rows.  Field orders are capped at q <= 2**16 (``MAX_ORDER``).
+At q = 2**16 the scalar tables take about 0.04 s and 12 MiB (21 MiB peak
+while building); the default-modulus search before them takes under
+0.02 s for every q (2-vCPU Xeon, Python 3.11).
 Contexts are immutable after construction and safe to share across
 threads; elements are plain integer codes.
 """
@@ -209,7 +213,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "s", "q", "modulus", "_exp", "_log", "_zech", "_log_m1",
-                 "_np_exp", "_np_log", "_np_add")
+                 "_np_exp", "_np_log", "_np_add", "_np_digit")
 
     def __init__(self, p: int, s: int = 1, modulus: Sequence[int] | None = None):
         if s < 1:
@@ -235,7 +239,7 @@ class FieldCtx:
                 if not _is_irreducible(mod, p):
                     raise ReducibleModulus(f"modulus {mod} factors over GF({p})")
                 self.modulus = mod
-        self._np_add = None
+        self._np_add = self._np_digit = None
         self._tabulate()
 
     # -- construction helpers ------------------------------------------------
@@ -392,18 +396,36 @@ class FieldCtx:
         """[w**0, w**1, ..., w**(q-2)] for the smallest-code primitive w."""
         return self._exp[: self.q - 1]
 
-    # -- vectorized tables (internal; used by code enumeration) ----------------
+    # -- vectorized tables (internal; used by enumeration and the DP) ---------
+
+    def translate(self, y):
+        """The row [t + y for t in range(q)] for a code y; for an int array
+        of codes, their rows stacked, shape (len(y), q).
+
+        Prime fields add mod q.  Otherwise the uint16 digit table
+        D[d, v, t] = ((digit_d(t) + v) mod p) * p**d (s*p*q entries, 4 MiB
+        at q = 2**16) is built on first use, and the row is the sum of
+        D[d, digit_d(y)] over d.
+        """
+        p = self.p
+        if self._np_digit is None:
+            t, w = np.arange(self.q), [p**d for d in range(self.s)]
+            if self.s > 1:  # every term and every row sum is a code below q <= 2**16
+                wd = np.array(w)[:, None, None]
+                t = ((t // wd + np.arange(p)[:, None]) % p * wd).astype(np.uint16)
+            self._np_digit = t, w
+        table, w = self._np_digit
+        if self.s == 1:
+            return (table + y) % p if isinstance(y, int) else np.add.outer(y, table) % p
+        out = table[0, y % p] + table[1, y // w[1] % p]
+        for d in range(2, self.s):
+            out += table[d, y // w[d] % p]
+        return out
 
     def add_table(self) -> np.ndarray:
         """q-by-q uint16 numpy table with ADD[a, b] = a + b (2*q*q bytes)."""
         if self._np_add is None:
-            # Digit-wise addition mod p, one base-p digit at a time.
-            r = np.arange(self.q, dtype=np.uint32)
-            table = np.zeros((self.q, self.q), dtype=np.uint32)
-            for i in range(self.s):
-                d = r // self.p**i % self.p
-                table += (d[:, None] + d[None, :]) % self.p * self.p**i
-            self._np_add = table.astype(np.uint16)
+            self._np_add = self.translate(np.arange(self.q)).astype(np.uint16, copy=False)
         return self._np_add
 
     def multiples(self, vec: Sequence[int]) -> np.ndarray:

@@ -17,10 +17,10 @@ boolean mask of that comparison.
 
 Memory is bounded by the budget: the k tables of multiples f * row_i take
 2*q*n bytes each, the tail span at most 2*n*2**16 bytes, and the q-by-q
-addition table (2*q**2 bytes) is built only for k >= 3, where
-q**3 <= budget.  At q = 2**16 only a budget of 2**48 or more admits k = 3;
-an [8, 2] code there walks its 65537 scalar classes in about 0.02 s with
-no addition table (2-vCPU Xeon).
+addition table (2*q**2 bytes, stacked from the field's digit table) is
+built only for k >= 3, where q**3 <= budget.  At q = 2**16 only a budget
+of 2**48 or more admits k = 3; an [8, 2] code there walks its 65537 scalar
+classes in about 0.02 s with no addition table (2-vCPU Xeon).
 
 Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
 actually walked, so a budget admits the same codes as plain enumeration.

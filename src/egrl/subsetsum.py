@@ -18,7 +18,7 @@ T[1:] += T[:-1][:, t - x], on one (m+1)-by-q-by-limbs table.  Exact counts
 are carry-save base-2**32 limbs in uint64, limbs = ceil(log2(max_j C(n, j))
 / 32), normalised every 30 steps and read back into a Python integer;
 existence is bool with one limb (+ is logical or).  The index array t - x
-comes from a per-digit translation table built once per call.  Counting
+is the field's translation row for -x (``FieldCtx.translate``).  Counting
 holds (m+1)*q*limbs*8 bytes.  The existence pass of :func:`find_subset`
 keeps every (isqrt(n)+1)-th table of (m+1)*q bytes; only when a witness
 exists does recovery recompute the tables one segment at a time from
@@ -35,7 +35,7 @@ the closed forms evaluated at m = 0.
 from __future__ import annotations
 
 from math import comb, isqrt
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -84,24 +84,7 @@ _LIMB_BITS = 32
 _NORMALISE_EVERY = 30
 
 
-def _shifts(ctx: FieldCtx) -> Callable[[int], np.ndarray]:
-    """x -> the index array [t - x for t in range(q)], O(1) numpy calls per x.
-
-    Prime fields subtract mod q.  Otherwise the translation table
-    A[d, v, t] = ((digit_d(t) - v) mod p) * p**d (s*p*q entries, never the
-    q-by-q add table) is built once and summed at the digits of x.
-    """
-    q, p, s = ctx.q, ctx.p, ctx.s
-    t = np.arange(q)
-    if s == 1:
-        return lambda x: (t - x) % q
-    w = p ** np.arange(s)
-    table = (t // w[:, None, None] % p - np.arange(p)[:, None]) % p * w[:, None, None]
-    rows = np.arange(s)
-    return lambda x: table[rows, x // w % p].sum(axis=0)
-
-
-def _steps(codes: list[int], m: int, shift, tbl: np.ndarray, hi: int, lo: int = 0
+def _steps(ctx: FieldCtx, codes: list[int], m: int, tbl: np.ndarray, hi: int, lo: int = 0
            ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (i, T_i) for i = hi, hi-1, ..., lo, given T_hi as tbl.
 
@@ -114,7 +97,8 @@ def _steps(codes: list[int], m: int, shift, tbl: np.ndarray, hi: int, lo: int = 
     yield hi, tbl
     for i in range(hi - 1, lo - 1, -1):
         r0, r1 = max(1, m - i), min(n - i, m)
-        tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift(codes[i]), axis=1)
+        shift = ctx.translate(ctx.neg(codes[i]))  # column t reads column t - x
+        tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift, axis=1)
         if tbl.shape[-1] > 1 and (n - i) % _NORMALISE_EVERY == 0:
             carry = tbl >> _LIMB_BITS
             tbl &= (1 << _LIMB_BITS) - 1
@@ -129,7 +113,7 @@ def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
     tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
-    for _ in _steps(codes, m, _shifts(ctx), tbl, n):
+    for _ in _steps(ctx, codes, m, tbl, n):
         pass
     return sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(tbl[m, b]))
 
@@ -142,10 +126,10 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     is the lexicographically smallest witness.
     """
     codes = _domain_codes(ctx, domain, m, b)
-    n, shift, seg = len(codes), _shifts(ctx), isqrt(len(codes)) + 1
+    n, seg = len(codes), isqrt(len(codes)) + 1
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
     tbl[0, 0, 0] = True  # the empty subset
-    marks = {i: t.copy() for i, t in _steps(codes, m, shift, tbl, n) if i % seg == 0 or i == n}
+    marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n) if i % seg == 0 or i == n}
     if not tbl[m, b, 0]:
         return None
     picked, suffix = [], {}
@@ -156,7 +140,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
             # This segment's suffix tables i+1 .. hi, recomputed from the checkpoint at hi.
             hi = min(n, i + seg)
             suffix.clear()
-            suffix.update((j, t.copy()) for j, t in _steps(codes, m, shift, marks.pop(hi), hi, i + 1))
+            suffix.update((j, t.copy()) for j, t in _steps(ctx, codes, m, marks.pop(hi), hi, i + 1))
         rest = ctx.sub(b, x)
         # len(picked) <= i, so this row is never one of the stale ones.
         if suffix[i + 1][m - len(picked) - 1, rest, 0]:

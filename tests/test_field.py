@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import poly_add, poly_mul, poly_neg
@@ -145,12 +146,19 @@ def test_identities_hold_everywhere():
 
 
 def _check_against_oracle(ctx, pairs):
-    # The q-by-q numpy addition table only for the exhaustive cases.
+    pairs = list(pairs)
+    # The q-by-q numpy addition table only for the exhaustive cases; the
+    # translation rows it is built from for every case, one by one and stacked.
     table = ctx.add_table() if ctx.q <= 64 else None
-    for a, b in pairs:
-        assert ctx.add(a, b) == poly_add(ctx, a, b), (a, b)
+    stacked = ctx.translate(np.array([b for _, b in pairs[:64]]))
+    for i, (a, b) in enumerate(pairs):
+        total = poly_add(ctx, a, b)
+        assert ctx.add(a, b) == total, (a, b)
+        assert ctx.translate(b)[a] == total, (a, b)
+        if i < len(stacked):
+            assert stacked[i, a] == total, (a, b)
         if table is not None:
-            assert table[a, b] == poly_add(ctx, a, b), (a, b)
+            assert table[a, b] == total, (a, b)
         assert ctx.mul(a, b) == poly_mul(ctx, a, b), (a, b)
     for a, _ in pairs:
         assert ctx.neg(a) == poly_neg(ctx, a), a
