@@ -147,14 +147,21 @@ class EgrlParams:
         )
 
 
+def _int(x) -> int:
+    # int() would truncate a JSON float and read a boolean as 0 or 1.
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"expected an integer, got {json.dumps(x)}")
+    return int(x)
+
+
 def params_from_dict(d: dict) -> EgrlParams:
     try:  # a value of the wrong JSON type: a string, number or list where another belongs
         ctx = FieldCtx.from_text(d["field"])
-        ell = int(d.get("ell", 2))
-        mix = FieldMatrix.from_flat(ctx, ell, ell, [int(x) for x in d["M"]])
-        n, k, t = int(d["n"]), int(d["k"]), int(d.get("t", 0))
-        alpha, v = tuple(int(a) for a in d["alpha"]), tuple(int(x) for x in d["v"])
-        b = int(d["b"])
+        ell = _int(d.get("ell", 2))
+        mix = FieldMatrix.from_flat(ctx, ell, ell, [_int(x) for x in d["M"]])
+        n, k, t = _int(d["n"]), _int(d["k"]), _int(d.get("t", 0))
+        alpha, v = tuple(map(_int, d["alpha"])), tuple(map(_int, d["v"]))
+        b = _int(d["b"])
     except (AttributeError, TypeError, OverflowError) as exc:
         raise InvalidParams(f"malformed instance: {exc}") from None
     return EgrlParams(ctx=ctx, n=n, k=k, ell=ell, t=t, alpha=alpha, v=v, b=b, mix=mix)

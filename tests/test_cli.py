@@ -436,7 +436,12 @@ def test_instance_json_value_types_exit_documented(tmp_path_factory, changed, dr
     ("--instance", json.dumps({**_INSTANCE, "alpha": 7})),
     ("--instance", json.dumps({**_INSTANCE, "n": [5]})),
     ("--instance", json.dumps({**_INSTANCE, "b": float("inf")})),
-], ids=["empty-generator", "field-int", "alpha-int", "n-list", "b-infinity"])
+    # int() would truncate these to a valid instance.
+    ("--instance", json.dumps({**_INSTANCE, "n": 5.9})),
+    ("--instance", json.dumps({**_INSTANCE, "v": [True, 1, 1, 1, 1]})),
+    ("--instance", json.dumps({**_INSTANCE, "alpha": [1.5, 2, 7, 8, 9]})),
+], ids=["empty-generator", "field-int", "alpha-int", "n-list", "b-infinity",
+        "n-float", "v-bool", "alpha-float"])
 def test_malformed_input_files_exit2(capsys, tmp_path, path, text):
     target = tmp_path / "input"
     target.write_text(text)
