@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -348,6 +348,14 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     return FieldMatrix(ctx, rows)
 
 
+def _column_ratios(params: EgrlParams) -> Iterator[tuple[int, int]]:
+    """(j, a_2j / a_1j) for each mixing column j with top entry a_1j != 0."""
+    for j in range(2):
+        a1 = params.mix.at(0, j)
+        if a1:
+            yield j, params.ctx.div(params.mix.at(1, j), a1)
+
+
 def check_mds(params: EgrlParams) -> MdsReport:
     """Decide the MDS criterion for ell = 2, t = 0 without subset enumeration.
 
@@ -364,13 +372,8 @@ def check_mds(params: EgrlParams) -> MdsReport:
         if a == 0:
             return MdsReport(False, alpha_zero_index=idx)
     for m in (1, 2):
-        size = params.k - m
-        for j in (0, 1):
-            a1 = params.mix.at(0, j)
-            if a1 == 0:
-                continue
-            target = ctx.div(params.mix.at(1, j), a1)
-            subset = find_subset(ctx, params.alpha, size, target)
+        for j, target in _column_ratios(params):
+            subset = find_subset(ctx, params.alpha, params.k - m, target)
             if subset is not None:
                 return MdsReport(False, witness=(m, j + 1, subset))
     return MdsReport(True)
@@ -462,11 +465,7 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     ctx = params.ctx
     q, k = params.q, params.k
     census = {pat: 0 for pat in _TAIL_PATTERNS}
-    for s in range(2):
-        a1 = params.mix.at(0, s)
-        if a1 == 0:
-            continue
-        ratio = ctx.div(params.mix.at(1, s), a1)
+    for s, ratio in _column_ratios(params):
         column = (s == 0, s == 1)
         census[(*column, False)] = (q - 1) * count_li_wan(ctx, STAR, k - 1, ratio)
         census[(*column, True)] = (q - 1) * count_li_wan(ctx, STAR, k - 2, ratio)
