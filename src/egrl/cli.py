@@ -385,9 +385,8 @@ def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: s
 
 def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, tag: str):
     q = ctx.q
-    cases = []
-    for name, vals in _SWEEP_MIX_PATTERNS:
-        cases.append((name, 1, FieldMatrix.from_flat(ctx, 2, 2, vals), "ascending"))
+    cases = [(name, 1, FieldMatrix.from_flat(ctx, 2, 2, vals), "ascending")
+             for name, vals in _SWEEP_MIX_PATTERNS]
     if (q, k) == (9, 5):
         cases.append(("golden", 2, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 2, 1]), "generator"))
     for name, b, mix, order in cases:
@@ -423,11 +422,9 @@ def cmd_sweep(args) -> Report:
     for q in qs:
         ctx = FieldCtx.from_order(q)
         for k in ks:
-            if k + 1 > q:
-                records.append({"q": q, "k": k, "skipped": "k+1 > q"})
-                continue
-            if k < 3:
-                records.append({"q": q, "k": k, "skipped": "k < 3"})
+            skip = "k+1 > q" if k + 1 > q else "k < 3" if k < 3 else None
+            if skip:
+                records.append({"q": q, "k": k, "skipped": skip})
                 continue
             rng = random.Random(args.seed * 1_000_003 + q * 1_009 + k)
             before = len(failures)

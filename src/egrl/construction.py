@@ -148,8 +148,7 @@ class EgrlParams:
 
 
 def _int(x) -> int:
-    # int() would truncate a JSON float and read a boolean as 0 or 1.
-    if isinstance(x, (bool, float)):
+    if isinstance(x, (bool, float)):  # int() would truncate a float, read a bool as 0/1
         raise TypeError(f"expected an integer, got {json.dumps(x)}")
     return int(x)
 
@@ -367,13 +366,12 @@ def check_mds(params: EgrlParams) -> MdsReport:
     only when one exists.
     """
     _require_shape(params)
-    ctx = params.ctx
     for idx, a in enumerate(params.alpha):
         if a == 0:
             return MdsReport(False, alpha_zero_index=idx)
     for m in (1, 2):
         for j, target in _column_ratios(params):
-            subset = find_subset(ctx, params.alpha, params.k - m, target)
+            subset = find_subset(params.ctx, params.alpha, params.k - m, target)
             if subset is not None:
                 return MdsReport(False, witness=(m, j + 1, subset))
     return MdsReport(True)
@@ -462,8 +460,7 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     q-1 scalar multiples); every other pattern has none.
     """
     _require_special(params)
-    ctx = params.ctx
-    q, k = params.q, params.k
+    ctx, q, k = params.ctx, params.q, params.k
     census = {pat: 0 for pat in _TAIL_PATTERNS}
     for s, ratio in _column_ratios(params):
         column = (s == 0, s == 1)

@@ -101,18 +101,12 @@ class WeightDistribution:
         raise InconsistentInput("distribution has no nonzero-weight codewords")
 
     def poly_str(self) -> str:
-        """Enumerator polynomial, e.g. '1+224x^6+1520x^7'."""
-        terms = []
-        for i, c in enumerate(self.counts):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                coeff = "" if c == 1 else str(c)
-                xpow = "x" if i == 1 else f"x^{i}"
-                terms.append(f"{coeff}{xpow}")
-        return "+".join(terms) if terms else "0"
+        """Enumerator polynomial, e.g. '1+224x^6+1520x^7'; A_0 = 1 always leads."""
+        terms = ["1"]
+        for i, c in enumerate(self.counts[1:], 1):
+            if c:
+                terms.append(("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}"))
+        return "+".join(terms)
 
 
 @dataclass(frozen=True)

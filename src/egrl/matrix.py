@@ -146,8 +146,7 @@ class FieldMatrix:
         ctx = self.ctx
         work = self.to_lists()
         pivots: list[int] = []
-        det = 1
-        r = 0
+        det, r = 1, 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot_row is None:
@@ -199,11 +198,8 @@ class FieldMatrix:
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
             raise NotSquare(f"inverse of {self.rows}x{self.cols} matrix")
-        n = self.rows
-        aug = FieldMatrix(
-            self.ctx,
-            [list(self.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)],
-        )
+        n, eye = self.rows, FieldMatrix.identity(self.ctx, self.rows)
+        aug = FieldMatrix(self.ctx, [self.row(i) + eye.row(i) for i in range(n)])
         red, pivots, _ = aug._rref_pivots()
         if pivots != list(range(n)):
             raise MatrixError("matrix is singular")
