@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_nonsingular_2x2
 from egrl.field import FieldCtx
@@ -267,6 +268,73 @@ def test_parity_check_identity_randomized():
         assert generator_matrix(p).matmul(h.transpose()).is_zero()
         assert h.rank() == n + 3 - k
         assert (h.rows, h.cols) == (n - k + 3, n + 3)
+
+
+# H recorded for fixed instances: characteristic 2, odd extensions and prime
+# fields, alpha holding 0, k = 4 and k = n-1.  The first six take the
+# completion row, the special instance the classical row.
+PINNED_H = [
+    ((8, (1, 2, 3, 4, 5, 6), 4, (3, 1, 7, 2, 5, 4), 6, [[1, 2], [3, 5]]),
+     [[1, 7, 7, 3, 1, 1, 6, 2, 2], [2, 7, 5, 6, 2, 7, 0, 0, 0], [2, 3, 2, 2, 7, 5, 0, 0, 0],
+      [2, 6, 6, 5, 1, 4, 5, 4, 0], [2, 1, 7, 3, 5, 2, 2, 7, 0]]),
+    ((16, (0, 3, 5, 9, 12, 14), 5, (2, 9, 1, 15, 4, 7), 11, [[0, 3], [7, 1]]),
+     [[0, 0, 1, 5, 6, 0, 14, 1, 10], [3, 9, 1, 10, 5, 15, 0, 0, 0],
+      [0, 2, 5, 12, 14, 12, 14, 0, 0], [0, 6, 8, 8, 7, 7, 4, 8, 0]]),
+    ((9, (1, 2, 4, 6, 7, 8), 5, (4, 1, 8, 2, 2, 5), 3, [[2, 1], [1, 7]]),
+     [[2, 6, 3, 3, 7, 2, 6, 7, 8], [7, 1, 2, 6, 4, 1, 0, 0, 0], [7, 2, 8, 7, 3, 8, 3, 3, 0],
+      [7, 1, 7, 4, 8, 5, 5, 4, 0]]),
+    ((25, (0, 6, 11, 13, 19, 23, 24), 4, (7, 3, 21, 1, 16, 9, 12), 14, [[3, 0], [8, 20]]),
+     [[0, 0, 23, 5, 19, 3, 10, 17, 24, 13], [4, 22, 13, 22, 14, 17, 15, 0, 0, 0],
+      [0, 14, 20, 15, 24, 2, 1, 0, 0, 0], [0, 20, 9, 18, 7, 16, 24, 0, 0, 0],
+      [0, 2, 10, 22, 12, 9, 9, 0, 12, 0], [0, 12, 17, 15, 16, 4, 8, 3, 4, 0]]),
+    ((11, (0, 1, 3, 5, 8, 10), 4, (2, 7, 4, 9, 1, 3), 5, [[1, 4], [6, 3]]),
+     [[0, 5, 1, 0, 4, 8, 3, 5, 2], [5, 7, 4, 10, 4, 6, 0, 0, 0], [0, 7, 1, 6, 10, 5, 0, 0, 0],
+      [0, 7, 3, 8, 3, 6, 4, 10, 0], [0, 7, 9, 7, 2, 5, 6, 1, 0]]),
+    ((7, (0, 2, 3, 4, 5, 6), 5, (1, 6, 2, 5, 3, 4), 2, [[4, 1], [1, 3]]),
+     [[0, 0, 6, 0, 4, 3, 6, 5, 3], [1, 1, 6, 5, 1, 4, 0, 0, 0], [0, 2, 4, 6, 5, 3, 2, 6, 0],
+      [0, 4, 5, 3, 4, 4, 6, 3, 0]]),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_H, ids=[f"q{c[0]}" for c, _ in PINNED_H])
+def test_parity_check_pinned(case, expected):
+    q, alpha, k, v, b, mix = case
+    p = make_params(FieldCtx.from_order(q), alpha, k, mix, b=b, v=v)
+    assert parity_check_matrix(p).to_lists() == expected
+
+
+def test_parity_check_pinned_special(gf7):
+    p = special_construction(gf7, 4, 3, FieldMatrix(gf7, [[1, 2], [3, 1]]))
+    assert parity_check_matrix(p).to_lists() == [
+        [1, 1, 1, 1, 1, 1, 0, 0, 5], [6, 5, 4, 3, 2, 1, 0, 0, 0], [6, 3, 5, 5, 3, 6, 0, 0, 0],
+        [6, 6, 1, 6, 1, 1, 1, 3, 0], [6, 5, 3, 3, 5, 6, 3, 5, 0],
+    ]
+
+
+_H_FIELDS = {q: FieldCtx.from_order(q) for q in (5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)}
+
+
+@st.composite
+def h_instances(draw):
+    q = draw(st.sampled_from(sorted(_H_FIELDS)))
+    ctx = _H_FIELDS[q]
+    alpha = draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=q, unique=True))
+    n = len(alpha)
+    mix = FieldMatrix.from_flat(ctx, 2, 2, draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)))
+    assume(mix.det() != 0)
+    return EgrlParams(
+        ctx=ctx, n=n, k=draw(st.integers(4, n - 1)), ell=2, t=0, alpha=tuple(alpha),
+        v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
+        b=draw(st.integers(1, q - 1)), mix=mix,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(h_instances())
+def test_parity_check_property(p):
+    h = parity_check_matrix(p)
+    assert generator_matrix(p).matmul(h.transpose()).is_zero()
+    assert h.rank() == p.n + 3 - p.k
 
 
 def test_parity_check_shape_refusals(gf13):
