@@ -262,39 +262,26 @@ def _require_shape(params: EgrlParams):
         )
 
 
-def _completion_row(params: EgrlParams, u: tuple[int, ...]) -> list[int]:
-    # A parity row independent of the u-power rows, valid for any distinct
-    # alpha and nonzero v.  Take c_s = u_s * w(alpha_s) with
-    # w = x**(n-1) - sum_i g_i x**(n-1-i) (i = 1..k-3), where the g_i are
-    # fixed by requiring sum_s c_s alpha_s**i = 0 for those i via
-    # g_i = h_i - sum_{j<i} g_j h_{i-j}, h_i = sum_s u_s alpha_s**(n-1+i).
-    # Then sum(c) = 1 and the mixing/tail entries balance the remaining
-    # message coefficients.
+def _completion_row(params: EgrlParams, base: list[int], mt_inv: FieldMatrix) -> list[int]:
+    # A parity row for any distinct alpha and nonzero v.  With p_l the
+    # coefficient of x**(n-l) in P(x) = prod_s (x - alpha_s), E(-t) H(t) = 1
+    # gives sum_{l<=j} p_l h_{j-l}(alpha) = 0 for j >= 1, and
+    # sum_s u_s alpha_s**(n-1+j) = h_j(alpha).  So w(x) = sum_{l<=k-3} p_l x**(n-1-l)
+    # makes sum_s u_s w(alpha_s) alpha_s**j 1 at j = 0, 0 at j = 1..k-3, and
+    # -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2, k-1, which the mixing entries cancel.
+    # Entry s is base_s w(alpha_s), base_s = u_s / v_s.
     ctx, n, k = params.ctx, params.n, params.k
-    powers = [[1] * n]
-    for _ in range(n + k - 2):
-        powers.append([ctx.mul(x, a) for x, a in zip(powers[-1], params.alpha)])
-
-    def weighted_sum(coeffs: Sequence[int], exp: int) -> int:
-        return ctx.sum(ctx.mul(c, x) for c, x in zip(coeffs, powers[exp]))
-
-    h = {i: weighted_sum(u, n - 1 + i) for i in range(1, k - 2)}
-    g: dict[int, int] = {}
-    for i in range(1, k - 2):
-        acc = h[i]
-        for j in range(1, i):
-            acc = ctx.sub(acc, ctx.mul(g[j], h[i - j]))
-        g[i] = acc
-    c = []
-    for s in range(n):
-        w = powers[n - 1][s]
-        for i in range(1, k - 2):
-            w = ctx.sub(w, ctx.mul(g[i], powers[n - 1 - i][s]))
-        c.append(ctx.mul(u[s], w))
-    y = FieldMatrix(
-        ctx, [[ctx.neg(weighted_sum(c, k - 2)), ctx.neg(weighted_sum(c, k - 1))]]
-    ).matmul(params.mix.transpose().inverse())
-    row = [ctx.div(c[s], params.v[s]) for s in range(n)]
+    p = [1] + [0] * (k - 1)  # top k coefficients of P(x)
+    for a in params.alpha:
+        for l in range(k - 1, 0, -1):
+            p[l] = ctx.sub(p[l], ctx.mul(a, p[l - 1]))
+    row = []
+    for a, bs in zip(params.alpha, base):
+        w = 0
+        for pl in p[: k - 2]:
+            w = ctx.add(ctx.mul(w, a), pl)
+        row.append(ctx.mul(bs, ctx.mul(ctx.pow(a, n - k + 2), w)))
+    y = FieldMatrix(ctx, [[p[k - 2], ctx.sub(p[k - 1], ctx.mul(p[1], p[k - 2]))]]).matmul(mt_inv)
     row.extend([y.at(0, 0), y.at(0, 1), ctx.neg(ctx.inv(params.b))])
     return row
 
@@ -311,19 +298,20 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     a parity row -- i.e. the weighted power sums sum_s v_s alpha_s**i
     vanish for 1 <= i <= k-1 and sum(v) != 0, which covers the all-units
     special construction -- and otherwise a completion row built from the
-    u coefficients, since the classical row annihilates no general
-    instance.  Either way G H^T = 0 and rank(H) = n+3-k.
+    u coefficients and the top k coefficients of P(x) = prod_s (x - alpha_s),
+    since the classical row annihilates no general instance.  Either way
+    G H^T = 0 and rank(H) = n+3-k.
     """
     _require_shape(params)
-    ctx = params.ctx
-    n, k = params.n, params.k
+    ctx, n, k = params.ctx, params.n, params.k
     if not 4 <= k <= n - 1:
         raise RangeViolation(f"parity-check form needs 4 <= k <= n-1, got k={k}, n={n}")
-    u = compute_u(ctx, params.alpha)
-    sum_v = ctx.sum(params.v)
+    base = [ctx.div(us, vs) for us, vs in zip(compute_u(ctx, params.alpha), params.v)]
+    mt_inv = params.mix.transpose().inverse()
     minus_one = ctx.neg(1)
     s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(ctx.sum(params.alpha))]])
-    r_mat = s_mat.matmul(params.mix.transpose().inverse())
+    r_mat = s_mat.matmul(mt_inv)
+    sum_v = ctx.sum(params.v)
     classical_row_valid = sum_v != 0 and all(
         ctx.sum(ctx.mul(vs, ctx.pow(a, i)) for vs, a in zip(params.v, params.alpha)) == 0
         for i in range(1, k)
@@ -331,20 +319,12 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     if classical_row_valid:
         first = [1] * n + [0, 0, ctx.neg(ctx.div(sum_v, params.b))]
     else:
-        first = _completion_row(params, u)
-    base = [ctx.div(u[i], params.v[i]) for i in range(n)]
-    rows = [first]
-    for j in range(n - k + 2):
-        row = [ctx.mul(base[i], ctx.pow(params.alpha[i], j)) for i in range(n)]
-        if j == n - k:
-            row.extend([r_mat.at(0, 0), r_mat.at(0, 1)])
-        elif j == n - k + 1:
-            row.extend([r_mat.at(1, 0), r_mat.at(1, 1)])
-        else:
-            row.extend([0, 0])
-        row.append(0)
-        rows.append(row)
-    return FieldMatrix(ctx, rows)
+        first = _completion_row(params, base, mt_inv)
+    tails = [(0, 0)] * (n - k) + [r_mat.row(0), r_mat.row(1)]
+    return FieldMatrix(ctx, [first] + [
+        [ctx.mul(bs, ctx.pow(a, j)) for bs, a in zip(base, params.alpha)] + [*tail, 0]
+        for j, tail in enumerate(tails)
+    ])
 
 
 def _column_ratios(params: EgrlParams) -> Iterator[tuple[int, int]]:
@@ -409,12 +389,11 @@ def special_construction(
     """
     kr = special_k_range(ctx)
     if k not in kr:
-        clause = (
-            f"characteristic 2 requires 5 <= k <= {ctx.q - 2}"
-            if ctx.p == 2
-            else f"odd characteristic requires 4 <= k <= {ctx.q - 1}"
+        char = "characteristic 2" if ctx.p == 2 else "odd characteristic"
+        raise RangeViolation(
+            f"k={k} outside the supported range for GF({ctx.q}): "
+            f"{char} requires {kr.start} <= k <= {kr.stop - 1}"
         )
-        raise RangeViolation(f"k={k} outside the supported range for GF({ctx.q}): {clause}")
     if order == "ascending":
         alpha = ctx.units()
     elif order == "generator":
