@@ -24,6 +24,9 @@ keeps every (isqrt(n)+1)-th table of (m+1)*q bytes; only when a witness
 exists does recovery recompute the tables one segment at a time from
 those checkpoints, left to right: about 2*sqrt(n) tables held and two
 passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).
+Both raise :class:`TableTooLarge`, before allocating, when these tables
+would pass ``_MAX_TABLE_BYTES`` = 1 GiB; find_subset counts n//seg + seg + 3
+tables, seg = isqrt(n)+1, for the checkpoints, one segment and the working one.
 
 Counts are returned as Python integers (arbitrary precision); the division
 by q inside the closed forms is always exact and is checked.
@@ -57,6 +60,18 @@ class DomainSize(SubsetSumError):
 
 class OutOfStatedRange(SubsetSumError):
     """Parameters outside the window where the vanishing rules are valid."""
+
+
+class TableTooLarge(SubsetSumError):
+    """The DP tables would take more than _MAX_TABLE_BYTES."""
+
+
+_MAX_TABLE_BYTES = 1 << 30
+
+
+def _require_table_bytes(nbytes: int):
+    if nbytes > _MAX_TABLE_BYTES:
+        raise TableTooLarge(f"DP tables need {nbytes} bytes, above the cap of {_MAX_TABLE_BYTES}")
 
 
 def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> list[int]:
@@ -111,6 +126,7 @@ def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     codes = _domain_codes(ctx, domain, m, b)
     n = len(codes)
     limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
+    _require_table_bytes((m + 1) * ctx.q * limbs * 8)
     tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
     for _ in _steps(ctx, codes, m, tbl, n):
@@ -127,6 +143,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     """
     codes = _domain_codes(ctx, domain, m, b)
     n, seg = len(codes), isqrt(len(codes)) + 1
+    _require_table_bytes((n // seg + seg + 3) * (m + 1) * ctx.q)
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
     tbl[0, 0, 0] = True  # the empty subset
     marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n) if i % seg == 0 or i == n}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -333,6 +334,17 @@ def test_instance_file_roundtrip(capsys, tmp_path):
 def test_missing_instance_flags_exit2(capsys):
     rc, _, err = run(capsys, "classify", "--q", "13")
     assert rc == 2
+
+
+@pytest.mark.parametrize("method", ["dp", "both"])
+def test_subsetsum_oversized_table_exit2(capsys, method):
+    # The counting table would take about 8.4 GB; it is refused before allocation.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "subsetsum", "--q", "4096", "--domain", "star", "--m", "2000",
+                       "--b", "1", "--method", method)
+    assert time.perf_counter() - started < 1.0
+    assert (rc, out) == (2, "")
+    assert err.startswith("TableTooLarge: ") and err.count("\n") == 1
 
 
 def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):

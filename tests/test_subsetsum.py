@@ -13,6 +13,7 @@ from egrl.subsetsum import (
     STAR,
     DomainSize,
     OutOfStatedRange,
+    TableTooLarge,
     count_dp,
     count_li_wan,
     find_subset,
@@ -220,3 +221,13 @@ def test_shift_table_is_field_subtraction(q):
     ctx = FieldCtx.from_order(q)
     for x in range(q):
         assert ctx.translate(ctx.neg(x)).tolist() == [ctx.sub(t, x) for t in range(q)], x
+
+
+def test_oversized_tables_refused_before_allocation():
+    # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 130 bool
+    # tables of 3001*4096 bytes for the witness search: both above 1 GiB.
+    ctx = FieldCtx.from_order(4096)
+    with pytest.raises(TableTooLarge):
+        count_dp(ctx, STAR, 2000, 1)
+    with pytest.raises(TableTooLarge):
+        find_subset(ctx, STAR, 3000, 1)
