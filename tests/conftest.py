@@ -91,6 +91,22 @@ def poly_mul(ctx: FieldCtx, a: int, b: int) -> int:
     return _poly_code(ctx, prod[:s])
 
 
+def poly_is_irreducible(p: int, f) -> bool:
+    """Whether monic f (coefficients low-degree first) has no monic factor of
+    degree 1..deg(f)/2, by long division by every such polynomial (oracle)."""
+    s = len(f) - 1
+    for d in range(1, s // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rem = list(f)
+            for i in range(s, d - 1, -1):  # cancel x**i with rem[i] * x**(i-d) * g
+                c = rem[i]
+                for j, gj in enumerate(low + (1,)):
+                    rem[i - d + j] = (rem[i - d + j] - c * gj) % p
+            if not any(rem[:d]):
+                return False
+    return True
+
+
 def brute_subset_count(ctx: FieldCtx, codes, m: int, b: int) -> int:
     """Count m-subsets summing to b by enumerating all combinations."""
     total = 0

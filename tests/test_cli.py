@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import egrl.cli
 import egrl.construction
+from conftest import poly_is_irreducible
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.linear import InconsistentInput, NegativeCount
@@ -420,6 +421,46 @@ def test_generator_file_text_exits_documented(tmp_path_factory, text, q):
     gen.write_text(text)
     _one_line_failure(["weights", "--q", str(q), "--generator", str(gen), "--method", "brute",
                        "--budget", "4096"])
+
+
+_ORDERS = {5: (5, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3)}
+
+
+@st.composite
+def modulus_texts(draw):
+    q = draw(st.sampled_from(sorted(_ORDERS)))
+    p, s = _ORDERS[q]
+    digit = st.integers(-3, 6)
+    # Half the lists have s+1 entries and a leading coefficient of 1 mod p,
+    # so that accepted extension moduli come up too.
+    monic = st.tuples(st.lists(digit, min_size=s, max_size=s),
+                      st.sampled_from([c for c in range(-3, 7) if c % p == 1]))
+    coeffs = draw(st.lists(digit, max_size=6) | monic.map(lambda pair: pair[0] + [pair[1]]))
+    return q, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus_texts())
+def test_subsetsum_modulus_text_exits(case):
+    # --mod=TEXT, because argparse reads "--mod -1,0" as an option.
+    q, coeffs = case
+    p, s = _ORDERS[q]
+    f = tuple(c % p for c in coeffs)
+    if not coeffs:
+        accepted = True
+    elif s == 1:
+        accepted = coeffs == [0, 1]  # compared before reduction mod p
+    else:
+        accepted = len(f) == s + 1 and f[-1] == 1 and poly_is_irreducible(p, f)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["subsetsum", "--q", str(q), f"--mod={','.join(map(str, coeffs))}",
+                   "--domain", "star", "--m", "2", "--b", "1"])
+    if accepted:
+        assert (rc, err.getvalue()) == (0, "")
+    else:
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 _INSTANCE = {"field": "p=13 s=1 mod=0,1", "n": 5, "k": 5, "ell": 2, "t": 0,

@@ -31,6 +31,7 @@ from egrl.construction import (
     params_from_text,
     parity_check_matrix,
     special_construction,
+    special_k_range,
     special_nmds_distribution,
 )
 
@@ -551,6 +552,27 @@ def test_special_nmds_distribution_matches_bruteforce(q, k):
     nk = p.length - k
     assert nmds_distribution(p.length, k, ctx, brute.counts[nk]) == (brute, brute_dual)
     assert brute.counts[nk] == brute_dual.counts[k]
+
+
+@st.composite
+def special_instances(draw):
+    ctx = _H_FIELDS[draw(st.sampled_from([5, 7, 8, 9, 11, 13]))]
+    k = draw(st.sampled_from([k for k in special_k_range(ctx) if ctx.q**k <= 1 << 17]))
+    # A filter, not a redraw loop, which trips the large_base_example health check.
+    mix = draw(st.lists(st.integers(0, ctx.q - 1), min_size=4, max_size=4)
+               .map(lambda vals: FieldMatrix.from_flat(ctx, 2, 2, vals))
+               .filter(lambda m: m.det() != 0))
+    return special_construction(ctx, k, draw(st.integers(1, ctx.q - 1)), mix,
+                                draw(st.sampled_from(["ascending", "generator"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(special_instances())
+def test_special_nmds_distribution_property(p):
+    primal, dual = special_nmds_distribution(p)
+    brute = egrl_code(p).weight_distribution()
+    assert primal == brute
+    assert dual == macwilliams(brute, p.k, p.ctx)
 
 
 # -- support-pattern census -------------------------------------------------------------

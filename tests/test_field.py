@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import poly_add, poly_mul, poly_neg
+from conftest import poly_add, poly_is_irreducible, poly_mul, poly_neg
 from egrl.cli import main
 from egrl.field import (
     MAX_ORDER,
@@ -17,9 +17,6 @@ from egrl.field import (
     NonMonic,
     ReducibleModulus,
     ZeroInverse,
-    _is_generator,
-    _is_irreducible,
-    _prime_factors,
 )
 from egrl.matrix import FieldMatrix
 
@@ -94,12 +91,22 @@ def test_default_modulus_is_smallest_primitive(p):
 
 
 def _exhaustive_default_modulus(p, s):
-    # Every monic degree-s candidate in order, the x | f ones included.
-    for coeffs in itertools.product(range(p), repeat=s):
-        f = coeffs + (1,)
-        if _is_irreducible(f, p) and _is_generator((0, 1), f, p, _prime_factors(p**s - 1)):
-            return f
-    raise AssertionError("no primitive polynomial")
+    # The first monic f, coefficients compared low-degree-first, modulo which
+    # x has multiplicative order exactly p**s - 1.  All p**s candidates, the
+    # x | f ones included, step x**i together: a digit shift, then
+    # x**s = -(c_0 + ... + c_{s-1} x**(s-1)).
+    q = p**s
+    low = np.array(list(itertools.product(range(p), repeat=s)))
+    power = np.zeros_like(low)
+    power[:, 0] = 1
+    order = np.zeros(q, dtype=np.int64)
+    for i in range(1, q):
+        top = power[:, -1:]
+        power = (np.concatenate([np.zeros_like(top), power[:, :-1]], axis=1) - top * low) % p
+        order[(order == 0) & (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)] = i
+    primitive = np.flatnonzero(order == q - 1)
+    assert len(primitive), "no primitive polynomial"
+    return tuple(int(c) for c in low[primitive[0]]) + (1,)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +116,31 @@ def _exhaustive_default_modulus(p, s):
 )
 def test_default_modulus_matches_exhaustive_search(p, s):
     assert FieldCtx(p, s).modulus == _exhaustive_default_modulus(p, s)
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+                                 (5, 2), (7, 2)])
+def test_supplied_modulus_accepted_exactly_when_irreducible(p, s):
+    # Every monic modulus with p**s <= 81, judged against trial division.
+    for low in itertools.product(range(p), repeat=s):
+        f = low + (1,)
+        if poly_is_irreducible(p, f):
+            ctx = FieldCtx(p, s, f)
+            assert ctx.modulus == f
+            assert sorted(ctx.generator_powers()) == ctx.units()
+        else:
+            with pytest.raises(ReducibleModulus) as info:
+                FieldCtx(p, s, f)
+            assert str(info.value) == f"modulus {f} factors over GF({p})"
+
+
+def test_reducible_modulus_of_order_65536_refused_promptly():
+    # The default GF(2^8) modulus times its reciprocal.
+    f = (1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1)
+    started = time.perf_counter()
+    with pytest.raises(ReducibleModulus):
+        FieldCtx(2, 16, f)
+    assert time.perf_counter() - started < 2
 
 
 def test_default_gf9_modulus(gf9):
