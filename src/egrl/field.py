@@ -23,6 +23,13 @@ all q of its rows.  Field orders are capped at q <= 2**16 (``MAX_ORDER``).
 At q = 2**16 the scalar tables take about 0.04 s and 12 MiB (21 MiB peak
 while building); the default-modulus search before them takes under
 0.02 s for every q (2-vCPU Xeon, Python 3.11).
+
+The antilog table also judges the modulus: f is accepted exactly when g's
+q-1 powers are the q-1 nonzero codes, so that every nonzero residue is a
+unit.  For a reducible f the search for g stops within 2*p**(s//2) order
+tests: f's lowest-degree monic factor is a zero divisor, none of whose
+powers is 1, and its code is below that bound (0.5 s for a reducible
+degree-16 modulus over GF(2)).
 Contexts are immutable after construction and safe to share across
 threads; elements are plain integer codes.
 """
@@ -89,21 +96,14 @@ def _prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Polynomial helpers over GF(p).  Coefficient tuples are little-endian with
 # no trailing zeros; the zero polynomial is ().  Only used at construction
-# time (modulus validation, default-modulus and generator selection, and
-# the antilog table).
+# time (default-modulus and generator selection, and the antilog table),
+# and every divisor is monic.
 
 def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
     i = len(a)
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return a[:i]
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _ptrim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -120,9 +120,8 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
 def _pmod(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
     a = list(a)
     df = len(f) - 1
-    lead_inv = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        c = (a[-1] * lead_inv) % p
+    while len(a) > df:
+        c = a[-1]
         if c:
             shift = len(a) - 1 - df
             for j, fj in enumerate(f):
@@ -146,37 +145,9 @@ def _ppowmod(a: tuple[int, ...], e: int, f: tuple[int, ...], p: int) -> tuple[in
     return result
 
 
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    # Rabin test: monic f of degree s is irreducible over GF(p) iff
-    # x**(p**s) == x (mod f) and gcd(x**(p**(s//r)) - x, f) = 1 for every
-    # prime r dividing s.
-    s = len(f) - 1
-    if s == 1:
-        return True
-    x = (0, 1)
-    if _ppowmod(x, p**s, f, p) != x:
-        return False
-    for r in _prime_factors(s):
-        h = _psub(_ppowmod(x, p ** (s // r), f, p), x, p)
-        if len(_pgcd(h, f, p)) != 1:
-            return False
-    return True
-
-
 def _is_generator(a: tuple[int, ...], f: tuple[int, ...], p: int, factors: list[int]) -> bool:
-    # f must be irreducible (or the prime-field placeholder x); checks that
-    # the nonzero residue a generates the unit group of GF(p)[x]/(f), given
-    # the prime factors of its order q-1.
+    # Whether no a**((q-1)/r) is 1 mod f, r over the prime factors of q-1.
+    # In a field: whether a generates the units.  Zero divisors pass too.
     q = p ** (len(f) - 1)
     return all(_ppowmod(a, (q - 1) // r, f, p) != (1,) for r in factors)
 
@@ -184,6 +155,7 @@ def _is_generator(a: tuple[int, ...], f: tuple[int, ...], p: int, factors: list[
 def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     # Smallest primitive monic degree-s polynomial, coefficients compared
     # low-degree-first, so the generator-power enumeration starts at x.
+    # x**q = x and the order test give the unit x order q-1: f is primitive.
     # The constant term leads the comparison, and only a few values can be
     # it: x divides f when c_0 = 0, and for a primitive root g of f the
     # product of its conjugates, (-1)**s c_0 = g**((q-1)/(p-1)), has order
@@ -193,7 +165,7 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
              if all(pow((-1) ** s * c, (p - 1) // r, p) != 1 for r in unit_factors)]
     for coeffs in itertools.product(leads, *[range(p)] * (s - 1)):
         f = coeffs + (1,)
-        if _is_irreducible(f, p) and _is_generator((0, 1), f, p, factors):
+        if _ppowmod((0, 1), p**s, f, p) == (0, 1) and _is_generator((0, 1), f, p, factors):
             return f
     raise FieldError(f"no primitive polynomial of degree {s} over GF({p})")
 
@@ -236,8 +208,6 @@ class FieldCtx:
                 mod = tuple(int(c) % p for c in modulus)
                 if len(mod) != s + 1 or mod[-1] != 1:
                     raise NonMonic(f"modulus must be monic of degree {s}: {tuple(modulus)}")
-                if not _is_irreducible(mod, p):
-                    raise ReducibleModulus(f"modulus {mod} factors over GF({p})")
                 self.modulus = mod
         self._np_add = self._np_digit = None
         self._tabulate()
@@ -317,6 +287,9 @@ class FieldCtx:
             pexp[size : size + step] = pexp[:step] @ mat % p
             c, size = _pmulmod(c, c, f, p), 2 * size
         exp = pexp @ p ** np.arange(s, dtype=np.int64)
+        # GF(p)[x]/(f) is a field exactly when g's q-1 powers fill the units.
+        if not np.bincount(exp, minlength=q)[1:].all():
+            raise ReducibleModulus(f"modulus {f} factors over GF({p})")
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
         # 1 + g**d only changes the constant digit of g**d.
