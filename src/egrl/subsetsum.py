@@ -25,7 +25,7 @@ exists does recovery recompute the tables one segment at a time from
 those checkpoints, left to right: about 2*sqrt(n) tables held and two
 passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).
 Both raise :class:`TableTooLarge`, before allocating, when these tables
-would pass ``_MAX_TABLE_BYTES`` = 1 GiB; find_subset counts n//seg + seg + 3
+would pass ``_MAX_TABLE_BYTES`` = 1 GiB; find_subset counts n//seg + seg + 2
 tables, seg = isqrt(n)+1, for the checkpoints, one segment and the working one.
 
 Counts are returned as Python integers (arbitrary precision); the division
@@ -143,10 +143,12 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     """
     codes = _domain_codes(ctx, domain, m, b)
     n, seg = len(codes), isqrt(len(codes)) + 1
-    _require_table_bytes((n // seg + seg + 3) * (m + 1) * ctx.q)
+    _require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q)
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
     tbl[0, 0, 0] = True  # the empty subset
-    marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n) if i % seg == 0 or i == n}
+    # Checkpoints at seg, 2*seg, ... and n: recovery reads only hi >= 1.
+    marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n)
+             if i and i % seg == 0 or i == n}
     if not tbl[m, b, 0]:
         return None
     picked, suffix = [], {}

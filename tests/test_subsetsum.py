@@ -224,7 +224,7 @@ def test_shift_table_is_field_subtraction(q):
 
 
 def test_oversized_tables_refused_before_allocation():
-    # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 130 bool
+    # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 129 bool
     # tables of 3001*4096 bytes for the witness search: both above 1 GiB.
     ctx = FieldCtx.from_order(4096)
     with pytest.raises(TableTooLarge):
