@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -118,6 +119,17 @@ def test_default_modulus_matches_exhaustive_search(p, s):
     assert FieldCtx(p, s).modulus == _exhaustive_default_modulus(p, s)
 
 
+def _smallest_primitive(q, mul):
+    # The first code c whose powers c, c*c, ... reach 1 only at the (q-1)-th.
+    for c in range(1, q):
+        x, order = c, 1
+        while x != 1:
+            x, order = mul(x, c), order + 1
+        if order == q - 1:
+            return c
+    raise AssertionError("no element of order q-1")
+
+
 @pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 5, 7) for s in range(2, 7) if p**s <= 81])
 def test_supplied_modulus_accepted_exactly_when_irreducible(p, s):
     # Every monic modulus, judged against trial division.
@@ -127,6 +139,8 @@ def test_supplied_modulus_accepted_exactly_when_irreducible(p, s):
             ctx = FieldCtx(p, s, f)
             assert ctx.modulus == f
             assert sorted(ctx.generator_powers()) == ctx.units()
+            mul = functools.partial(poly_mul, ctx)
+            assert ctx.primitive_element() == _smallest_primitive(ctx.q, mul), f
         else:
             with pytest.raises(ReducibleModulus) as info:
                 FieldCtx(p, s, f)
@@ -139,7 +153,7 @@ def test_reducible_modulus_of_order_65536_refused_promptly():
     started = time.perf_counter()
     with pytest.raises(ReducibleModulus):
         FieldCtx(2, 16, f)
-    assert time.perf_counter() - started < 2
+    assert time.perf_counter() - started < 1
 
 
 def test_default_gf9_modulus(gf9):
@@ -317,6 +331,14 @@ def test_generator_powers_permute_units(q):
     powers = ctx.generator_powers()
     assert len(powers) == q - 1
     assert sorted(powers) == ctx.units()
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 100) if all(p % d for d in range(2, p))])
+def test_prime_field_generator_is_smallest_primitive_root(p):
+    def order(c):
+        return next(i for i in range(1, p) if pow(c, i, p) == 1)
+
+    assert FieldCtx(p).primitive_element() == next(c for c in range(1, p) if order(c) == p - 1)
 
 
 def test_find_primitive():
