@@ -37,7 +37,6 @@ from .subsetsum import (
     vanishes,
 )
 from .linear import (
-    AMDS,
     AMDS_NOT_NMDS,
     DEFAULT_BUDGET,
     MDS,

@@ -204,6 +204,16 @@ class MdsReport:
         return self.alpha_zero_index is None and not self.is_mds
 
 
+def _power_rows(
+    ctx: FieldCtx, scale: Sequence[int], alpha: Sequence[int], count: int
+) -> list[list[int]]:
+    """The rows [scale_s * alpha_s**j over s] for j = 0..count-1."""
+    rows = [list(scale)]
+    for _ in range(count - 1):
+        rows.append([ctx.mul(x, a) for x, a in zip(rows[-1], alpha)])
+    return rows
+
+
 def generator_matrix(params: EgrlParams) -> FieldMatrix:
     """The k x (n + ell + 1) generator in the standard evaluation form.
 
@@ -212,17 +222,14 @@ def generator_matrix(params: EgrlParams) -> FieldMatrix:
     at row t.
     """
     ctx = params.ctx
-    n, k, ell, t = params.n, params.k, params.ell, params.t
+    k, ell, t = params.k, params.ell, params.t
     rows = []
-    for i in range(k):
-        row = [ctx.mul(params.v[j], ctx.pow(params.alpha[j], i)) for j in range(n)]
+    for i, row in enumerate(_power_rows(ctx, params.v, params.alpha, k)):
         block = [0] * ell
         if i >= k - ell:
             r = i - (k - ell)
             block = [params.mix.at(r, c) for c in range(ell)]
-        row.extend(block)
-        row.append(params.b if i == t else 0)
-        rows.append(row)
+        rows.append(row + block + [params.b if i == t else 0])
     return FieldMatrix(ctx, rows)
 
 
@@ -262,25 +269,26 @@ def _require_shape(params: EgrlParams):
         )
 
 
-def _completion_row(params: EgrlParams, base: list[int], mt_inv: FieldMatrix) -> list[int]:
+def _completion_row(params: EgrlParams, top: list[int], mt_inv: FieldMatrix) -> list[int]:
     # A parity row for any distinct alpha and nonzero v.  With p_l the
     # coefficient of x**(n-l) in P(x) = prod_s (x - alpha_s), E(-t) H(t) = 1
     # gives sum_{l<=j} p_l h_{j-l}(alpha) = 0 for j >= 1, and
     # sum_s u_s alpha_s**(n-1+j) = h_j(alpha).  So w(x) = sum_{l<=k-3} p_l x**(n-1-l)
     # makes sum_s u_s w(alpha_s) alpha_s**j 1 at j = 0, 0 at j = 1..k-3, and
     # -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2, k-1, which the mixing entries cancel.
-    # Entry s is base_s w(alpha_s), base_s = u_s / v_s.
-    ctx, n, k = params.ctx, params.n, params.k
+    # Entry s is base_s w(alpha_s) = top_s sum_{l<=k-3} p_l alpha_s**(k-3-l), where
+    # base_s = u_s / v_s and top_s = base_s alpha_s**(n-k+2).
+    ctx, k = params.ctx, params.k
     p = [1] + [0] * (k - 1)  # top k coefficients of P(x)
     for a in params.alpha:
         for l in range(k - 1, 0, -1):
             p[l] = ctx.sub(p[l], ctx.mul(a, p[l - 1]))
     row = []
-    for a, bs in zip(params.alpha, base):
+    for a, ts in zip(params.alpha, top):
         w = 0
         for pl in p[: k - 2]:
             w = ctx.add(ctx.mul(w, a), pl)
-        row.append(ctx.mul(bs, ctx.mul(ctx.pow(a, n - k + 2), w)))
+        row.append(ctx.mul(ts, w))
     y = FieldMatrix(ctx, [[p[k - 2], ctx.sub(p[k - 1], ctx.mul(p[1], p[k - 2]))]]).matmul(mt_inv)
     row.extend([y.at(0, 0), y.at(0, 1), ctx.neg(ctx.inv(params.b))])
     return row
@@ -307,24 +315,21 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     if not 4 <= k <= n - 1:
         raise RangeViolation(f"parity-check form needs 4 <= k <= n-1, got k={k}, n={n}")
     base = [ctx.div(us, vs) for us, vs in zip(compute_u(ctx, params.alpha), params.v)]
+    powers = _power_rows(ctx, base, params.alpha, n - k + 3)
     mt_inv = params.mix.transpose().inverse()
     minus_one = ctx.neg(1)
     s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(ctx.sum(params.alpha))]])
     r_mat = s_mat.matmul(mt_inv)
     sum_v = ctx.sum(params.v)
     classical_row_valid = sum_v != 0 and all(
-        ctx.sum(ctx.mul(vs, ctx.pow(a, i)) for vs, a in zip(params.v, params.alpha)) == 0
-        for i in range(1, k)
+        ctx.sum(row) == 0 for row in _power_rows(ctx, params.v, params.alpha, k)[1:]
     )
     if classical_row_valid:
         first = [1] * n + [0, 0, ctx.neg(ctx.div(sum_v, params.b))]
     else:
-        first = _completion_row(params, base, mt_inv)
+        first = _completion_row(params, powers[-1], mt_inv)
     tails = [(0, 0)] * (n - k) + [r_mat.row(0), r_mat.row(1)]
-    return FieldMatrix(ctx, [first] + [
-        [ctx.mul(bs, ctx.pow(a, j)) for bs, a in zip(base, params.alpha)] + [*tail, 0]
-        for j, tail in enumerate(tails)
-    ])
+    return FieldMatrix(ctx, [first] + [row + [*tail, 0] for row, tail in zip(powers, tails)])
 
 
 def _column_ratios(params: EgrlParams) -> Iterator[tuple[int, int]]:

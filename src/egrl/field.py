@@ -16,20 +16,23 @@ that
     g**a + g**b = g**(a + Z[b - a])        (zero when Z[b - a] = -1).
 
 Scalar operations are lookups in these q-sized lists; the tables are built
-once, by numpy, from the polynomial helpers below.  For numpy addition (the
+once, by numpy, on digit vectors: multiplying by a is the GF(p)-linear map
+u -> u @ M_a % p, where row j of the s*s matrix M_a holds the digits of
+a * x**j (M_x is the companion matrix of the modulus).  The generator search,
+the default-modulus search and the antilog doubling all read one list of
+squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
 subset-sum DP and code enumeration): ``translate`` sums rows of a lazily
 built s*p*q digit table (prime fields add mod q), and ``add_table`` stacks
 all q of its rows.  Field orders are capped at q <= 2**16 (``MAX_ORDER``).
-At q = 2**16 the scalar tables take about 0.04 s and 12 MiB (21 MiB peak
-while building); the default-modulus search before them takes under
-0.02 s for every q (2-vCPU Xeon, Python 3.11).
+At q = 2**16 building the context, default-modulus search included, takes
+0.03-0.06 s and 12 MiB (21 MiB peak while building) (2-vCPU Xeon, Python 3.11).
 
 The antilog table also judges the modulus: f is accepted exactly when g's
 q-1 powers are the q-1 nonzero codes, so that every nonzero residue is a
 unit.  For a reducible f the search for g stops within 2*p**(s//2) order
 tests: f's lowest-degree monic factor is a zero divisor, none of whose
-powers is 1, and its code is below that bound (0.5 s for a reducible
-degree-16 modulus over GF(2)).
+powers is 1 (its M_a is singular), and its code is below that bound
+(0.06-0.12 s for a reducible degree-16 modulus over GF(2)).
 Contexts are immutable after construction and safe to share across
 threads; elements are plain integer codes.
 """
@@ -94,62 +97,44 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  Coefficient tuples are little-endian with
-# no trailing zeros; the zero polynomial is ().  Only used at construction
-# time (default-modulus and generator selection, and the antilog table),
-# and every divisor is monic.
+# GF(p)[x]/(f) on digit vectors and multiplication matrices M_a (see the
+# module docstring), used only at construction time: M_a = sum_i a_i M_x**i
+# and M_ab = M_a M_b.  Entries stay below p, so no product overflows int64
+# (s * (p-1)**2 < 2**33).
 
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(tuple(out))
+def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
+    # M_x: row j is x**(j+1), and x**s = -(f_0 + ... + f_{s-1} x**(s-1)).
+    m = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    m[-1] = np.negative(f[:-1]) % p
+    return m
 
 
-def _pmod(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - df
-            for j, fj in enumerate(f):
-                a[shift + j] = (a[shift + j] - c * fj) % p
-        a.pop()
-    return _ptrim(tuple(a))
+def _squares(m: np.ndarray, p: int, q: int) -> list[np.ndarray]:
+    # [M, M**2, M**4, ...]: enough for every exponent up to q.
+    out = [m]
+    for _ in range(q.bit_length() - 1):
+        out.append(out[-1] @ out[-1] % p)
+    return out
 
 
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
+def _power(squares: list[np.ndarray], e: int, p: int) -> np.ndarray:
+    # Digits of a**e, e >= 1, from a's squares: row 0 of M_a**e.
+    bits = [k for k in range(e.bit_length()) if e >> k & 1]
+    u = squares[bits[0]][0]
+    for k in bits[1:]:
+        u = u @ squares[k] % p
+    return u
 
 
-def _ppowmod(a: tuple[int, ...], e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result = (1,)
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_generator(a: tuple[int, ...], f: tuple[int, ...], p: int, factors: list[int]) -> bool:
-    # Whether no a**((q-1)/r) is 1 mod f, r over the prime factors of q-1.
-    # In a field: whether a generates the units.  Zero divisors pass too.
-    q = p ** (len(f) - 1)
-    return all(_ppowmod(a, (q - 1) // r, f, p) != (1,) for r in factors)
+def _is_generator(squares: list[np.ndarray], p: int, q: int, factors: list[int]) -> bool:
+    # Whether no a**((q-1)/r) is 1, r over the prime factors of q-1.  In a
+    # field: whether a generates the units.  Zero divisors pass too: their
+    # M_a is singular, so no power of it is the identity.
+    for r in factors:
+        u = _power(squares, (q - 1) // r, p)
+        if u[0] == 1 and not u[1:].any():
+            return False
+    return True
 
 
 def _default_modulus(p: int, s: int) -> tuple[int, ...]:
@@ -160,12 +145,14 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     # it: x divides f when c_0 = 0, and for a primitive root g of f the
     # product of its conjugates, (-1)**s c_0 = g**((q-1)/(p-1)), has order
     # p-1, so it is a primitive root mod p.
-    factors, unit_factors = _prime_factors(p**s - 1), _prime_factors(p - 1)
+    q = p**s
+    factors, unit_factors = _prime_factors(q - 1), _prime_factors(p - 1)
     leads = [c for c in range(1, p)
              if all(pow((-1) ** s * c, (p - 1) // r, p) != 1 for r in unit_factors)]
     for coeffs in itertools.product(leads, *[range(p)] * (s - 1)):
         f = coeffs + (1,)
-        if _ppowmod((0, 1), p**s, f, p) == (0, 1) and _is_generator((0, 1), f, p, factors):
+        squares = _squares(_companion(f, p), p, q)
+        if (_power(squares, q, p) == squares[0][0]).all() and _is_generator(squares, p, q, factors):
             return f
     raise FieldError(f"no primitive polynomial of degree {s} over GF({p})")
 
@@ -271,21 +258,23 @@ class FieldCtx:
         p, s, q, f = self.p, self.s, self.q, self.modulus
         n = q - 1
         factors = _prime_factors(n)
-        g = next(c for c in range(1, q) if _is_generator(_ptrim(self.digits(c)), f, p, factors))
-        # Powers of g by doubling: multiplying by the fixed c = g**L is
-        # GF(p)-linear on digit vectors, row j of its matrix being the
-        # digits of c * x**j, so exp[L:2L] = exp[:L] * c is one product.
+        # M_c = sum_i c_i M_x**i for the digits c_i of a candidate code c.
+        comp, xpow = _companion(f, p), [np.eye(s, dtype=np.int64)]
+        for _ in range(s - 1):
+            xpow.append(xpow[-1] @ comp % p)
+        xpow = np.stack(xpow).reshape(s, s * s)
+        for c in range(1, q):
+            squares = _squares((np.array(self.digits(c)) @ xpow % p).reshape(s, s), p, q)
+            if _is_generator(squares, p, q, factors):
+                break
+        # Powers of g by doubling: exp[L:2L] = exp[:L] * g**L, where
+        # M_{g**L} is g's square squares[k] for L = 2**k.
         pexp = np.zeros((n, s), dtype=np.int64)
         pexp[0, 0] = 1
-        c, size = _ptrim(self.digits(g)), 1
-        while size < n:
-            mat = np.zeros((s, s), dtype=np.int64)
-            for j in range(s):
-                prod = _pmulmod(c, (0,) * j + (1,), f, p)
-                mat[j, : len(prod)] = prod
+        for k in range((n - 1).bit_length()):
+            size = 1 << k
             step = min(size, n - size)
-            pexp[size : size + step] = pexp[:step] @ mat % p
-            c, size = _pmulmod(c, c, f, p), 2 * size
+            pexp[size : size + step] = pexp[:step] @ squares[k] % p
         exp = pexp @ p ** np.arange(s, dtype=np.int64)
         # GF(p)[x]/(f) is a field exactly when g's q-1 powers fill the units.
         if not np.bincount(exp, minlength=q)[1:].all():

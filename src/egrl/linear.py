@@ -44,7 +44,6 @@ DEFAULT_BUDGET = 1 << 26  # code size q**k; overridable per call
 _BLOCK_LIMIT = 1 << 16  # max rows per block
 
 MDS = "MDS"
-AMDS = "AMDS"
 NMDS = "NMDS"
 AMDS_NOT_NMDS = "AMDS-not-NMDS"
 OTHER = "other"

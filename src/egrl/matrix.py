@@ -59,10 +59,6 @@ class FieldMatrix:
         self.data = flat
 
     @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "FieldMatrix":
-        return cls(ctx, [[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "FieldMatrix":
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -121,8 +117,6 @@ class FieldMatrix:
                             orow[j] = add(orow[j], mul(a, brow[j]))
             out.append(orow)
         return FieldMatrix(self.ctx, out, cols=other.cols)
-
-    __matmul__ = matmul
 
     def scale_columns(self, scalars: Sequence[int]) -> "FieldMatrix":
         """Multiply column j by scalars[j]; every scalar must be nonzero."""

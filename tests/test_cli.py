@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import egrl.cli
 import egrl.construction
@@ -457,6 +458,33 @@ def test_subsetsum_modulus_text_exits(case):
         rc = main(["subsetsum", "--q", str(q), f"--mod={','.join(map(str, coeffs))}",
                    "--domain", "star", "--m", "2", "--b", "1"])
     if accepted:
+        assert (rc, err.getvalue()) == (0, "")
+    else:
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def _is_prime_power(q: int) -> bool:
+    # Trial division: strip the smallest divisor above 1 and see what is left.
+    if q < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(-2, (1 << 16) + 16))
+@example(q=1 << 16)
+@example(q=(1 << 16) + 1)
+def test_subsetsum_field_order_exits(q):
+    # --q=Q, because argparse reads "--q -2" as an option.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["subsetsum", f"--q={q}", "--domain", "full", "--m", "0", "--b", "0",
+                   "--method", "lw"])
+    if q <= 1 << 16 and _is_prime_power(q):
         assert (rc, err.getvalue()) == (0, "")
     else:
         assert (rc, out.getvalue()) == (2, "")

@@ -42,7 +42,7 @@ def test_rank_normalization(gf5):
     c = LinearCode(g)
     assert c.k == 2
     with pytest.raises(ZeroCode):
-        LinearCode(FieldMatrix.zeros(gf5, 2, 3))
+        LinearCode(FieldMatrix(gf5, [[0, 0, 0], [0, 0, 0]]))
 
 
 def test_dual_of_repetition_is_parity(gf2):
