@@ -7,14 +7,14 @@ Each ``cmd_*`` only computes: it returns a :class:`Report` and writes
 nothing.  ``main`` starts the clock, runs the command and hands its report
 to ``_emit_report``, the one place output is written -- the JSON document
 (--json), the command's text form derived from the same results, the
---out file, or an early exit's stderr line.  ``_emit_report`` is also the
-one place the int-to-str digit limit is lifted, so counts of any length
-render under a caller's limit, which is restored afterwards.
+--out file, or an early exit's stderr line.  ``_emit_report`` also lifts
+the int-to-str digit limit (as does subsetsum for its mismatch line), so
+counts of any length render under a caller's limit, restored afterwards.
 
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
 is rendered as a decimal string so counts survive any magnitude.  Identical
-invocation and seed give byte-identical output (timing is only attached
-with --timing).
+invocation and seed give byte-identical output (timing is only attached,
+to JSON reports, with --timing).
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class Report(NamedTuple):
     """What one command computed; only ``_emit_report`` renders it.
 
     A false entry in ``agreement`` makes the exit code EXIT_MISMATCH.
-    ``error`` marks an early exit: the string, formatted with ``results``,
-    is the whole output, on stderr.
+    ``error`` marks an early exit: that line is the whole output, on stderr.
     """
 
     instance: dict
@@ -169,7 +168,7 @@ def _emit_report(args, report: Report, started: float) -> int:
     """Write ``report`` -- the only output a command makes -- and return its exit code."""
     with _all_digits():
         if report.error is not None:
-            print(report.error.format(**report.results), file=sys.stderr)
+            print(report.error, file=sys.stderr)
         elif args.json:
             doc = {
                 "schema": 1,
@@ -256,13 +255,22 @@ def cmd_construct(args) -> Report:
     return Report(params.to_dict(), results)
 
 
+def _brute_agreement(report, cls) -> dict[str, bool]:
+    """Criterion vs brute force: MDS is singleton defect 0, dual-AMDS dual defect 1."""
+    return {"mds": report.is_mds == (cls.singleton_defect == 0),
+            "dual_amds": report.dual_amds == (cls.dual_defect == 1)}
+
+
 def cmd_classify(args) -> Report:
     params = _load_instance(args)
     results: dict = {}
-    agreement: dict = {}
-    criteria_ran = params.ell == 2 and params.t == 0
-    if criteria_ran:
+    agreement = None
+    try:
         report = check_mds(params)
+    except UnsupportedShape:
+        report = None
+        results["criteria"] = "brute-force only"
+    else:
         results["mds"] = report.is_mds
         results["dual_amds"] = report.dual_amds
         if report.alpha_zero_index is not None:
@@ -270,10 +278,8 @@ def cmd_classify(args) -> Report:
         elif not report.is_mds:
             m, j, subset = report.witness
             results["witness"] = {"m": m, "j": j, "subset": list(subset)}
-    else:
-        results["criteria"] = "brute-force only"
 
-    if args.verify or not criteria_ran:
+    if args.verify or report is None:
         code = egrl_code(params)
         cls = code.classify(args.budget)
         results["classification"] = {
@@ -283,10 +289,9 @@ def cmd_classify(args) -> Report:
             "singleton_defect": cls.singleton_defect,
             "dual_defect": cls.dual_defect,
         }
-        if criteria_ran:
-            agreement["mds"] = results["mds"] == (cls.singleton_defect == 0)
-            agreement["dual_amds"] = results["dual_amds"] == (cls.dual_defect == 1)
-    return Report(params.to_dict(), results, agreement or None)
+        if report is not None:
+            agreement = _brute_agreement(report, cls)
+    return Report(params.to_dict(), results, agreement)
 
 
 def cmd_weights(args) -> Report:
@@ -304,7 +309,7 @@ def cmd_weights(args) -> Report:
     # Distributions stay WeightDistribution values; _emit_report renders them.
     results: dict = {"method": args.method}
     if args.method in ("formula", "both"):
-        if params is None or not is_special_instance(params):
+        if not is_special_instance(params):
             raise InvalidParams(
                 "--method formula needs a special-construction instance "
                 "(alpha = F_q^*, unit multipliers, k in the supported range)"
@@ -335,8 +340,9 @@ def cmd_subsetsum(args) -> Report:
     closed = count_li_wan(ctx, domain, args.m, args.b)
     results.update(closed_form=closed, dp=count_dp(ctx, domain, args.m, args.b), count=closed)
     agree = closed == results["dp"]
-    return Report(instance, results, {"closed_form_vs_dp": agree},
-                  error=None if agree else "closed form {closed_form} != dp {dp}")
+    with _all_digits():  # both counts may pass a caller's int-to-str limit
+        error = None if agree else f"closed form {closed} != dp {results['dp']}"
+    return Report(instance, results, {"closed_form_vs_dp": agree}, error=error)
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -375,12 +381,11 @@ def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: s
         h = parity_check_matrix(params)
         if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
             failures.append(f"{tag}: parity-check identity failed")
-    cls = egrl_code(params).classify(budget)
-    report = check_mds(params)
-    if report.is_mds != (cls.singleton_defect == 0):
-        failures.append(f"{tag}: MDS criterion disagrees with brute force")
-    if report.dual_amds != (cls.dual_defect == 1):
-        failures.append(f"{tag}: dual-AMDS criterion disagrees with brute force")
+    cls = LinearCode(g).classify(budget)
+    agreement = _brute_agreement(check_mds(params), cls)
+    for key, name in (("mds", "MDS"), ("dual_amds", "dual-AMDS")):
+        if not agreement[key]:
+            failures.append(f"{tag}: {name} criterion disagrees with brute force")
 
 
 def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, tag: str):

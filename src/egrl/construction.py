@@ -269,13 +269,15 @@ def _require_shape(params: EgrlParams):
         )
 
 
-def _completion_row(params: EgrlParams, top: list[int], mt_inv: FieldMatrix) -> list[int]:
+def _completion_row(params: EgrlParams, top: list[int], r_mat: FieldMatrix) -> list[int]:
     # A parity row for any distinct alpha and nonzero v.  With p_l the
     # coefficient of x**(n-l) in P(x) = prod_s (x - alpha_s), E(-t) H(t) = 1
     # gives sum_{l<=j} p_l h_{j-l}(alpha) = 0 for j >= 1, and
     # sum_s u_s alpha_s**(n-1+j) = h_j(alpha).  So w(x) = sum_{l<=k-3} p_l x**(n-1-l)
     # makes sum_s u_s w(alpha_s) alpha_s**j 1 at j = 0, 0 at j = 1..k-3, and
-    # -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2, k-1, which the mixing entries cancel.
+    # -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2, k-1, which the mixing entries
+    # [p_{k-2}, p_{k-1} - p_1 p_{k-2}] (M^T)**(-1) cancel; as p_1 = -sum(alpha),
+    # they are -(p_{k-1} R_0 + p_{k-2} R_1) for the rows R_0, R_1 of R.
     # Entry s is base_s w(alpha_s) = top_s sum_{l<=k-3} p_l alpha_s**(k-3-l), where
     # base_s = u_s / v_s and top_s = base_s alpha_s**(n-k+2).
     ctx, k = params.ctx, params.k
@@ -289,8 +291,9 @@ def _completion_row(params: EgrlParams, top: list[int], mt_inv: FieldMatrix) -> 
         for pl in p[: k - 2]:
             w = ctx.add(ctx.mul(w, a), pl)
         row.append(ctx.mul(ts, w))
-    y = FieldMatrix(ctx, [[p[k - 2], ctx.sub(p[k - 1], ctx.mul(p[1], p[k - 2]))]]).matmul(mt_inv)
-    row.extend([y.at(0, 0), y.at(0, 1), ctx.neg(ctx.inv(params.b))])
+    row.extend(ctx.neg(ctx.add(ctx.mul(p[k - 1], r0), ctx.mul(p[k - 2], r1)))
+               for r0, r1 in zip(r_mat.row(0), r_mat.row(1)))
+    row.append(ctx.neg(ctx.inv(params.b)))
     return row
 
 
@@ -316,10 +319,9 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
         raise RangeViolation(f"parity-check form needs 4 <= k <= n-1, got k={k}, n={n}")
     base = [ctx.div(us, vs) for us, vs in zip(compute_u(ctx, params.alpha), params.v)]
     powers = _power_rows(ctx, base, params.alpha, n - k + 3)
-    mt_inv = params.mix.transpose().inverse()
     minus_one = ctx.neg(1)
     s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(ctx.sum(params.alpha))]])
-    r_mat = s_mat.matmul(mt_inv)
+    r_mat = s_mat.matmul(params.mix.transpose().inverse())
     sum_v = ctx.sum(params.v)
     classical_row_valid = sum_v != 0 and all(
         ctx.sum(row) == 0 for row in _power_rows(ctx, params.v, params.alpha, k)[1:]
@@ -327,17 +329,22 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     if classical_row_valid:
         first = [1] * n + [0, 0, ctx.neg(ctx.div(sum_v, params.b))]
     else:
-        first = _completion_row(params, powers[-1], mt_inv)
+        first = _completion_row(params, powers[-1], r_mat)
     tails = [(0, 0)] * (n - k) + [r_mat.row(0), r_mat.row(1)]
     return FieldMatrix(ctx, [first] + [row + [*tail, 0] for row, tail in zip(powers, tails)])
 
 
-def _column_ratios(params: EgrlParams) -> Iterator[tuple[int, int]]:
-    """(j, a_2j / a_1j) for each mixing column j with top entry a_1j != 0."""
-    for j in range(2):
-        a1 = params.mix.at(0, j)
-        if a1:
-            yield j, params.ctx.div(params.mix.at(1, j), a1)
+def _criterion_terms(params: EgrlParams) -> Iterator[tuple[int, int, int]]:
+    """(m, j, a_2j / a_1j) for m = 1, 2 and each mixing column j with a_1j != 0.
+
+    A size-(k-m) subset of evaluation points summing to the ratio is an MDS
+    witness and supports weight-k dual codewords.
+    """
+    for m in (1, 2):
+        for j in range(2):
+            a1 = params.mix.at(0, j)
+            if a1:
+                yield m, j, params.ctx.div(params.mix.at(1, j), a1)
 
 
 def check_mds(params: EgrlParams) -> MdsReport:
@@ -354,11 +361,10 @@ def check_mds(params: EgrlParams) -> MdsReport:
     for idx, a in enumerate(params.alpha):
         if a == 0:
             return MdsReport(False, alpha_zero_index=idx)
-    for m in (1, 2):
-        for j, target in _column_ratios(params):
-            subset = find_subset(params.ctx, params.alpha, params.k - m, target)
-            if subset is not None:
-                return MdsReport(False, witness=(m, j + 1, subset))
+    for m, j, target in _criterion_terms(params):
+        subset = find_subset(params.ctx, params.alpha, params.k - m, target)
+        if subset is not None:
+            return MdsReport(False, witness=(m, j + 1, subset))
     return MdsReport(True)
 
 
@@ -446,10 +452,8 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     _require_special(params)
     ctx, q, k = params.ctx, params.q, params.k
     census = {pat: 0 for pat in _TAIL_PATTERNS}
-    for s, ratio in _column_ratios(params):
-        column = (s == 0, s == 1)
-        census[(*column, False)] = (q - 1) * count_li_wan(ctx, STAR, k - 1, ratio)
-        census[(*column, True)] = (q - 1) * count_li_wan(ctx, STAR, k - 2, ratio)
+    for m, j, ratio in _criterion_terms(params):
+        census[(j == 0, j == 1, m == 2)] = (q - 1) * count_li_wan(ctx, STAR, k - m, ratio)
     return census
 
 
@@ -465,9 +469,9 @@ def special_nmds_distribution(
 
     The code is NMDS with parameters [q+2, k, q+2-k]; its minimum-weight
     count equals the dual's, so the closed NMDS expansion seeded with
-    dual_min_weight_count determines everything.
+    dual_min_weight_count determines everything; min_weight_census raises
+    InvalidParams for any other instance.
     """
-    _require_special(params)
     return nmds_distribution(
         params.length, params.k, params.ctx, dual_min_weight_count(params)
     )

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,10 +75,6 @@ class CtxMismatch(FieldError):
 
 class NoPrimitive(FieldError):
     """No primitive element exists (only for q = 2)."""
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -179,7 +174,7 @@ class FieldCtx:
             raise ValueError(f"extension degree must be >= 1, got {s}")
         if abs(p) > 1 and s > _MAX_DEGREE or p**s > MAX_ORDER:  # no huge power for a huge s
             raise FieldError(f"field order {p}^{s} exceeds the supported maximum {MAX_ORDER}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         self.p = p
         self.s = s
@@ -208,16 +203,11 @@ class FieldCtx:
             raise CompositeCharacteristic(f"field order must be >= 2, got {q}")
         if q > MAX_ORDER:
             raise FieldError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
-        p = 2
-        while q % p:
-            p += 1
-        s, m = 0, q
-        while m % p == 0:
-            m //= p
-            s += 1
-        if m != 1:
+        factors = _prime_factors(q)
+        if len(factors) != 1:
             raise CompositeCharacteristic(f"{q} is not a prime power")
-        return cls(p, s, modulus)
+        p = factors[0]
+        return cls(p, next(s for s in itertools.count(1) if p**s == q), modulus)
 
     @classmethod
     def from_text(cls, text: str) -> "FieldCtx":
@@ -263,7 +253,8 @@ class FieldCtx:
         for _ in range(s - 1):
             xpow.append(xpow[-1] @ comp % p)
         xpow = np.stack(xpow).reshape(s, s * s)
-        for c in range(1, q):
+        # For s >= 2 the constants (codes below p) have orders dividing p-1 < q-1.
+        for c in range(1 if s == 1 else p, q):
             squares = _squares((np.array(self.digits(c)) @ xpow % p).reshape(s, s), p, q)
             if _is_generator(squares, p, q, factors):
                 break

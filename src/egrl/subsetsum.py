@@ -74,11 +74,11 @@ def _require_table_bytes(nbytes: int):
         raise TableTooLarge(f"DP tables need {nbytes} bytes, above the cap of {_MAX_TABLE_BYTES}")
 
 
-def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> list[int]:
+def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> Sequence[int]:
     if isinstance(domain, str):
         if domain not in (FULL, STAR):
             raise ValueError(f"unknown domain {domain!r} (use 'full', 'star', or a code list)")
-        codes = ctx.elements() if domain == FULL else ctx.units()
+        codes = range(0 if domain == FULL else 1, ctx.q)
     else:
         codes = [ctx._check(int(x)) for x in domain]
         if len(set(codes)) != len(codes):
@@ -99,7 +99,7 @@ _LIMB_BITS = 32
 _NORMALISE_EVERY = 30
 
 
-def _steps(ctx: FieldCtx, codes: list[int], m: int, tbl: np.ndarray, hi: int, lo: int = 0
+def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int, lo: int = 0
            ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (i, T_i) for i = hi, hi-1, ..., lo, given T_hi as tbl.
 
@@ -180,11 +180,8 @@ def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:
     """
     if domain not in (FULL, STAR):
         raise ValueError("closed forms exist for the 'full' and 'star' domains only")
+    _domain_codes(ctx, domain, m, b)  # checks b and 0 <= m <= |domain|
     q, p = ctx.q, ctx.p
-    ctx._check(b)
-    size = q if domain == FULL else q - 1
-    if not 0 <= m <= size:
-        raise DomainSize(f"subset size {m} outside [0, {size}]")
     v = q - 1 if b == 0 else -1
     if domain == STAR:
         num = comb(q - 1, m) + (-1) ** (m + m // p) * v * comb(q // p - 1, m // p)

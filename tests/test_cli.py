@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -338,6 +339,52 @@ def test_missing_instance_flags_exit2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["classify", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1,2"],
+     "InvalidParams: an instance needs --q (or --instance FILE)"),
+    (["classify", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1"],
+     "InvalidParams: --M needs 4 row-major entries, got 3"),
+    (["classify", "--special", "--q", "9", "--b", "1", "--M", "1,1,1,2"],
+     "InvalidParams: --special needs --k, --b and --M"),
+    (["classify", "--q", "13", "--n", "7", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1",
+      "--M", "1,1,1,2"], "InvalidParams: --n 7 disagrees with 6 evaluation points"),
+    (["weights", "--q", "3", "--generator", "rep.txt"],
+     "InvalidParams: a raw generator file supports --method brute only"),
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell", "0",
+      "--M", ""], "RangeViolation: need 1 <= ell <= k, got ell=0, k=4"),
+], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero"])
+def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", line + "\n")
+
+
+def _without_timing(doc: dict) -> dict:
+    # The echoed argv names the flag too; nothing else may differ.
+    timing = doc.pop("timing")
+    assert list(timing) == ["seconds"]
+    assert re.fullmatch(r"\d+\.\d{3}", timing["seconds"]), timing
+    assert doc["argv"].pop() == "--timing"
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,0,5,1",
+     "--verify"],
+    ["subsetsum", "--q", "5", "--domain", "star", "--m", "2", "--b", "1"],
+], ids=["classify", "subsetsum"])
+def test_timing_adds_only_a_json_field(capsys, argv):
+    rc, text, _ = run(capsys, *argv)
+    assert rc == 0
+    assert run(capsys, *argv, "--timing") == (0, text, "")
+    rc, plain, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    rc, timed, err = run(capsys, *argv, "--json", "--timing")
+    assert (rc, err) == (0, "")
+    assert _without_timing(json.loads(timed)) == json.loads(plain)
+
+
 @pytest.mark.parametrize("method", ["dp", "both"])
 def test_subsetsum_oversized_table_exit2(capsys, method):
     # The counting table would take about 8.4 GB; it is refused before allocation.
@@ -399,6 +446,21 @@ def test_counts_render_under_caller_digit_limit(capsys):
     dual = json.loads(expected[1][1])["results"]["dual_distribution"]
     assert max(map(len, dual)) > 640
     assert len(expected[2][1].strip()) > 640
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_mismatch_line_renders_under_caller_digit_limit(capsys, monkeypatch):
+    # The closed form ≠ DP line is written out in full, limit or not.
+    real = egrl.cli.count_li_wan
+    monkeypatch.setattr(egrl.cli, "count_li_wan", lambda *a: real(*a) + 10**700)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = run(capsys, "subsetsum", "--q", "5", "--domain", "star", "--m", "2", "--b", "1")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == (4, "", f"closed form 1{'0' * 699}1 != dp 1\n")
 
 
 def _one_line_failure(argv: list[str]) -> None:
@@ -532,3 +594,53 @@ def test_malformed_input_files_exit2(capsys, tmp_path, path, text):
     assert (rc, out) == (2, "")
     expected = "DimMismatch: " if path == "--generator" else "InvalidParams: malformed instance: "
     assert err.startswith(expected) and err.count("\n") == 1
+
+
+_FLAG_INTS = st.one_of(st.integers(-3, 20), st.integers(-10**30, 10**30),
+                       st.sampled_from([0, -1, 10**40]))
+_FLAG_LISTS = st.one_of(
+    st.lists(st.integers(-2, 20), max_size=18).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=5)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,- x", max_size=20),
+)
+
+
+@st.composite
+def inline_argvs(draw):
+    # A well-formed instance for the drawn q, then some flags dropped or
+    # replaced by a fuzzed value, so the draws reach past the flag parsing.
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]))
+    n = draw(st.integers(1, q))
+    alpha = draw(st.permutations(range(q)))[:n]
+    flags = {"k": draw(st.integers(min(3, n), n)), "b": draw(st.integers(1, max(1, q - 1))),
+             "alpha": ",".join(map(str, alpha)),
+             "M": ",".join(str(draw(st.integers(0, q - 1))) for _ in range(4))}
+    for flag, values in [("k", _FLAG_INTS), ("b", _FLAG_INTS), ("ell", _FLAG_INTS),
+                         ("t", _FLAG_INTS), ("n", _FLAG_INTS), ("alpha", _FLAG_LISTS),
+                         ("v", _FLAG_LISTS), ("M", _FLAG_LISTS)]:
+        change = draw(st.sampled_from(["keep"] * 8 + ["fuzz", "drop"]))
+        if change == "fuzz":
+            flags[flag] = draw(values)
+        elif change == "drop":
+            flags.pop(flag, None)
+    command = draw(st.sampled_from(["construct", "classify", "weights"]))
+    argv = [command, f"--q={q}", *(f"--{flag}={value}" for flag, value in flags.items())]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--special", f"--order={draw(st.sampled_from(['asc', 'gen']))}"]
+    extra = {"construct": ["--with-h"], "classify": ["--verify"],
+             "weights": ["--method=formula", "--method=brute"]}[command]
+    return argv + draw(st.lists(st.sampled_from(extra), max_size=1)) + ["--budget", "4096"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=inline_argvs())
+@example(argv=["classify", "--q=13", "--k=5", "--alpha=1,2,7,8,9", "--b=1", "--M=1,1,1,2",
+               "--verify", "--budget", "4096"])
+@example(argv=["weights", "--q=7", "--k=4", "--b=1", "--M=1,1,1,2", "--special",
+               "--budget", "4096"])
+@example(argv=["construct", "--q=13", "--k=5", "--alpha=1,2,3,4,5,6", "--b=1", "--t=1",
+               "--M=1,1,1,2", "--with-h", "--budget", "4096"])
+def test_inline_flags_exit_documented(argv):
+    # Only documented exits, never a traceback, one stderr line on failure.
+    _one_line_failure(argv)

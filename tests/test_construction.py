@@ -166,6 +166,16 @@ def test_invalid_params():
         make_params(ctx, (1, 2, 3, 4), 4, [[1]], ell=1, t=2)  # t > k-3
 
 
+def test_mixing_matrix_shape_and_field_checked():
+    ctx = FieldCtx(13)
+    alpha, v = (1, 2, 3, 4), (1, 1, 1, 1)
+    wrong_shape = FieldMatrix(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    wrong_field = FieldMatrix(FieldCtx(7), EX13_MIX)
+    for mix in (wrong_shape, wrong_field):
+        with pytest.raises(RangeViolation, match=r"^mixing matrix must be 2x2 over the instance"):
+            EgrlParams(ctx=ctx, n=4, k=4, ell=2, t=0, alpha=alpha, v=v, b=1, mix=mix)
+
+
 def test_instance_serialization_roundtrip(ex13, ex9):
     for p in (ex13, ex9):
         assert params_from_text(p.to_text()) == p
@@ -371,6 +381,13 @@ def test_check_mds_witness(gf13):
         acc = gf13.add(acc, x)
     assert acc == 5
     assert check_dual_amds(p) is True
+
+
+def test_check_mds_tries_size_k_minus_1_first(gf13):
+    # Column 1's ratio 3 is a 3-subset sum ({1,7,8}) but no 4-subset sum;
+    # column 2's ratio 5 is the 4-subset sum {1,2,7,8}.  Sizes k-1 come first.
+    p = make_params(gf13, EX13_ALPHA, 5, [[1, 1], [3, 5]])
+    assert check_mds(p).witness == (1, 2, (1, 2, 7, 8))
 
 
 def test_check_mds_zero_alpha(gf13):

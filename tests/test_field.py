@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import poly_add, poly_is_irreducible, poly_mul, poly_neg
+from egrl import field
 from egrl.cli import main
 from egrl.field import (
     MAX_ORDER,
@@ -40,6 +41,25 @@ def test_composite_characteristic_rejected():
 def test_from_order_factors_prime_powers():
     ctx = FieldCtx.from_order(27)
     assert (ctx.p, ctx.s, ctx.q) == (3, 3, 27)
+
+
+@pytest.mark.parametrize("q,p,s", [(2, 2, 1), (65521, 65521, 1), (1 << 16, 2, 16),
+                                   (3**10, 3, 10), (251**2, 251, 2)])
+def test_from_order_splits_exactly(q, p, s):
+    ctx = FieldCtx.from_order(q)
+    assert (ctx.p, ctx.s, ctx.q) == (p, s, q)
+
+
+@pytest.mark.parametrize("p,s", [(4, 1), (9, 2), (8, 3), (1, 1), (0, 1), (-3, 2)])
+def test_prime_power_characteristic_rejected(p, s):
+    with pytest.raises(CompositeCharacteristic, match=rf"^characteristic {p} is not prime$"):
+        FieldCtx(p, s)
+
+
+@pytest.mark.parametrize("q", [6, 15, 2 * 32749, 65535, 3**9 * 2])
+def test_non_prime_power_order_rejected(q):
+    with pytest.raises(CompositeCharacteristic, match=rf"^{q} is not a prime power$"):
+        FieldCtx.from_order(q)
 
 
 def test_reducible_modulus_rejected():
@@ -145,6 +165,53 @@ def test_supplied_modulus_accepted_exactly_when_irreducible(p, s):
             with pytest.raises(ReducibleModulus) as info:
                 FieldCtx(p, s, f)
             assert str(info.value) == f"modulus {f} factors over GF({p})"
+
+
+# Moduli modulo which x is not primitive: x**2 + 1 and x**2 + 2 (x of order 4
+# and 8), x**4 + ... + 1 and x**6 + x**3 + 1 (cyclotomic: x of order 5 and 9).
+_X_NOT_PRIMITIVE = [(3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)), (7, 2, (1, 0, 1)),
+                    (2, 4, (1, 1, 1, 1, 1)), (2, 6, (1, 0, 0, 1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "p,s,modulus",
+    [(p, s, None) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+     for s in range(2, 11) if p**s <= 1024] + _X_NOT_PRIMITIVE,
+)
+def test_generator_and_tables_match_search_from_one(p, s, modulus):
+    # The generator search skips the constants when s >= 2; the oracle
+    # starts at code 1 and steps powers by schoolbook multiplication.
+    ctx = FieldCtx(p, s, modulus)
+    q, mul = ctx.q, functools.partial(poly_mul, ctx)
+    g = _smallest_primitive(q, mul)
+    if modulus is not None:
+        assert g != p  # the premise: x is not primitive
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(mul(powers[-1], g))
+    log = {x: i for i, x in enumerate(powers)}
+    assert ctx.primitive_element() == g
+    assert ctx._exp[: q - 1] == powers
+    assert ctx._log[1:] == [log[x] for x in range(1, q)]
+    assert ctx._zech == [log.get(poly_add(ctx, 1, x), -1) for x in powers]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 121, 243, 256, 1024, 2187, 251**2, 1 << 16])
+def test_default_modulus_generator_found_first_try(q, monkeypatch):
+    # For a default modulus x (code p) is primitive, so _tabulate's search,
+    # which starts at code p when s >= 2, makes exactly one order test.
+    modulus = FieldCtx.from_order(q).modulus
+    calls = []
+    real = field._is_generator
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(field, "_is_generator", counted)
+    ctx = FieldCtx.from_order(q, modulus)
+    assert len(calls) == 1
+    assert ctx.primitive_element() == ctx.p
 
 
 def test_reducible_modulus_of_order_65536_refused_promptly():

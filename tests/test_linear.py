@@ -45,6 +45,13 @@ def test_rank_normalization(gf5):
         LinearCode(FieldMatrix(gf5, [[0, 0, 0], [0, 0, 0]]))
 
 
+def test_dual_of_full_code_is_refused(gf5):
+    full = LinearCode(FieldMatrix.identity(gf5, 3))
+    assert (full.n, full.k) == (3, 3)
+    with pytest.raises(ZeroCode, match=r"^dual of the full \[3,3\] code is trivial$"):
+        full.dual()
+
+
 def test_dual_of_repetition_is_parity(gf2):
     d = repetition(gf2, 3).dual()
     assert (d.n, d.k) == (3, 2)
