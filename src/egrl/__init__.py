@@ -63,7 +63,6 @@ from .construction import (
     UnsupportedShape,
     ZeroB,
     ZeroV,
-    check_dual_amds,
     check_mds,
     compute_u,
     dual_min_weight_count,

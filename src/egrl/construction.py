@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -71,7 +72,9 @@ class EgrlParams:
 
     ``mix`` is the ell-by-ell nonsingular matrix applied to the top ell
     message coefficients; its entry (r, c) multiplies f_{k-ell+r} in
-    appended column c.
+    appended column c.  The scalars and codes may be any integers
+    (``operator.index``: numpy integers and bool too) and are stored as
+    int; a float raises TypeError instead of being truncated.
     """
 
     ctx: FieldCtx
@@ -86,14 +89,12 @@ class EgrlParams:
 
     def __post_init__(self):
         ctx = self.ctx
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
-        for a in self.alpha:
-            ctx._check(a)
+        for name in ("n", "k", "ell", "t", "b"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "alpha", tuple(map(ctx._check, self.alpha)))
         if len(set(self.alpha)) != len(self.alpha):
             raise DuplicateAlpha(f"evaluation points must be pairwise distinct: {self.alpha}")
-        for x in self.v:
-            ctx._check(x)
+        object.__setattr__(self, "v", tuple(map(ctx._check, self.v)))
         if any(x == 0 for x in self.v):
             raise ZeroV("column multipliers must be nonzero")
         if not 1 <= self.b < ctx.q:
@@ -245,7 +246,7 @@ def compute_u(ctx: FieldCtx, alpha: Sequence[int]) -> tuple[int, ...]:
     0 <= j <= n-2, = 1 for j = n-1, and = sum_i alpha_i for j = n; they are
     the row scalars of the parity-check construction.
     """
-    nodes = [ctx._check(int(a)) for a in alpha]
+    nodes = list(map(ctx._check, alpha))
     n = len(nodes)
     if n < 3:
         raise RangeViolation(f"need at least 3 evaluation points, got {n}")
@@ -366,16 +367,6 @@ def check_mds(params: EgrlParams) -> MdsReport:
         if subset is not None:
             return MdsReport(False, witness=(m, j + 1, subset))
     return MdsReport(True)
-
-
-def check_dual_amds(params: EgrlParams) -> bool:
-    """Dual-AMDS criterion for ell = 2, t = 0.
-
-    True iff every evaluation point is nonzero and some size-(k-1) or
-    size-(k-2) subset attains a mixing-column ratio -- that is, among
-    all-nonzero instances the dual is AMDS exactly when the code is not MDS.
-    """
-    return check_mds(params).dual_amds
 
 
 # -- the special construction on all of F_q^* ---------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,7 +188,7 @@ class FieldCtx:
             if modulus is None:
                 self.modulus = _default_modulus(p, s)
             else:
-                mod = tuple(int(c) % p for c in modulus)
+                mod = tuple(operator.index(c) % p for c in modulus)
                 if len(mod) != s + 1 or mod[-1] != 1:
                     raise NonMonic(f"modulus must be monic of degree {s}: {tuple(modulus)}")
                 self.modulus = mod
@@ -240,6 +241,13 @@ class FieldCtx:
         return tuple(code // self.p**i % self.p for i in range(self.s))
 
     def _check(self, code: int) -> int:
+        """Admit one element code: any integer in [0, q), returned as an int.
+
+        The one range check for codes.  ``operator.index`` admits Python
+        and numpy integers and bool, and refuses a float (TypeError) instead
+        of truncating it; a code outside [0, q) raises ValueError.
+        """
+        code = operator.index(code)
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} outside [0, {self.q})")
         return code
@@ -284,7 +292,7 @@ class FieldCtx:
         self._log_m1 = self._log[p - 1]  # -1 has code p-1
 
     # -- scalar arithmetic on codes -------------------------------------------
-    # Codes are trusted to lie in [0, q); the parsers validate.  log[0] is a
+    # Codes are trusted to lie in [0, q); inputs are admitted by _check.  log[0] is a
     # placeholder, so every op handles a zero operand first.
 
     def add(self, a: int, b: int) -> int:

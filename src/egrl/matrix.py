@@ -42,21 +42,17 @@ class FieldMatrix:
     __slots__ = ("ctx", "rows", "cols", "data")
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[int]], *, cols: int | None = None):
-        row_tuples = [tuple(int(c) for c in r) for r in rows]
+        row_tuples = [tuple(r) for r in rows]
         if row_tuples:
             cols = len(row_tuples[0])
             if any(len(r) != cols for r in row_tuples):
                 raise DimMismatch("ragged rows")
-        elif cols is None:
-            raise DimMismatch("empty matrix needs an explicit column count")
-        flat = tuple(c for r in row_tuples for c in r)
-        for c in flat:
-            if not 0 <= c < ctx.q:
-                raise ValueError(f"entry {c} outside [0, {ctx.q})")
+        elif cols is None or cols < 0:
+            raise DimMismatch(f"empty matrix needs a column count >= 0, got {cols}")
         self.ctx = ctx
         self.rows = len(row_tuples)
         self.cols = cols
-        self.data = flat
+        self.data = tuple(map(ctx._check, (c for r in row_tuples for c in r)))
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "FieldMatrix":
@@ -64,6 +60,8 @@ class FieldMatrix:
 
     @classmethod
     def from_flat(cls, ctx: FieldCtx, rows: int, cols: int, data: Sequence[int]) -> "FieldMatrix":
+        if rows < 0:
+            raise DimMismatch(f"row count {rows} is negative")
         if len(data) != rows * cols:
             raise DimMismatch(f"need {rows * cols} entries, got {len(data)}")
         return cls(ctx, [data[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
@@ -227,7 +225,7 @@ def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> int:
     the power rows 1, x, ..., x**(n-2) followed by x**n (the x**(n-1) row is
     skipped).
     """
-    nodes = [ctx._check(int(x)) for x in xs]
+    nodes = list(map(ctx._check, xs))
     if len(nodes) < 2:
         raise ValueError("need at least two nodes")
     if len(set(nodes)) != len(nodes):

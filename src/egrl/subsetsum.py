@@ -37,6 +37,7 @@ the closed forms evaluated at m = 0.
 
 from __future__ import annotations
 
+import operator
 from math import comb, isqrt
 from typing import Iterator, Sequence, Union
 
@@ -74,19 +75,19 @@ def _require_table_bytes(nbytes: int):
         raise TableTooLarge(f"DP tables need {nbytes} bytes, above the cap of {_MAX_TABLE_BYTES}")
 
 
-def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> Sequence[int]:
+def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[Sequence[int], int, int]:
     if isinstance(domain, str):
         if domain not in (FULL, STAR):
             raise ValueError(f"unknown domain {domain!r} (use 'full', 'star', or a code list)")
         codes = range(0 if domain == FULL else 1, ctx.q)
     else:
-        codes = [ctx._check(int(x)) for x in domain]
+        codes = list(map(ctx._check, domain))
         if len(set(codes)) != len(codes):
             raise ValueError(f"explicit domain must be duplicate-free: {codes}")
-    ctx._check(b)
+    b, m = ctx._check(b), operator.index(m)
     if not 0 <= m <= len(codes):
         raise DomainSize(f"subset size {m} outside [0, {len(codes)}]")
-    return codes
+    return codes, m, b
 
 
 # Counts are carry-save base-2**32 numbers along the last table axis.  After
@@ -123,7 +124,7 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
 
 def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     """Number of m-element subsets of the domain whose field sum is b."""
-    codes = _domain_codes(ctx, domain, m, b)
+    codes, m, b = _domain_codes(ctx, domain, m, b)
     n = len(codes)
     limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
     _require_table_bytes((m + 1) * ctx.q * limbs * 8)
@@ -141,7 +142,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     whenever a completion still exists, so for a sorted domain the result
     is the lexicographically smallest witness.
     """
-    codes = _domain_codes(ctx, domain, m, b)
+    codes, m, b = _domain_codes(ctx, domain, m, b)
     n, seg = len(codes), isqrt(len(codes)) + 1
     _require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q)
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
@@ -180,7 +181,7 @@ def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:
     """
     if domain not in (FULL, STAR):
         raise ValueError("closed forms exist for the 'full' and 'star' domains only")
-    _domain_codes(ctx, domain, m, b)  # checks b and 0 <= m <= |domain|
+    _, m, b = _domain_codes(ctx, domain, m, b)  # checks b and 0 <= m <= |domain|
     q, p = ctx.q, ctx.p
     v = q - 1 if b == 0 else -1
     if domain == STAR:
@@ -213,7 +214,7 @@ def vanishes(ctx: FieldCtx, domain: str, m: int, b: int) -> bool:
     everything at q = 2) fall outside and must use the counting route.
     """
     q, p = ctx.q, ctx.p
-    ctx._check(b)
+    b, m = ctx._check(b), operator.index(m)
     if m < 0:
         raise DomainSize(f"subset size {m} is negative")
     if domain == FULL:

@@ -26,7 +26,6 @@ from egrl.subsetsum import (
 )
 from egrl.construction import (
     EgrlParams,
-    check_dual_amds,
     check_mds,
     compute_u,
     dual_min_weight_count,
@@ -220,10 +219,10 @@ def test_c06_criterion_vs_oracle():
     started = time.time()
     checked = disagreements = 0
     for p in _criterion_sweep_instances():
-        cls = egrl_code(p).classify()
-        if check_mds(p).is_mds != (cls.singleton_defect == 0):
+        cls, report = egrl_code(p).classify(), check_mds(p)
+        if report.is_mds != (cls.singleton_defect == 0):
             disagreements += 1
-        if check_dual_amds(p) != (cls.dual_defect == 1):
+        if report.dual_amds != (cls.dual_defect == 1):
             disagreements += 1
         checked += 1
     elapsed = time.time() - started

@@ -644,3 +644,71 @@ def inline_argvs(draw):
 def test_inline_flags_exit_documented(argv):
     # Only documented exits, never a traceback, one stderr line on failure.
     _one_line_failure(argv)
+
+
+_SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a21-zero", "a12-zero", "a11-zero", "diagonal",
+                   "antidiagonal"]
+
+
+@pytest.mark.parametrize("name,fake,line", [
+    ("parity_check_matrix", lambda real: lambda p: FieldMatrix.identity(p.ctx, p.n + 3),
+     "trial=0: parity-check identity failed"),
+    ("dual_min_weight_count", lambda real: lambda p: real(p) + 1,
+     "special[{}]: minimum-weight census disagrees with brute force"),
+    ("special_nmds_distribution", lambda real: lambda p: real(p)[::-1],
+     "special[{}]: closed-form distribution disagrees with brute force"),
+    ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
+     "special[{}]: support-pattern census disagrees"),
+], ids=["parity-check", "census", "closed-form", "support-pattern"])
+def test_sweep_failure_lines_exit4(capsys, monkeypatch, name, fake, line):
+    # Each check's failure line, forced by one broken library function as the CLI sees it.
+    monkeypatch.setattr(egrl.cli, name, fake(getattr(egrl.cli, name)))
+    rc, out, err = run(capsys, "sweep", "--q-list", "5", "--k-list", "4", "--trials", "1")
+    fails = [f"FAIL q=5 k=4 {line.format(pattern)}"
+             for pattern in (_SWEEP_PATTERNS if "{}" in line else [None])]
+    assert (rc, err) == (4, "")
+    assert out.splitlines() == [f"q=5 k=4: {len(fails)} new failures", *fails,
+                                f"{len(fails)} disagreements"]
+
+
+def test_sweep_budget_refuses_before_parity_check(capsys, monkeypatch):
+    # The random trials classify first, so an over-budget instance never builds H.
+    def never(params):
+        raise AssertionError("parity-check matrix built before the budget check")
+
+    monkeypatch.setattr(egrl.cli, "parity_check_matrix", never)
+    rc, out, err = run(capsys, "sweep", "--q-list", "7", "--k-list", "4", "--trials", "1",
+                       "--budget", "100")
+    assert (rc, out) == (2, "")
+    assert err == "enumeration needs 2401 messages, budget is 100; raise --budget to allow it\n"
+
+
+_FUZZ_INTS = st.one_of(st.integers(-3, 40), st.sampled_from([-1, 0, 10**40, -10**40]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 49, 64, 256]), m=_FUZZ_INTS,
+       b=_FUZZ_INTS, domain=st.sampled_from(["star", "full"]),
+       method=st.sampled_from(["lw", "dp", "both"]))
+@example(q=256, m=128, b=255, domain="star", method="both")
+def test_subsetsum_size_and_target_exits(q, m, b, domain, method):
+    # --m=M and --b=B, because argparse reads "--m -1" as an option.
+    _one_line_failure(["subsetsum", f"--q={q}", f"--domain={domain}", f"--m={m}", f"--b={b}",
+                       f"--method={method}"])
+
+
+_SWEEP_ENTRIES = st.one_of(
+    st.integers(-3, 16).map(str), st.integers(3, 9).map(str),
+    st.sampled_from(["", " ", "x", "1e3", "-0", "65537", str(10**40), str(-10**40)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qs=st.lists(_SWEEP_ENTRIES, min_size=1, max_size=2),
+       ks=st.lists(_SWEEP_ENTRIES, min_size=1, max_size=2),
+       trials=st.integers(-1, 2), budget=st.sampled_from([1, 4096, 10**6]))
+@example(qs=["5"], ks=["4"], trials=2, budget=4096)
+def test_sweep_list_entries_exit_documented(qs, ks, trials, budget):
+    # Malformed, empty, negative and huge --q-list / --k-list entries.
+    _one_line_failure(["sweep", f"--q-list={','.join(qs)}", f"--k-list={','.join(ks)}",
+                       f"--trials={trials}", f"--budget={budget}"])

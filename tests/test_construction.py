@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_nonsingular_2x2
 from egrl.field import FieldCtx
-from egrl.matrix import FieldMatrix
+from egrl.matrix import FieldMatrix, vandermonde_skip_det
 from egrl.linear import LinearCode, macwilliams, nmds_distribution
-from egrl.subsetsum import STAR, count_li_wan
+from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset, vanishes
 from egrl.construction import (
     DuplicateAlpha,
     EgrlParams,
@@ -20,7 +21,6 @@ from egrl.construction import (
     UnsupportedShape,
     ZeroB,
     ZeroV,
-    check_dual_amds,
     check_mds,
     compute_u,
     dual_min_weight_count,
@@ -164,6 +164,42 @@ def test_invalid_params():
         make_params(ctx, (1, 2, 3), 4, EX13_MIX)  # k > n
     with pytest.raises(RangeViolation):
         make_params(ctx, (1, 2, 3, 4), 4, [[1]], ell=1, t=2)  # t > k-3
+
+
+_FLOAT_PROBES = {
+    "matrix": lambda ctx, mix: FieldMatrix(ctx, [[1.9, 1], [2, 1]]),
+    "alpha": lambda ctx, mix: EgrlParams(ctx=ctx, n=5, k=4, ell=2, t=0, alpha=(1.5, 2, 3, 4, 5),
+                                         v=(1,) * 5, b=1, mix=mix),
+    "b": lambda ctx, mix: EgrlParams(ctx=ctx, n=5, k=4, ell=2, t=0, alpha=(1, 2, 3, 4, 5),
+                                     v=(1,) * 5, b=2.7, mix=mix),
+    "count_dp": lambda ctx, mix: count_dp(ctx, [1.2, 2, 3], 2, 3),
+    "find_subset": lambda ctx, mix: find_subset(ctx, [1.2, 2, 3], 2, 3),
+    "vanishes": lambda ctx, mix: vanishes(ctx, STAR, 2.5, 1),
+    "compute_u": lambda ctx, mix: compute_u(ctx, [1.5, 2, 3]),
+    "vandermonde": lambda ctx, mix: vandermonde_skip_det(ctx, [1.5, 2]),
+    "modulus": lambda ctx, mix: FieldCtx(3, 2, (2.5, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_FLOAT_PROBES))
+def test_float_codes_refused_not_truncated(gf7, probe):
+    # int() would read 1.9 as 1 and 2.7 as 2; every input takes integers only.
+    with pytest.raises(TypeError):
+        _FLOAT_PROBES[probe](gf7, FieldMatrix(gf7, [[1, 1], [1, 2]]))
+
+
+def test_numpy_and_bool_integers_admitted(gf7):
+    mix = FieldMatrix(gf7, np.array([[1, 1], [1, 2]]))
+    p = EgrlParams(ctx=gf7, n=np.int64(5), k=np.int32(4), ell=2, t=False,
+                   alpha=tuple(np.arange(1, 6)), v=(True,) * 5, b=np.uint16(2), mix=mix)
+    assert p == make_params(gf7, range(1, 6), 4, [[1, 1], [1, 2]], b=2)
+    assert all(type(x) is int for x in (p.n, p.k, p.t, p.b, *p.alpha, *p.v, *mix.data))
+    assert json.loads(json.dumps(p.to_dict())) == p.to_dict()
+    assert count_dp(gf7, np.arange(1, 7), 2, np.int64(3)) == 2
+    # bool is an int: a target of True is code 1, not a numpy mask.
+    assert count_dp(gf7, STAR, np.int8(2), True) == count_li_wan(gf7, STAR, 2, True) == 2
+    assert find_subset(gf7, STAR, True, True) == (1,)
+    assert compute_u(gf7, np.arange(1, 4)) == compute_u(gf7, [1, 2, 3])
 
 
 def test_mixing_matrix_shape_and_field_checked():
@@ -366,7 +402,7 @@ def test_check_mds_f13_all_b(gf13, ex13):
     for b in range(1, 13):
         p = make_params(gf13, EX13_ALPHA, 5, EX13_MIX, b=b)
         assert check_mds(p).is_mds
-        assert check_dual_amds(p) is False
+        assert check_mds(p).dual_amds is False
 
 
 def test_check_mds_witness(gf13):
@@ -380,7 +416,7 @@ def test_check_mds_witness(gf13):
     for x in rep.witness[2]:
         acc = gf13.add(acc, x)
     assert acc == 5
-    assert check_dual_amds(p) is True
+    assert check_mds(p).dual_amds is True
 
 
 def test_check_mds_tries_size_k_minus_1_first(gf13):
@@ -396,7 +432,7 @@ def test_check_mds_zero_alpha(gf13):
     assert not rep.is_mds
     assert rep.alpha_zero_index == 0
     assert rep.witness is None
-    assert check_dual_amds(p) is False
+    assert check_mds(p).dual_amds is False
 
 
 def test_mds_report_dual_amds(gf13):
@@ -412,7 +448,7 @@ def test_check_mds_refuses_other_shapes(gf13):
     with pytest.raises(UnsupportedShape):
         check_mds(p)
     with pytest.raises(UnsupportedShape):
-        check_dual_amds(p)
+        check_mds(p).dual_amds
 
 
 def test_nonmds_example_brute_force_parameters(gf13):
@@ -438,9 +474,9 @@ def test_criteria_match_bruteforce(q, k):
             ctx=ctx, n=n, k=k, ell=2, t=0, alpha=alpha, v=v,
             b=rng.randrange(1, q), mix=random_nonsingular_2x2(ctx, rng),
         )
-        cls = egrl_code(p).classify()
-        assert check_mds(p).is_mds == (cls.singleton_defect == 0)
-        assert check_dual_amds(p) == (cls.dual_defect == 1)
+        cls, report = egrl_code(p).classify(), check_mds(p)
+        assert report.is_mds == (cls.singleton_defect == 0)
+        assert report.dual_amds == (cls.dual_defect == 1)
 
 
 def test_criteria_invariant_in_b(gf13):
@@ -449,10 +485,11 @@ def test_criteria_invariant_in_b(gf13):
     alpha = tuple(rng.sample(range(1, 13), 6))
     mix = random_nonsingular_2x2(gf13, rng)
     p1 = EgrlParams(ctx=gf13, n=6, k=5, ell=2, t=0, alpha=alpha, v=(1,) * 6, b=1, mix=mix)
-    expect = (check_mds(p1).is_mds, check_dual_amds(p1))
+    expect = check_mds(p1)
     for b in range(2, 13):
         p = EgrlParams(ctx=gf13, n=6, k=5, ell=2, t=0, alpha=alpha, v=(1,) * 6, b=b, mix=mix)
-        assert (check_mds(p).is_mds, check_dual_amds(p)) == expect
+        report = check_mds(p)
+        assert (report.is_mds, report.dual_amds) == (expect.is_mds, expect.dual_amds)
 
 
 # -- the special construction ----------------------------------------------------------

@@ -173,3 +173,22 @@ def test_text_roundtrip(gf13):
 def test_from_text_validates(gf5):
     with pytest.raises(DimMismatch):
         FieldMatrix.from_text(gf5, "2 2\n1 2\n3")
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx: FieldMatrix.from_flat(ctx, -1, -1, [1]),
+    lambda ctx: FieldMatrix.from_flat(ctx, -1, 0, []),
+    lambda ctx: FieldMatrix.from_text(ctx, "0 -3"),
+    lambda ctx: FieldMatrix(ctx, [], cols=-2),
+], ids=["flat-both", "flat-rows", "text-cols", "init-cols"])
+def test_negative_shapes_refused(gf5, build):
+    # rows * cols can equal the entry count for negative shapes; none is a matrix.
+    with pytest.raises(DimMismatch):
+        build(gf5)
+
+
+def test_entries_admitted_as_element_codes(gf5):
+    with pytest.raises(ValueError, match=r"^element code 5 outside \[0, 5\)$"):
+        FieldMatrix(gf5, [[1, 5]])
+    with pytest.raises(TypeError):
+        FieldMatrix(gf5, [["1", 2]])
