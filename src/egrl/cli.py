@@ -45,6 +45,7 @@ from .construction import (
     EgrlParams,
     InvalidParams,
     UnsupportedShape,
+    check_ell,
     check_mds,
     dual_min_weight_count,
     dual_support_pattern_census,
@@ -221,6 +222,7 @@ def _load_instance(args) -> EgrlParams:
     if args.n is not None and args.n != n:
         raise InvalidParams(f"--n {args.n} disagrees with {n} evaluation points")
     v = tuple(_int_list(args.v)) if args.v else (1,) * n
+    check_ell(args.ell, args.k)
     return EgrlParams(
         ctx=ctx, n=n, k=args.k, ell=args.ell, t=args.t, alpha=alpha, v=v, b=args.b,
         mix=_mix_from_flag(ctx, args.M, args.ell),

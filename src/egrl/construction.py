@@ -66,6 +66,13 @@ class UnsupportedShape(ConstructionError):
     """The operation has closed formulas only for ell = 2, t = 0."""
 
 
+def check_ell(ell: int, k: int) -> None:
+    """The mixing block width rule 1 <= ell <= k, checked before an ell x ell
+    matrix is built from it."""
+    if not 1 <= ell <= k:
+        raise RangeViolation(f"need 1 <= ell <= k, got ell={ell}, k={k}")
+
+
 @dataclass(frozen=True)
 class EgrlParams:
     """One EGRL instance: (ctx, n, k, ell, t, alpha, v, b, mix).
@@ -99,8 +106,7 @@ class EgrlParams:
             raise ZeroV("column multipliers must be nonzero")
         if not 1 <= self.b < ctx.q:
             raise ZeroB(f"b must be a nonzero element code, got {self.b}")
-        if not 1 <= self.ell <= self.k:
-            raise RangeViolation(f"need 1 <= ell <= k, got ell={self.ell}, k={self.k}")
+        check_ell(self.ell, self.k)
         if not self.k <= self.n <= ctx.q:
             raise RangeViolation(f"need k <= n <= q, got k={self.k}, n={self.n}, q={ctx.q}")
         if not 0 <= self.t <= self.k - 3:
@@ -157,9 +163,10 @@ def _int(x) -> int:
 def params_from_dict(d: dict) -> EgrlParams:
     try:  # a value of the wrong JSON type: a string, number or list where another belongs
         ctx = FieldCtx.from_text(d["field"])
-        ell = _int(d.get("ell", 2))
+        ell, k = _int(d.get("ell", 2)), _int(d["k"])
+        check_ell(ell, k)
         mix = FieldMatrix.from_flat(ctx, ell, ell, [_int(x) for x in d["M"]])
-        n, k, t = _int(d["n"]), _int(d["k"]), _int(d.get("t", 0))
+        n, t = _int(d["n"]), _int(d.get("t", 0))
         alpha, v = tuple(map(_int, d["alpha"])), tuple(map(_int, d["v"]))
         b = _int(d["b"])
     except (AttributeError, TypeError, OverflowError) as exc:

@@ -24,7 +24,7 @@ squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
 subset-sum DP and code enumeration): ``translate`` sums rows of a lazily
 built s*p*q digit table (prime fields add mod q), and ``add_table`` stacks
 all q of its rows.  Field orders are capped at q <= 2**16 (``MAX_ORDER``).
-At q = 2**16 building the context, default-modulus search included, takes
+At q = 2**16 a first build, default-modulus search included, takes
 0.03-0.06 s and 12 MiB (21 MiB peak while building) (2-vCPU Xeon, Python 3.11).
 
 The antilog table also judges the modulus: f is accepted exactly when g's
@@ -33,8 +33,22 @@ unit.  For a reducible f the search for g stops within 2*p**(s//2) order
 tests: f's lowest-degree monic factor is a zero divisor, none of whose
 powers is 1 (its M_a is singular), and its code is below that bound
 (0.06-0.12 s for a reducible degree-16 modulus over GF(2)).
-Contexts are immutable after construction and safe to share across
-threads; elements are plain integer codes.
+
+Each field is built once per process.  The default-modulus search is
+memoized by (p, s), and the tables by (p, s, modulus) with the modulus
+resolved, so ``FieldCtx(3, 2)`` and ``FieldCtx(3, 2, (2, 1, 1))`` share one
+entry; every ``FieldCtx(...)``, ``from_order`` and ``from_text`` call binds
+the entry's tables (the lazily built digit and addition tables included)
+instead of building them again.  Only successful builds are kept: a
+reducible, non-monic or composite request is judged again, and raises,
+every time.  The memo keeps at most 64 MiB of tables (``_MEMO_BYTES``;
+numpy bytes plus 40 bytes per list entry) and evicts the least recently
+used field first.  The worst single field, q = 2**16, counts 11.5 MiB
+(15.5 MiB with its digit table); a first ``from_order(65536)`` takes
+0.06 s, a repeat 0.01 ms.  A field larger than the whole budget is not
+kept, but its contexts still hold their tables.  Contexts are distinct,
+immutable objects that compare by (p, s, modulus), safe to share across
+threads; the shared tables are read-only.  Elements are plain integer codes.
 """
 
 from __future__ import annotations
@@ -42,12 +56,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import threading
+from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_ORDER = 1 << 16  # largest supported field order q
 _MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
+_MEMO_BYTES = 64 << 20  # table bytes the field memo keeps across fields
+_LIST_ENTRY_BYTES = 40  # a list slot (8) and its int object (32), as the memo counts them
 
 
 class FieldError(Exception):
@@ -153,6 +171,84 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     raise FieldError(f"no primitive polynomial of degree {s} over GF({p})")
 
 
+class _Tables:
+    """The arithmetic tables of one field, shared by all its contexts.
+
+    Built once per key (p, s, modulus) by ``FieldCtx._tabulate`` and never
+    changed, except that the digit and addition tables are filled in on
+    first use (``_FieldMemo.keep``).  The numpy arrays are read-only.
+    ``nbytes`` counts the numpy bytes plus _LIST_ENTRY_BYTES per list entry.
+    """
+
+    __slots__ = ("key", "exp", "log", "zech", "log_m1", "np_exp", "np_log", "digit", "add",
+                 "nbytes")
+
+    def __init__(self, key: tuple, np_exp: np.ndarray, np_log: np.ndarray, zech: np.ndarray):
+        np_exp.flags.writeable = np_log.flags.writeable = False
+        self.key, self.np_exp, self.np_log = key, np_exp, np_log
+        self.exp, self.log, self.zech = np_exp.tolist(), np_log.tolist(), zech.tolist()
+        self.log_m1 = self.log[key[0] - 1]  # -1 has code p-1
+        self.digit = self.add = None
+        entries = len(self.exp) + len(self.log) + len(self.zech)
+        self.nbytes = np_exp.nbytes + np_log.nbytes + _LIST_ENTRY_BYTES * entries
+
+
+class _FieldMemo:
+    """Field construction memoized per process (see the module docstring).
+
+    Default moduli are kept by (p, s) and never evicted.  Tables are kept
+    by (p, s, modulus), least recently used first, and evicted from that
+    end while their bytes exceed ``budget``.  One lock serialises every
+    build and lookup, so each field is built once however many threads ask.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.RLock()  # add_table's build reads the digit table
+        self._moduli: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._tables: OrderedDict[tuple, _Tables] = OrderedDict()
+        self._bytes = 0
+
+    def default_modulus(self, p: int, s: int) -> tuple[int, ...]:
+        with self._lock:
+            if (p, s) not in self._moduli:
+                self._moduli[p, s] = _default_modulus(p, s)
+            return self._moduli[p, s]
+
+    def tables(self, key: tuple, build) -> _Tables:
+        """The tables for key, built by ``build()`` when missing; a build
+        that raises (a reducible modulus) keeps nothing."""
+        with self._lock:
+            tables = self._tables.pop(key, None)
+            if tables is None:
+                tables = build()
+                self._bytes += tables.nbytes
+            self._tables[key] = tables
+            self._evict()
+            return tables
+
+    def keep(self, tables: _Tables, name: str, build) -> np.ndarray:
+        """The lazily built table ``name`` of tables: ``build()`` once, read-only."""
+        value = getattr(tables, name)
+        if value is not None:
+            return value
+        with self._lock:
+            value = getattr(tables, name)
+            if value is None:
+                value = build()
+                value.flags.writeable = False
+                setattr(tables, name, value)
+                tables.nbytes += value.nbytes
+                if self._tables.get(tables.key) is tables:
+                    self._bytes += value.nbytes
+                    self._evict()
+            return value
+
+    def _evict(self):
+        while self._bytes > self.budget:
+            self._bytes -= self._tables.popitem(last=False)[1].nbytes
+
+
 class FieldCtx:
     """Arithmetic context for GF(p**s), q = p**s <= MAX_ORDER.
 
@@ -167,8 +263,7 @@ class FieldCtx:
     integer element codes.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "_exp", "_log", "_zech", "_log_m1",
-                 "_np_exp", "_np_log", "_np_add", "_np_digit")
+    __slots__ = ("p", "s", "q", "modulus", "_tables", "_exp", "_log", "_zech", "_log_m1")
 
     def __init__(self, p: int, s: int = 1, modulus: Sequence[int] | None = None):
         if s < 1:
@@ -184,16 +279,17 @@ class FieldCtx:
             if modulus is not None and tuple(modulus) != (0, 1):
                 raise ValueError("prime fields take the placeholder modulus (0, 1)")
             self.modulus = (0, 1)
+        elif modulus is None:
+            self.modulus = _MEMO.default_modulus(p, s)
         else:
-            if modulus is None:
-                self.modulus = _default_modulus(p, s)
-            else:
-                mod = tuple(operator.index(c) % p for c in modulus)
-                if len(mod) != s + 1 or mod[-1] != 1:
-                    raise NonMonic(f"modulus must be monic of degree {s}: {tuple(modulus)}")
-                self.modulus = mod
-        self._np_add = self._np_digit = None
-        self._tabulate()
+            mod = tuple(operator.index(c) % p for c in modulus)
+            if len(mod) != s + 1 or mod[-1] != 1:
+                raise NonMonic(f"modulus must be monic of degree {s}: {tuple(modulus)}")
+            self.modulus = mod
+        tables = self._tables = _MEMO.tables((p, s, self.modulus), self._tabulate)
+        # The scalar ops' lists, bound here for one attribute lookup each.
+        self._exp, self._log, self._zech, self._log_m1 = (
+            tables.exp, tables.log, tables.zech, tables.log_m1)
 
     # -- construction helpers ------------------------------------------------
 
@@ -212,11 +308,21 @@ class FieldCtx:
 
     @classmethod
     def from_text(cls, text: str) -> "FieldCtx":
-        """Parse the canonical header form "p=<p> s=<s> mod=<c_0,...,c_s>"."""
-        fields = dict(tok.split("=", 1) for tok in text.split())
-        p = int(fields["p"])
-        s = int(fields["s"])
-        mod = tuple(int(c) for c in fields["mod"].split(","))
+        """Parse the canonical header form "p=<p> s=<s> mod=<c_0,...,c_s>".
+
+        Anything else -- a missing, repeated or unknown key, or a value that
+        is not an integer -- raises FieldError naming that form.
+        """
+        tokens = [tok.partition("=") for tok in text.split()]
+        fields = {key: value for key, sep, value in tokens if sep}
+        try:
+            if len(tokens) != 3 or sorted(fields) != ["mod", "p", "s"]:
+                raise ValueError
+            p, s = int(fields["p"]), int(fields["s"])
+            mod = tuple(int(c) for c in fields["mod"].split(","))
+        except ValueError:
+            raise FieldError(
+                f'field header must read "p=<p> s=<s> mod=<c_0,...,c_s>", got {text!r}') from None
         return cls(p, s, None if s == 1 else mod)
 
     def __str__(self) -> str:
@@ -252,7 +358,7 @@ class FieldCtx:
             raise ValueError(f"element code {code} outside [0, {self.q})")
         return code
 
-    def _tabulate(self):
+    def _tabulate(self) -> _Tables:
         p, s, q, f = self.p, self.s, self.q, self.modulus
         n = q - 1
         factors = _prime_factors(n)
@@ -284,12 +390,7 @@ class FieldCtx:
         one_plus = exp - exp % p + (exp + 1) % p
         zech = np.where(one_plus == 0, -1, log[one_plus])
         # exp is stored twice over so that exp[la + lb] needs no modulo.
-        self._np_exp = np.concatenate([exp, exp])
-        self._np_log = log
-        self._exp = self._np_exp.tolist()
-        self._log = log.tolist()
-        self._zech = zech.tolist()
-        self._log_m1 = self._log[p - 1]  # -1 has code p-1
+        return _Tables((p, s, f), np.concatenate([exp, exp]), log, zech)
 
     # -- scalar arithmetic on codes -------------------------------------------
     # Codes are trusted to lie in [0, q); inputs are admitted by _check.  log[0] is a
@@ -368,31 +469,36 @@ class FieldCtx:
         at q = 2**16) is built on first use, and the row is the sum of
         D[d, digit_d(y)] over d.
         """
-        p = self.p
-        if self._np_digit is None:
-            t, w = np.arange(self.q), [p**d for d in range(self.s)]
-            if self.s > 1:  # every term and every row sum is a code below q <= 2**16
-                wd = np.array(w)[:, None, None]
-                t = ((t // wd + np.arange(p)[:, None]) % p * wd).astype(np.uint16)
-            self._np_digit = t, w
-        table, w = self._np_digit
-        if self.s == 1:
+        p, s = self.p, self.s
+        table = _MEMO.keep(self._tables, "digit", self._digit_table)
+        if s == 1:
             return (table + y) % p if isinstance(y, int) else np.add.outer(y, table) % p
-        out = table[0, y % p] + table[1, y // w[1] % p]
-        for d in range(2, self.s):
-            out += table[d, y // w[d] % p]
+        out = table[0, y % p] + table[1, y // p % p]
+        for d in range(2, s):
+            out += table[d, y // p**d % p]
         return out
+
+    def _digit_table(self) -> np.ndarray:
+        p, t = self.p, np.arange(self.q)
+        if self.s == 1:
+            return t
+        # Every term and every row sum is a code below q <= 2**16.
+        wd = (p ** np.arange(self.s))[:, None, None]
+        return ((t // wd + np.arange(p)[:, None]) % p * wd).astype(np.uint16)
 
     def add_table(self) -> np.ndarray:
         """q-by-q uint16 numpy table with ADD[a, b] = a + b (2*q*q bytes)."""
-        if self._np_add is None:
-            self._np_add = self.translate(np.arange(self.q)).astype(np.uint16, copy=False)
-        return self._np_add
+        return _MEMO.keep(self._tables, "add", lambda: self.translate(
+            np.arange(self.q)).astype(np.uint16, copy=False))
 
     def multiples(self, vec: Sequence[int]) -> np.ndarray:
         """q-by-len(vec) uint16 numpy array whose row f is f * vec."""
         v = np.asarray(vec, dtype=np.int64)
-        out = self._np_exp[self._np_log[:, None] + self._np_log[v][None, :]].astype(np.uint16)
+        exp, log = self._tables.np_exp, self._tables.np_log
+        out = exp[log[:, None] + log[v][None, :]].astype(np.uint16)
         out[0] = 0
         out[:, v == 0] = 0
         return out
+
+
+_MEMO = _FieldMemo(_MEMO_BYTES)

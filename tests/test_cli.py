@@ -334,6 +334,30 @@ def test_instance_file_roundtrip(capsys, tmp_path):
     assert "MDS: true" in out
 
 
+@pytest.mark.parametrize("header", ["q=9", "p=3 s=2 mod=2,1,1 extra", "p=3 s=x mod=2,1,1"])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_instance_malformed_field_header_exit2(capsys, tmp_path, header, form):
+    doc = {"field": header, "n": 5, "k": 5, "ell": 2, "t": 0, "alpha": [1, 2, 3, 4, 5],
+           "v": [1, 1, 1, 1, 1], "b": 1, "M": [1, 1, 1, 2]}
+    inst = tmp_path / "inst"
+    inst.write_text(json.dumps(doc) if form == "json" else "\n".join(
+        f"{key}: {','.join(map(str, val)) if isinstance(val, list) else val}"
+        for key, val in doc.items()))
+    rc, out, err = run(capsys, "construct", "--instance", str(inst))
+    assert (rc, out) == (2, "")
+    assert err == f'FieldError: field header must read "p=<p> s=<s> mod=<c_0,...,c_s>", ' \
+                  f"got {header!r}\n"
+
+
+@pytest.mark.parametrize("ell", [-1, 0, 6])
+def test_instance_bad_ell_refused_before_mixing_matrix(capsys, tmp_path, ell):
+    doc = {"field": "p=13 s=1 mod=0,1", "n": 5, "k": 5, "ell": ell, "t": 0,
+           "alpha": [1, 2, 7, 8, 9], "v": [1, 1, 1, 1, 1], "b": 1, "M": [1]}
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "construct", "--instance", str(tmp_path / "inst.json"))
+    assert (rc, out, err) == (2, "", f"RangeViolation: need 1 <= ell <= k, got ell={ell}, k=5\n")
+
+
 def test_missing_instance_flags_exit2(capsys):
     rc, _, err = run(capsys, "classify", "--q", "13")
     assert rc == 2
@@ -352,7 +376,12 @@ def test_missing_instance_flags_exit2(capsys):
      "InvalidParams: a raw generator file supports --method brute only"),
     (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell", "0",
       "--M", ""], "RangeViolation: need 1 <= ell <= k, got ell=0, k=4"),
-], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero"])
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell=-1",
+      "--M", "1"], "RangeViolation: need 1 <= ell <= k, got ell=-1, k=4"),
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell", "5",
+      "--M", "1,1,1,2"], "RangeViolation: need 1 <= ell <= k, got ell=5, k=4"),
+], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero",
+        "ell-negative", "ell-above-k"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")

@@ -1,10 +1,15 @@
+import contextlib
 import functools
+import io
 import itertools
 import random
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import poly_add, poly_is_irreducible, poly_mul, poly_neg
 from egrl import field
@@ -209,6 +214,9 @@ def test_default_modulus_generator_found_first_try(q, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(field, "_is_generator", counted)
+    FieldCtx.from_order(q, modulus)
+    assert calls == []  # a memo hit makes no order test
+    monkeypatch.setattr(field, "_MEMO", field._FieldMemo(field._MEMO_BYTES))
     ctx = FieldCtx.from_order(q, modulus)
     assert len(calls) == 1
     assert ctx.primitive_element() == ctx.p
@@ -434,3 +442,186 @@ def test_huge_extension_degree_rejected_at_once(p, s):
     with pytest.raises(FieldError, match=rf"^field order {p}\^{s} exceeds the supported maximum"):
         FieldCtx(p, s)
     assert time.perf_counter() - started < 0.1
+
+
+@pytest.mark.parametrize("text", ["q=9", "p=3 s=2 mod=2,1,1 extra", "p=3 s=x mod=2,1,1",
+                                  "p=3 mod=2,1,1", "p=3 p=3 mod=2,1,1", "p=3 s=2 mod=2,,1"])
+def test_malformed_header_refused_in_one_line(text):
+    with pytest.raises(FieldError) as info:
+        FieldCtx.from_text(text)
+    assert str(info.value) == f'field header must read "p=<p> s=<s> mod=<c_0,...,c_s>", got {text!r}'
+
+
+# -- the construction memo -----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _fresh_memo(budget=field._MEMO_BYTES):
+    """Build fields in an empty memo for the duration of the block."""
+    saved = field._MEMO
+    field._MEMO = field._FieldMemo(budget)
+    try:
+        yield field._MEMO
+    finally:
+        field._MEMO = saved
+
+
+def test_equal_requests_share_one_table_object(monkeypatch):
+    builds = []
+    real = FieldCtx._digit_table
+    monkeypatch.setattr(FieldCtx, "_digit_table", lambda self: builds.append(self) or real(self))
+    with _fresh_memo():
+        a, b = FieldCtx(3, 2), FieldCtx.from_order(9)
+        c = FieldCtx.from_text(str(a))
+        assert a is not b and a == b == c and hash(a) == hash(c)
+        assert a._tables is b._tables is c._tables
+        assert a._exp is c._exp and a._zech is c._zech
+        assert a.translate(5).tolist() == [a.add(t, 5) for t in range(9)]
+        add = a.add_table()
+        assert b.add_table() is add and c.add_table() is add
+        assert (b.translate(np.arange(9)) == add).all()
+        assert len(builds) == 1  # one digit table behind translate and add_table
+        for table in (add, a._tables.digit, a._tables.np_exp, a._tables.np_log):
+            assert not table.flags.writeable
+
+
+def test_default_and_supplied_default_modulus_hit_one_entry(monkeypatch):
+    builds = []
+    real = FieldCtx._tabulate
+    monkeypatch.setattr(FieldCtx, "_tabulate", lambda self: builds.append(self) or real(self))
+    with _fresh_memo() as memo:
+        default = FieldCtx(3, 2)
+        supplied = FieldCtx(3, 2, default.modulus)
+        assert supplied._tables is default._tables
+        assert len(builds) == 1 and list(memo._tables) == [(3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: FieldCtx(3, 2, (1, 2, 1)), ReducibleModulus),
+    (lambda: FieldCtx(2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1)),
+     ReducibleModulus),
+    (lambda: FieldCtx(3, 2, (1, 0, 2)), NonMonic),
+    (lambda: FieldCtx(6), CompositeCharacteristic),
+    (lambda: FieldCtx.from_order(12), CompositeCharacteristic),
+], ids=["reducible-9", "reducible-65536", "non-monic", "composite-p", "composite-q"])
+def test_failed_builds_are_not_kept(build, error):
+    with _fresh_memo() as memo:
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                build()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert not memo._tables and memo._bytes == 0
+
+
+def test_memo_evicts_least_recently_used_past_budget():
+    sizes = {}
+    with _fresh_memo():
+        for q in (5, 7, 11):
+            sizes[q] = FieldCtx(q)._tables.nbytes
+    key = {q: (q, 1, (0, 1)) for q in (5, 7, 11)}
+    with _fresh_memo(budget=sizes[7] + sizes[11]) as memo:
+        five, seven = FieldCtx(5), FieldCtx(7)
+        assert FieldCtx(5)._tables is five._tables  # 5 is now the most recently used
+        FieldCtx(11)
+        assert list(memo._tables) == [key[5], key[11]]
+        assert memo._bytes == sizes[5] + sizes[11] <= memo.budget
+        assert FieldCtx(7)._tables is not seven._tables  # rebuilt, equal tables
+        assert FieldCtx(7)._exp == seven._exp
+        # A lazily built table counts too: the addition table evicts the rest.
+        memo.budget = memo._bytes
+        FieldCtx(7).add_table()
+        assert list(memo._tables) == [key[7]]
+        assert memo._bytes == FieldCtx(7)._tables.nbytes <= memo.budget
+
+
+def test_entry_larger_than_budget_still_serves_its_context():
+    with _fresh_memo(budget=1) as memo:
+        ctx = FieldCtx(7)
+        assert ctx.mul(3, 5) == 1 and ctx.add_table()[6, 1] == 0
+        assert not memo._tables and memo._bytes == 0
+
+
+def test_threads_building_one_field_share_it():
+    workers = 8
+    barrier = threading.Barrier(workers)
+    built = []
+
+    def build():
+        barrier.wait(timeout=10)
+        ctx = FieldCtx.from_order(2187)
+        ctx.translate(1)
+        built.append(ctx)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _fresh_memo() as memo:
+            threads = [threading.Thread(target=build) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == workers and all(ctx == built[0] for ctx in built)
+    assert len({id(ctx._tables) for ctx in built}) == 1
+    assert built[0]._tables.digit is not None
+    assert memo._bytes == built[0]._tables.nbytes
+
+
+def test_repeat_build_of_the_largest_field_is_fast():
+    FieldCtx.from_order(MAX_ORDER)
+    repeats = []
+    for _ in range(5):
+        started = time.perf_counter()
+        FieldCtx.from_order(MAX_ORDER)
+        repeats.append(time.perf_counter() - started)
+    assert min(repeats) < 1e-3
+
+
+_SMALL_ORDERS = [q for q in range(2, 257) if len(field._prime_factors(q)) == 1]
+
+
+def _subsetsum_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memo_hit_equals_fresh_build(data):
+    q = data.draw(st.sampled_from(_SMALL_ORDERS), label="q")
+    p = field._prime_factors(q)[0]
+    s = next(s for s in itertools.count(1) if p**s == q)
+    modulus = None
+    if data.draw(st.booleans(), label="supplied"):
+        low = data.draw(st.lists(st.integers(0, p - 1), min_size=s, max_size=s), label="low")
+        modulus = (0, 1) if s == 1 else tuple(low) + (1,)
+    m = data.draw(st.integers(0, min(q - 1, 6)), label="m")
+    argv = ["subsetsum", "--q", str(q), "--domain", data.draw(st.sampled_from(["star", "full"])),
+            "--m", str(m), "--b", str(data.draw(st.integers(0, q - 1))), "--json"]
+    if modulus is not None:
+        argv[3:3] = ["--mod", ",".join(map(str, modulus))]
+
+    def build():
+        try:
+            return FieldCtx(p, s, modulus), None
+        except ReducibleModulus as exc:
+            return None, str(exc)
+
+    with _fresh_memo():
+        fresh_run = _subsetsum_json(argv)  # the command builds its field afresh
+    with _fresh_memo():
+        fresh, fresh_error = build()
+    build()  # the process-wide memo now holds the field (unless it was refused)
+    hit, hit_error = build()
+    assert hit_error == fresh_error
+    assert _subsetsum_json(argv) == fresh_run
+    if hit is not None:
+        assert hit == fresh and hit._tables is build()[0]._tables is not fresh._tables
+        assert (hit._exp, hit._log, hit._zech) == (fresh._exp, fresh._log, fresh._zech)
