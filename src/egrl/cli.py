@@ -498,6 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_con, p_cls, p_wts, p_ss, p_sw):
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing")
+    for p in (p_cls, p_wts, p_sw):  # the commands that enumerate codewords
         p.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
             help="max code size q^k for exhaustive enumeration",

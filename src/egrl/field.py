@@ -21,11 +21,11 @@ u -> u @ M_a % p, where row j of the s*s matrix M_a holds the digits of
 a * x**j (M_x is the companion matrix of the modulus).  The generator search,
 the default-modulus search and the antilog doubling all read one list of
 squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
-subset-sum DP and code enumeration): ``translate`` sums rows of a lazily
-built s*p*q digit table (prime fields add mod q), and ``add_table`` stacks
-all q of its rows.  Field orders are capped at q <= 2**16 (``MAX_ORDER``).
-At q = 2**16 a first build, default-modulus search included, takes
-0.03-0.06 s and 12 MiB (21 MiB peak while building) (2-vCPU Xeon, Python 3.11).
+subset-sum DP and code enumeration): ``translate`` adds a row of the low
+digits' translation table to one of the high digits' (``_digit_table``, at
+most 3.6 MiB), and ``add_table`` stacks all q rows on each call.  Field
+orders are capped at q <= 2**16 (``MAX_ORDER``), and one numpy table build,
+the DP's or ``add_table``'s, at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``).
 
 The antilog table also judges the modulus: f is accepted exactly when g's
 q-1 powers are the q-1 nonzero codes, so that every nonzero residue is a
@@ -34,21 +34,17 @@ tests: f's lowest-degree monic factor is a zero divisor, none of whose
 powers is 1 (its M_a is singular), and its code is below that bound
 (0.06-0.12 s for a reducible degree-16 modulus over GF(2)).
 
-Each field is built once per process.  The default-modulus search is
-memoized by (p, s), and the tables by (p, s, modulus) with the modulus
-resolved, so ``FieldCtx(3, 2)`` and ``FieldCtx(3, 2, (2, 1, 1))`` share one
-entry; every ``FieldCtx(...)``, ``from_order`` and ``from_text`` call binds
-the entry's tables (the lazily built digit and addition tables included)
-instead of building them again.  Only successful builds are kept: a
-reducible, non-monic or composite request is judged again, and raises,
-every time.  The memo keeps at most 64 MiB of tables (``_MEMO_BYTES``;
-numpy bytes plus 40 bytes per list entry) and evicts the least recently
-used field first.  The worst single field, q = 2**16, counts 11.5 MiB
-(15.5 MiB with its digit table); a first ``from_order(65536)`` takes
-0.06 s, a repeat 0.01 ms.  A field larger than the whole budget is not
-kept, but its contexts still hold their tables.  Contexts are distinct,
-immutable objects that compare by (p, s, modulus), safe to share across
-threads; the shared tables are read-only.  Elements are plain integer codes.
+Each field is built once per process, whole (``_tabulate``).  The default
+modulus is cached by (p, s) and the tables by (p, s, resolved modulus), so
+``FieldCtx(3, 2)``, ``FieldCtx(3, 2, (2, 1, 1))``, ``from_order(9)`` and
+``from_text`` all bind one entry.  A failed build (reducible, non-monic,
+composite) is not kept and raises every time.  The memo keeps at most
+64 MiB (``_MEMO_BYTES``: numpy bytes plus 40 per list entry), evicting the
+least recently used field; q = 2**16 counts 11.8 MiB, and a first
+``from_order(65536)`` takes about 0.03 s, a repeat under 0.01 ms (2-vCPU
+Xeon, Python 3.11).  A field above the whole budget is not kept, but its
+contexts hold their tables.  Contexts are immutable, compare by (p, s,
+modulus) and are safe to share across threads; the tables are read-only.
 """
 
 from __future__ import annotations
@@ -61,8 +57,10 @@ from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ORDER = 1 << 16  # largest supported field order q
+MAX_TABLE_BYTES = 1 << 30  # largest numpy table built at once (subset-sum DP, add_table)
 _MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
 _MEMO_BYTES = 64 << 20  # table bytes the field memo keeps across fields
 _LIST_ENTRY_BYTES = 40  # a list slot (8) and its int object (32), as the memo counts them
@@ -94,6 +92,16 @@ class CtxMismatch(FieldError):
 
 class NoPrimitive(FieldError):
     """No primitive element exists (only for q = 2)."""
+
+
+class TableTooLarge(FieldError):
+    """A numpy table would take more than MAX_TABLE_BYTES."""
+
+
+def require_table_bytes(nbytes: int, tables: str):
+    """Refuse a table build above the cap before allocating; ``tables`` reads "DP tables need"."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise TableTooLarge(f"{tables} {nbytes} bytes, above the cap of {MAX_TABLE_BYTES}")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -151,6 +159,7 @@ def _is_generator(squares: list[np.ndarray], p: int, q: int, factors: list[int])
     return True
 
 
+@functools.cache
 def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     # Smallest primitive monic degree-s polynomial, coefficients compared
     # low-degree-first, so the generator-power enumeration starts at x.
@@ -172,81 +181,49 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
 
 
 class _Tables:
-    """The arithmetic tables of one field, shared by all its contexts.
-
-    Built once per key (p, s, modulus) by ``FieldCtx._tabulate`` and never
-    changed, except that the digit and addition tables are filled in on
-    first use (``_FieldMemo.keep``).  The numpy arrays are read-only.
+    """One field's tables, shared by all its contexts: built whole by
+    ``FieldCtx._tabulate`` and never changed; the numpy arrays are read-only.
     ``nbytes`` counts the numpy bytes plus _LIST_ENTRY_BYTES per list entry.
     """
 
-    __slots__ = ("key", "exp", "log", "zech", "log_m1", "np_exp", "np_log", "digit", "add",
-                 "nbytes")
+    __slots__ = ("exp", "log", "zech", "log_m1", "np_exp", "np_log", "digit", "nbytes")
 
-    def __init__(self, key: tuple, np_exp: np.ndarray, np_log: np.ndarray, zech: np.ndarray):
-        np_exp.flags.writeable = np_log.flags.writeable = False
-        self.key, self.np_exp, self.np_log = key, np_exp, np_log
+    def __init__(self, p: int, np_exp: np.ndarray, np_log: np.ndarray, zech: np.ndarray,
+                 digit: tuple[np.ndarray, np.ndarray]):
+        for table in (np_exp, np_log, *digit):
+            table.flags.writeable = False
+        self.np_exp, self.np_log = np_exp, np_log
+        self.digit = tuple(t if t.ndim == 2 else sliding_window_view(t, len(t) // 2) for t in digit)
         self.exp, self.log, self.zech = np_exp.tolist(), np_log.tolist(), zech.tolist()
-        self.log_m1 = self.log[key[0] - 1]  # -1 has code p-1
-        self.digit = self.add = None
+        self.log_m1 = self.log[p - 1]  # -1 has code p-1
         entries = len(self.exp) + len(self.log) + len(self.zech)
-        self.nbytes = np_exp.nbytes + np_log.nbytes + _LIST_ENTRY_BYTES * entries
+        self.nbytes = (np_exp.nbytes + np_log.nbytes + sum(t.nbytes for t in digit)
+                       + _LIST_ENTRY_BYTES * entries)
 
 
 class _FieldMemo:
-    """Field construction memoized per process (see the module docstring).
-
-    Default moduli are kept by (p, s) and never evicted.  Tables are kept
-    by (p, s, modulus), least recently used first, and evicted from that
-    end while their bytes exceed ``budget``.  One lock serialises every
-    build and lookup, so each field is built once however many threads ask.
+    """Tables by (p, s, modulus), least recently used first, evicted from that end
+    while their bytes exceed ``budget``.  One lock serialises every build and
+    lookup, so each field is built once however many threads ask.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
-        self._lock = threading.RLock()  # add_table's build reads the digit table
-        self._moduli: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._lock = threading.Lock()
         self._tables: OrderedDict[tuple, _Tables] = OrderedDict()
         self._bytes = 0
 
-    def default_modulus(self, p: int, s: int) -> tuple[int, ...]:
-        with self._lock:
-            if (p, s) not in self._moduli:
-                self._moduli[p, s] = _default_modulus(p, s)
-            return self._moduli[p, s]
-
     def tables(self, key: tuple, build) -> _Tables:
-        """The tables for key, built by ``build()`` when missing; a build
-        that raises (a reducible modulus) keeps nothing."""
+        """The tables for key, built by ``build()`` when missing; a failed build keeps nothing."""
         with self._lock:
             tables = self._tables.pop(key, None)
             if tables is None:
                 tables = build()
                 self._bytes += tables.nbytes
             self._tables[key] = tables
-            self._evict()
+            while self._bytes > self.budget:
+                self._bytes -= self._tables.popitem(last=False)[1].nbytes
             return tables
-
-    def keep(self, tables: _Tables, name: str, build) -> np.ndarray:
-        """The lazily built table ``name`` of tables: ``build()`` once, read-only."""
-        value = getattr(tables, name)
-        if value is not None:
-            return value
-        with self._lock:
-            value = getattr(tables, name)
-            if value is None:
-                value = build()
-                value.flags.writeable = False
-                setattr(tables, name, value)
-                tables.nbytes += value.nbytes
-                if self._tables.get(tables.key) is tables:
-                    self._bytes += value.nbytes
-                    self._evict()
-            return value
-
-    def _evict(self):
-        while self._bytes > self.budget:
-            self._bytes -= self._tables.popitem(last=False)[1].nbytes
 
 
 class FieldCtx:
@@ -272,15 +249,13 @@ class FieldCtx:
             raise FieldError(f"field order {p}^{s} exceeds the supported maximum {MAX_ORDER}")
         if _prime_factors(p) != [p]:
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
-        self.p = p
-        self.s = s
-        self.q = p**s
+        self.p, self.s, self.q = p, s, p**s
         if s == 1:
             if modulus is not None and tuple(modulus) != (0, 1):
                 raise ValueError("prime fields take the placeholder modulus (0, 1)")
             self.modulus = (0, 1)
         elif modulus is None:
-            self.modulus = _MEMO.default_modulus(p, s)
+            self.modulus = _default_modulus(p, s)
         else:
             mod = tuple(operator.index(c) % p for c in modulus)
             if len(mod) != s + 1 or mod[-1] != 1:
@@ -323,7 +298,7 @@ class FieldCtx:
         except ValueError:
             raise FieldError(
                 f'field header must read "p=<p> s=<s> mod=<c_0,...,c_s>", got {text!r}') from None
-        return cls(p, s, None if s == 1 else mod)
+        return cls(p, s, mod)
 
     def __str__(self) -> str:
         return f"p={self.p} s={self.s} mod={','.join(map(str, self.modulus))}"
@@ -390,7 +365,7 @@ class FieldCtx:
         one_plus = exp - exp % p + (exp + 1) % p
         zech = np.where(one_plus == 0, -1, log[one_plus])
         # exp is stored twice over so that exp[la + lb] needs no modulo.
-        return _Tables((p, s, f), np.concatenate([exp, exp]), log, zech)
+        return _Tables(p, np.concatenate([exp, exp]), log, zech, self._digit_table())
 
     # -- scalar arithmetic on codes -------------------------------------------
     # Codes are trusted to lie in [0, q); inputs are admitted by _check.  log[0] is a
@@ -462,34 +437,34 @@ class FieldCtx:
 
     def translate(self, y):
         """The row [t + y for t in range(q)] for a code y; for an int array
-        of codes, their rows stacked, shape (len(y), q).
+        of codes, their rows stacked, shape (len(y), q); uint16 either way.
 
-        Prime fields add mod q.  Otherwise the uint16 digit table
-        D[d, v, t] = ((digit_d(t) + v) mod p) * p**d (s*p*q entries, 4 MiB
-        at q = 2**16) is built on first use, and the row is the sum of
-        D[d, digit_d(y)] over d.
+        Addition carries no digit over, so the row is the outer sum of the
+        rows for y's high and low digits in their groups' tables.
         """
-        p, s = self.p, self.s
-        table = _MEMO.keep(self._tables, "digit", self._digit_table)
-        if s == 1:
-            return (table + y) % p if isinstance(y, int) else np.add.outer(y, table) % p
-        out = table[0, y % p] + table[1, y // p % p]
-        for d in range(2, s):
-            out += table[d, y // p**d % p]
-        return out
+        low, high = self._tables.digit
+        size = low.shape[-1]
+        if isinstance(y, (int, np.integer)):
+            return (high[y // size][:, None] + low[y % size]).reshape(self.q)
+        return (high[y // size][:, :, None] + low[y % size][:, None, :]).reshape(len(y), self.q)
 
-    def _digit_table(self) -> np.ndarray:
-        p, t = self.p, np.arange(self.q)
-        if self.s == 1:
-            return t
-        # Every term and every row sum is a code below q <= 2**16.
-        wd = (p ** np.arange(self.s))[:, None, None]
-        return ((t // wd + np.arange(p)[:, None]) % p * wd).astype(np.uint16)
+    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # Rows v -> [c + v for c] over the low k = ceil(s/2) digits' n = p**k codes
+        # and over the high s-k digits' (times p**k): the n*n table (at most 37**4
+        # entries), or for one digit [0..n-1] twice over, read as n+1 windows.
+        p, k, out = self.p, -(-self.s // 2), []
+        for j, scale in ((k, 1), (self.s - k, p**k)):
+            t = np.arange(p**j, dtype=np.uint16)  # every code and sum is below q
+            table = (np.concatenate([t, t]) if j <= 1 else
+                     sum((t[:, None] // p**d + t // p**d) % p * p**d for d in range(j)))
+            out.append(table * scale)
+        return tuple(out)
 
     def add_table(self) -> np.ndarray:
-        """q-by-q uint16 numpy table with ADD[a, b] = a + b (2*q*q bytes)."""
-        return _MEMO.keep(self._tables, "add", lambda: self.translate(
-            np.arange(self.q)).astype(np.uint16, copy=False))
+        """q-by-q uint16 numpy table with ADD[a, b] = a + b, built on each call: 2*q*q
+        bytes, at most twice that while building, refused above MAX_TABLE_BYTES."""
+        require_table_bytes(2 * self.q**2, "the addition table needs")
+        return self.translate(np.arange(self.q))
 
     def multiples(self, vec: Sequence[int]) -> np.ndarray:
         """q-by-len(vec) uint16 numpy array whose row f is f * vec."""

@@ -15,12 +15,13 @@ materialized: consumers only ask which symbols are nonzero, and
 tail + offset != 0 exactly when tail != -offset, so each block is the
 boolean mask of that comparison.
 
-Memory is bounded by the budget: the k tables of multiples f * row_i take
-2*q*n bytes each, the tail span at most 2*n*2**16 bytes, and the q-by-q
-addition table (2*q**2 bytes, stacked from the field's digit table) is
-built only for k >= 3, where q**3 <= budget.  At q = 2**16 only a budget
-of 2**48 or more admits k = 3; an [8, 2] code there walks its 65537 scalar
-classes in about 0.02 s with no addition table (2-vCPU Xeon).
+Memory is bounded by the budget and the field's table cap: the k tables of
+multiples f * row_i take 2*q*n bytes each, the tail span at most
+2*n*2**16 bytes, and the q-by-q addition table (2*q**2 bytes, stacked from
+the field's digit table) is built once per walk, only for k >= 3, and
+refused (``TableTooLarge``) above ``MAX_TABLE_BYTES`` = 1 GiB, so for
+q > 23170.  An [8, 2] code at q = 2**16 walks its 65537 scalar classes in
+about 0.02 s with no addition table (2-vCPU Xeon).
 
 Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
 actually walked, so a budget admits the same codes as plain enumeration.
@@ -171,9 +172,8 @@ class LinearCode:
             tail_len += 1
         head = k - tail_len
         scaled = [ctx.multiples(self.gen.row(i)) for i in range(k)]
-        # Only a walk that adds two rows needs the q-by-q table; then k >= 3
-        # (or a test's tiny block limit), so its 2q**2 bytes stay below the
-        # q**3 <= budget codewords already admitted.
+        # Only a walk that adds two rows needs the q-by-q table, so k >= 3 (or
+        # a test's tiny block limit); add_table refuses it above the table cap.
         add_t = ctx.add_table() if tail_len >= 2 or head >= 2 else None
         # span(rows head..k-1), one codeword per column, the symbol of row
         # head most significant: its first q**m columns span the last m

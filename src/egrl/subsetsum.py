@@ -25,8 +25,9 @@ exists does recovery recompute the tables one segment at a time from
 those checkpoints, left to right: about 2*sqrt(n) tables held and two
 passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).
 Both raise :class:`TableTooLarge`, before allocating, when these tables
-would pass ``_MAX_TABLE_BYTES`` = 1 GiB; find_subset counts n//seg + seg + 2
-tables, seg = isqrt(n)+1, for the checkpoints, one segment and the working one.
+would pass the field module's ``MAX_TABLE_BYTES`` = 1 GiB; find_subset
+counts n//seg + seg + 2 tables, seg = isqrt(n)+1, for the checkpoints, one
+segment and the working one.
 
 Counts are returned as Python integers (arbitrary precision); the division
 by q inside the closed forms is always exact and is checked.
@@ -43,7 +44,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, TableTooLarge, require_table_bytes
 
 FULL = "full"  # the whole field F_q
 STAR = "star"  # the nonzero elements F_q^*
@@ -61,18 +62,6 @@ class DomainSize(SubsetSumError):
 
 class OutOfStatedRange(SubsetSumError):
     """Parameters outside the window where the vanishing rules are valid."""
-
-
-class TableTooLarge(SubsetSumError):
-    """The DP tables would take more than _MAX_TABLE_BYTES."""
-
-
-_MAX_TABLE_BYTES = 1 << 30
-
-
-def _require_table_bytes(nbytes: int):
-    if nbytes > _MAX_TABLE_BYTES:
-        raise TableTooLarge(f"DP tables need {nbytes} bytes, above the cap of {_MAX_TABLE_BYTES}")
 
 
 def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[Sequence[int], int, int]:
@@ -127,7 +116,7 @@ def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
     codes, m, b = _domain_codes(ctx, domain, m, b)
     n = len(codes)
     limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
-    _require_table_bytes((m + 1) * ctx.q * limbs * 8)
+    require_table_bytes((m + 1) * ctx.q * limbs * 8, "DP tables need")
     tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
     for _ in _steps(ctx, codes, m, tbl, n):
@@ -144,7 +133,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     """
     codes, m, b = _domain_codes(ctx, domain, m, b)
     n, seg = len(codes), isqrt(len(codes)) + 1
-    _require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q)
+    require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q, "DP tables need")
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
     tbl[0, 0, 0] = True  # the empty subset
     # Checkpoints at seg, 2*seg, ... and n: recovery reads only hi >= 1.

@@ -380,11 +380,15 @@ def test_missing_instance_flags_exit2(capsys):
       "--M", "1"], "RangeViolation: need 1 <= ell <= k, got ell=-1, k=4"),
     (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell", "5",
       "--M", "1,1,1,2"], "RangeViolation: need 1 <= ell <= k, got ell=5, k=4"),
+    (["construct", "--instance", "p13.txt"],
+     "ValueError: prime fields take the placeholder modulus (0, 1)"),
 ], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero",
-        "ell-negative", "ell-above-k"])
+        "ell-negative", "ell-above-k", "prime-field-modulus"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")
+    (tmp_path / "p13.txt").write_text("field: p=13 s=1 mod=5,5,5\nn: 5\nk: 5\nell: 2\nt: 0\n"
+                                      "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", line + "\n")
 
@@ -412,6 +416,29 @@ def test_timing_adds_only_a_json_field(capsys, argv):
     rc, timed, err = run(capsys, *argv, "--json", "--timing")
     assert (rc, err) == (0, "")
     assert _without_timing(json.loads(timed)) == json.loads(plain)
+
+
+def test_oversized_addition_table_exit2_promptly(capsys):
+    # q**3 = 2**45 codewords pass the budget, but the 2 GiB addition table is
+    # refused before allocation; building GF(32768) takes about 0.02 s.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "weights", "--q", "32768", "--k", "3", "--alpha", "1,2,3,4",
+                       "--b", "1", "--M", "1,1,1,2", "--method", "brute",
+                       "--budget", "35184372088832")
+    assert time.perf_counter() - started < 1.0
+    assert (rc, out, err) == (2, "", "TableTooLarge: the addition table needs 2147483648 bytes, "
+                                     "above the cap of 1073741824\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1,2"],
+    ["subsetsum", "--q", "5", "--domain", "star", "--m", "2", "--b", "1"],
+], ids=["construct", "subsetsum"])
+def test_budget_is_refused_where_nothing_is_enumerated(capsys, command):
+    rc, out, err = run(capsys, *command, "--budget", "4096")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "egrl: error: unrecognized arguments: --budget 4096"
+    assert run(capsys, *command)[0] == 0
 
 
 @pytest.mark.parametrize("method", ["dp", "both"])
@@ -659,7 +686,8 @@ def inline_argvs(draw):
         argv += ["--special", f"--order={draw(st.sampled_from(['asc', 'gen']))}"]
     extra = {"construct": ["--with-h"], "classify": ["--verify"],
              "weights": ["--method=formula", "--method=brute"]}[command]
-    return argv + draw(st.lists(st.sampled_from(extra), max_size=1)) + ["--budget", "4096"]
+    budget = [] if command == "construct" else ["--budget", "4096"]  # construct enumerates nothing
+    return argv + draw(st.lists(st.sampled_from(extra), max_size=1)) + budget
 
 
 @settings(max_examples=200, deadline=None)
@@ -669,7 +697,7 @@ def inline_argvs(draw):
 @example(argv=["weights", "--q=7", "--k=4", "--b=1", "--M=1,1,1,2", "--special",
                "--budget", "4096"])
 @example(argv=["construct", "--q=13", "--k=5", "--alpha=1,2,3,4,5,6", "--b=1", "--t=1",
-               "--M=1,1,1,2", "--with-h", "--budget", "4096"])
+               "--M=1,1,1,2", "--with-h"])
 def test_inline_flags_exit_documented(argv):
     # Only documented exits, never a traceback, one stderr line on failure.
     _one_line_failure(argv)

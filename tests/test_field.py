@@ -23,6 +23,7 @@ from egrl.field import (
     NoPrimitive,
     NonMonic,
     ReducibleModulus,
+    TableTooLarge,
     ZeroInverse,
 )
 from egrl.matrix import FieldMatrix
@@ -216,10 +217,15 @@ def test_default_modulus_generator_found_first_try(q, monkeypatch):
     monkeypatch.setattr(field, "_is_generator", counted)
     FieldCtx.from_order(q, modulus)
     assert calls == []  # a memo hit makes no order test
-    monkeypatch.setattr(field, "_MEMO", field._FieldMemo(field._MEMO_BYTES))
-    ctx = FieldCtx.from_order(q, modulus)
+    field._default_modulus.cache_clear()
+    with _fresh_memo():
+        FieldCtx.from_order(q)  # the default-modulus search, then the table build
+    assert len(calls) >= 2
+    calls.clear()
+    with _fresh_memo():
+        ctx = FieldCtx.from_order(q)  # the modulus is cached: only _tabulate tests
     assert len(calls) == 1
-    assert ctx.primitive_element() == ctx.p
+    assert ctx.modulus == modulus and ctx.primitive_element() == ctx.p
 
 
 def test_reducible_modulus_of_order_65536_refused_promptly():
@@ -300,6 +306,8 @@ def test_arithmetic_matches_polynomial_oracle(q, modulus):
 @pytest.mark.parametrize(
     "q,modulus",
     [(243, None), (256, None), (4096, None),
+     (50653, None),  # p = 37, s = 3: the largest digit-group table (37**4 entries)
+     (65521, None),  # the largest prime field: translation rows read as windows
      # An explicit primitive modulus skips the ~14 s default-modulus search.
      (65536, (1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1))],
 )
@@ -444,6 +452,13 @@ def test_huge_extension_degree_rejected_at_once(p, s):
     assert time.perf_counter() - started < 0.1
 
 
+def test_prime_field_header_takes_only_the_placeholder_modulus():
+    assert FieldCtx.from_text("p=13 s=1 mod=0,1") == FieldCtx(13)
+    for mod in ("5,5,5", "1,1", "0,1,0"):
+        with pytest.raises(ValueError, match=r"^prime fields take the placeholder modulus \(0, 1\)$"):
+            FieldCtx.from_text(f"p=13 s=1 mod={mod}")
+
+
 @pytest.mark.parametrize("text", ["q=9", "p=3 s=2 mod=2,1,1 extra", "p=3 s=x mod=2,1,1",
                                   "p=3 mod=2,1,1", "p=3 p=3 mod=2,1,1", "p=3 s=2 mod=2,,1"])
 def test_malformed_header_refused_in_one_line(text):
@@ -478,10 +493,9 @@ def test_equal_requests_share_one_table_object(monkeypatch):
         assert a._exp is c._exp and a._zech is c._zech
         assert a.translate(5).tolist() == [a.add(t, 5) for t in range(9)]
         add = a.add_table()
-        assert b.add_table() is add and c.add_table() is add
         assert (b.translate(np.arange(9)) == add).all()
         assert len(builds) == 1  # one digit table behind translate and add_table
-        for table in (add, a._tables.digit, a._tables.np_exp, a._tables.np_log):
+        for table in (*a._tables.digit, a._tables.np_exp, a._tables.np_log):
             assert not table.flags.writeable
 
 
@@ -529,11 +543,31 @@ def test_memo_evicts_least_recently_used_past_budget():
         assert memo._bytes == sizes[5] + sizes[11] <= memo.budget
         assert FieldCtx(7)._tables is not seven._tables  # rebuilt, equal tables
         assert FieldCtx(7)._exp == seven._exp
-        # A lazily built table counts too: the addition table evicts the rest.
-        memo.budget = memo._bytes
+
+
+@pytest.mark.parametrize("p,s", [(5, 1), (2, 4), (7, 2), (7, 3), (3, 5)])
+def test_tables_are_built_whole(p, s, monkeypatch):
+    # The digit table is made once, with exp/log/Zech; reading it adds nothing.
+    builds = []
+    real = FieldCtx._digit_table
+    monkeypatch.setattr(FieldCtx, "_digit_table", lambda self: builds.append(self) or real(self))
+    with _fresh_memo() as memo:
+        ctx = FieldCtx(p, s)
+        assert len(builds) == 1
+        nbytes, kept = ctx._tables.nbytes, memo._bytes
+        assert ctx.translate(1)[0] == 1 and ctx.add_table()[1, 0] == 1
+        assert (ctx.translate(np.int64(2)) == ctx.translate(2)).all()
+        assert ctx.add_table() is not ctx.add_table()  # built again on each call
+        assert FieldCtx(p, s).translate(np.arange(3)).shape == (3, p**s)
+        assert len(builds) == 1 and (ctx._tables.nbytes, memo._bytes) == (nbytes, kept)
+
+
+def test_addition_table_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", 2 * 7**2)
+    assert FieldCtx(7).add_table().nbytes == 2 * 7**2
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", 2 * 7**2 - 1)
+    with pytest.raises(TableTooLarge):
         FieldCtx(7).add_table()
-        assert list(memo._tables) == [key[7]]
-        assert memo._bytes == FieldCtx(7)._tables.nbytes <= memo.budget
 
 
 def test_entry_larger_than_budget_still_serves_its_context():
