@@ -446,9 +446,14 @@ def cmd_sweep(args) -> Report:
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one stderr line, ``egrl <cmd>: error: ...``, no usage
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egrl",
         description="Construct, classify and weight-enumerate extended "
         "generalized Roth-Lempel codes over GF(q), with brute-force "

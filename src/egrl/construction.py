@@ -492,7 +492,7 @@ def dual_support_pattern_census(
     counts = {pat: 0 for pat in _TAIL_PATTERNS}
     # Scaling preserves the weight and the tail zero pattern, so each
     # enumerated scalar class stands for q-1 codewords.
-    for mask, weights in dual.weight_blocks(budget):
+    for mask, weights in dual.codeword_blocks(budget):
         tails = mask[weights == k, n : n + 3]
         idx = tails[:, 0] * 4 + tails[:, 1] * 2 + tails[:, 2]
         for pat, c in zip(_TAIL_PATTERNS, np.bincount(idx, minlength=8)):

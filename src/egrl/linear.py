@@ -15,13 +15,14 @@ materialized: consumers only ask which symbols are nonzero, and
 tail + offset != 0 exactly when tail != -offset, so each block is the
 boolean mask of that comparison.
 
-Memory is bounded by the budget and the field's table cap: the k tables of
-multiples f * row_i take 2*q*n bytes each, the tail span at most
-2*n*2**16 bytes, and the q-by-q addition table (2*q**2 bytes, stacked from
-the field's digit table) is built once per walk, only for k >= 3, and
-refused (``TableTooLarge``) above ``MAX_TABLE_BYTES`` = 1 GiB, so for
-q > 23170.  An [8, 2] code at q = 2**16 walks its 65537 scalar classes in
-about 0.02 s with no addition table (2-vCPU Xeon).
+Memory is bounded by the budget and the field's table cap.  Before building
+anything the walk adds up its tables -- k tables of multiples f * row_i
+(2*q*n bytes each, plus a 4*q*n int32 index sum while one is built), the
+tail span of T <= 2**16 codewords (2*n*T bytes) and one block mask (n*T) --
+and refuses them above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as
+for an [8192, 1] code at q = 2**16.  The q-by-q addition table, built only
+for k >= 3, is refused alone above the cap, so for q > 23170.  An [8, 2]
+code at q = 2**16 walks its 65537 scalar classes in 0.01 s (2-vCPU Xeon).
 
 Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
 actually walked, so a budget admits the same codes as plain enumeration.
@@ -38,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
 
 DEFAULT_BUDGET = 1 << 26  # code size q**k; overridable per call
@@ -62,7 +63,8 @@ class BudgetExceeded(CodeError):
     """Exhaustive enumeration of a code with more than budget codewords (q**k)."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} messages, budget is {budget}")
+        super().__init__(f"enumeration of a code of {required} codewords exceeds "
+                         f"the budget of {budget}")
         self.required = required
         self.budget = budget
 
@@ -156,12 +158,15 @@ class LinearCode:
 
     # -- exhaustive enumeration -------------------------------------------------
 
-    def codeword_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
-        """Yield boolean blocks with one row per scalar class of nonzero codewords.
+    def codeword_blocks(
+        self, budget: int = DEFAULT_BUDGET
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (nonzero mask, row weights) blocks, one row per scalar class.
 
-        Row r of a block marks the nonzero symbols of the codeword of a
-        message whose first nonzero symbol is 1; the blocks together hold
-        each of the (q**k - 1)/(q - 1) such messages once.
+        Row r of a mask marks the nonzero symbols of the codeword of a
+        message whose first nonzero symbol is 1.  Checks exactness on the
+        way: no walked message gives the zero codeword (the generator has
+        full rank), and the blocks hold exactly (q**k - 1)/(q - 1) rows.
         """
         ctx, q, k, n = self.ctx, self.ctx.q, self.k, self.n
         total = q**k
@@ -171,6 +176,9 @@ class LinearCode:
         while tail_len < k - 1 and q ** (tail_len + 1) <= _BLOCK_LIMIT:
             tail_len += 1
         head = k - tail_len
+        # k multiples tables, one int32 index sum, the tail span and one block mask.
+        require_table_bytes(2 * q * n * (k + 2) + 3 * n * q**tail_len,
+                            "the enumeration tables need")
         scaled = [ctx.multiples(self.gen.row(i)) for i in range(k)]
         # Only a walk that adds two rows needs the q-by-q table, so k >= 3 (or
         # a test's tiny block limit); add_table refuses it above the table cap.
@@ -183,6 +191,9 @@ class LinearCode:
         for i in range(k - 2, head - 1, -1):
             tail = add_t[scaled[i].T[:, :, None], tail[:, None, :]].reshape(n, -1)
         neg = ctx.neg
+        # uint8 sums are the fastest; they would wrap from n = 256 on.
+        wdtype = np.uint8 if n < 256 else np.intp
+        walked = 0
         for lead in range(k):
             span = tail[:, : q ** min(tail_len, k - 1 - lead)]
             for syms in itertools.product(range(q), repeat=max(head - 1 - lead, 0)):
@@ -190,39 +201,22 @@ class LinearCode:
                 minus = scaled[lead][neg(1)]
                 for i, f in enumerate(syms, lead + 1):
                     minus = add_t[minus, scaled[i][neg(f)]]
-                yield (span != minus[:, None]).T
-
-    def weight_blocks(
-        self, budget: int = DEFAULT_BUDGET
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (nonzero mask, row weights) for each block of codeword_blocks.
-
-        Checks exactness on the way: no walked message may give the zero
-        codeword (the generator has full rank), and the blocks must hold
-        exactly (q**k - 1)/(q - 1) rows.
-        """
-        q = self.ctx.q
-        # uint8 sums are the fastest; they would wrap from n = 256 on.
-        wdtype = np.uint8 if self.n < 256 else np.intp
-        walked = 0
-        for mask in self.codeword_blocks(budget):
-            weights = mask.sum(axis=1, dtype=wdtype)
-            if not weights.all():
-                raise InconsistentInput("a nonzero message gave the zero codeword")
-            walked += len(weights)
-            yield mask, weights
-        if walked != (q**self.k - 1) // (q - 1):
+                mask = (span != minus[:, None]).T
+                weights = mask.sum(axis=1, dtype=wdtype)
+                if not weights.all():
+                    raise InconsistentInput("a nonzero message gave the zero codeword")
+                walked += len(weights)
+                yield mask, weights
+        if walked != (total - 1) // (q - 1):
             raise InconsistentInput(f"enumeration walked {walked} scalar classes")
 
     def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
         """Exact weight counts: A_0 = 1, A_w = (q-1) * (scalar classes of weight w)."""
-        q = self.ctx.q
-        classes = [0] * (self.n + 1)
-        for _, weights in self.weight_blocks(budget):
-            for i, c in enumerate(np.bincount(weights, minlength=self.n + 1)):
-                classes[i] += int(c)
-        # weight_blocks walked exactly (q**k - 1)/(q - 1) classes, so the total is q**k.
-        return WeightDistribution(self.n, (1, *((q - 1) * c for c in classes[1:])))
+        classes = np.zeros(self.n + 1, dtype=np.int64)
+        for _, weights in self.codeword_blocks(budget):
+            classes += np.bincount(weights, minlength=self.n + 1)
+        # codeword_blocks walked exactly (q**k - 1)/(q - 1) classes, so the total is q**k.
+        return WeightDistribution(self.n, (1, *((self.ctx.q - 1) * int(c) for c in classes[1:])))
 
     def _both_distributions(
         self, budget: int = DEFAULT_BUDGET

@@ -430,6 +430,20 @@ def test_oversized_addition_table_exit2_promptly(capsys):
                                      "above the cap of 1073741824\n")
 
 
+def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
+    # A [8192, 1] code at q = 2**16 passes the budget, but its multiples table
+    # alone takes 1 GiB; the walk adds up its tables and refuses before building.
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 8192\n" + " ".join(map(str, range(1, 8193))) + "\n")
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "weights", "--generator", str(gen), "--q", "65536",
+                       "--method", "brute")
+    assert time.perf_counter() - started < 1.0
+    assert (rc, out) == (2, "")
+    assert err == ("TableTooLarge: the enumeration tables need 3221250048 bytes, "
+                   "above the cap of 1073741824\n")
+
+
 @pytest.mark.parametrize("command", [
     ["construct", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1,2"],
     ["subsetsum", "--q", "5", "--domain", "star", "--m", "2", "--b", "1"],
@@ -437,7 +451,7 @@ def test_oversized_addition_table_exit2_promptly(capsys):
 def test_budget_is_refused_where_nothing_is_enumerated(capsys, command):
     rc, out, err = run(capsys, *command, "--budget", "4096")
     assert (rc, out) == (2, "")
-    assert err.splitlines()[-1] == "egrl: error: unrecognized arguments: --budget 4096"
+    assert err == "egrl: error: unrecognized arguments: --budget 4096\n"
     assert run(capsys, *command)[0] == 0
 
 
@@ -686,7 +700,8 @@ def inline_argvs(draw):
         argv += ["--special", f"--order={draw(st.sampled_from(['asc', 'gen']))}"]
     extra = {"construct": ["--with-h"], "classify": ["--verify"],
              "weights": ["--method=formula", "--method=brute"]}[command]
-    budget = [] if command == "construct" else ["--budget", "4096"]  # construct enumerates nothing
+    # construct enumerates nothing, so --budget there is a one-line usage error.
+    budget = ["--budget", "4096"] if command != "construct" or draw(st.booleans()) else []
     return argv + draw(st.lists(st.sampled_from(extra), max_size=1)) + budget
 
 
@@ -737,7 +752,8 @@ def test_sweep_budget_refuses_before_parity_check(capsys, monkeypatch):
     rc, out, err = run(capsys, "sweep", "--q-list", "7", "--k-list", "4", "--trials", "1",
                        "--budget", "100")
     assert (rc, out) == (2, "")
-    assert err == "enumeration needs 2401 messages, budget is 100; raise --budget to allow it\n"
+    assert err == ("enumeration of a code of 2401 codewords exceeds the budget of 100; "
+                   "raise --budget to allow it\n")
 
 
 _FUZZ_INTS = st.one_of(st.integers(-3, 40), st.sampled_from([-1, 0, 10**40, -10**40]))

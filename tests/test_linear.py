@@ -1,17 +1,19 @@
+import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_weights, krawtchouk_transform, nmds_formula
-from egrl import linear
+from egrl import field, linear
 from egrl.construction import (
     dual_min_weight_count,
     dual_support_pattern_census,
     special_construction,
 )
-from egrl.field import FieldCtx
+from egrl.field import FieldCtx, TableTooLarge
 from egrl.matrix import FieldMatrix
 from egrl.linear import (
     DEFAULT_BUDGET,
@@ -122,6 +124,50 @@ def test_budget_exceeded_reports_requirement(gf9):
     with pytest.raises(BudgetExceeded) as err:
         code.weight_distribution(budget=100)
     assert err.value.required == 9**5
+
+
+def test_walk_refuses_a_message_giving_the_zero_codeword(gf5):
+    # A generator made rank-deficient after construction: row 1 is twice row 0,
+    # so the message (1, 2) gives the zero codeword.
+    code = LinearCode(FieldMatrix(gf5, [[1, 0, 1], [0, 1, 1]]))
+    code.gen = FieldMatrix(gf5, [[1, 2, 3], [2, 4, 1]])
+    with pytest.raises(InconsistentInput, match="^a nonzero message gave the zero codeword$"):
+        code.weight_distribution()
+
+
+def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
+    # With blocks of 3 rows, row 1 of a [3, 3] code is a per-block offset; a
+    # walk that skips one offset (3 of its 13 scalar classes) must be refused.
+    real = itertools.product
+    monkeypatch.setattr(linear, "_BLOCK_LIMIT", 3)
+    monkeypatch.setattr(linear.itertools, "product",
+                        lambda *a, repeat: list(real(*a, repeat=repeat))[:-1] if repeat
+                        else real(*a, repeat=repeat))
+    code = LinearCode(FieldMatrix.identity(gf3, 3))
+    with pytest.raises(InconsistentInput, match="^enumeration walked 10 scalar classes$"):
+        code.weight_distribution()
+
+
+def test_walk_counts_its_tables_against_the_cap(monkeypatch):
+    # A table-bound walk (one row, q*n large): its k multiples tables, one int32
+    # index sum, the tail span and one block mask are counted before any is
+    # built, the cap is inclusive, and the peak allocation stays within the
+    # count up to 1 MiB of O(n) vectors and numpy's gather buffers.
+    ctx = FieldCtx.from_order(4096)
+    code = LinearCode(FieldMatrix(ctx, [list(range(1, 1025))]))
+    need = 2 * 4096 * 1024 * 3 + 3 * 1024
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
+    tracemalloc.start()
+    try:
+        assert code.weight_distribution().counts[-1] == 4095
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + (1 << 20)
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
+    monkeypatch.setattr(FieldCtx, "multiples", lambda self, vec: pytest.fail("table built"))
+    with pytest.raises(TableTooLarge, match=f"^the enumeration tables need {need} bytes"):
+        code.weight_distribution()
 
 
 def test_macwilliams_known_pair(gf2):
