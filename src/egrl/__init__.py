@@ -22,7 +22,6 @@ from .matrix import (
     FieldMatrix,
     MatrixError,
     NotSquare,
-    ZeroScale,
     vandermonde_skip_det,
 )
 from .subsetsum import (
@@ -69,7 +68,6 @@ from .construction import (
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
-    is_special_instance,
     min_weight_census,
     parity_check_matrix,
     special_construction,

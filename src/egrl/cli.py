@@ -51,7 +51,6 @@ from .construction import (
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
-    is_special_instance,
     min_weight_census,
     params_from_text,
     parity_check_matrix,
@@ -310,11 +309,6 @@ def cmd_weights(args) -> Report:
     # Distributions stay WeightDistribution values; _emit_report renders them.
     results: dict = {"method": args.method}
     if args.method in ("formula", "both"):
-        if not is_special_instance(params):
-            raise InvalidParams(
-                "--method formula needs a special-construction instance "
-                "(alpha = F_q^*, unit multipliers, k in the supported range)"
-            )
         results["distribution"], results["dual_distribution"] = special_nmds_distribution(params)
     if args.method in ("brute", "both"):
         if code is None:
@@ -378,7 +372,8 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 
 def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: str):
     g = generator_matrix(params)
-    cls = LinearCode(g).classify(budget)  # the budget refuses before H's O(n**2) build
+    code = LinearCode(g)
+    cls = code.classify(budget)  # the budget refuses before H's O(n**2) build
     if 4 <= params.k <= params.n - 1:
         h = parity_check_matrix(params)
         if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
@@ -387,31 +382,36 @@ def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: s
     for key, name in (("mds", "MDS"), ("dual_amds", "dual-AMDS")):
         if not agreement[key]:
             failures.append(f"{tag}: {name} criterion disagrees with brute force")
+    if 0 not in params.alpha:
+        _closed_form_checks(params, code, budget, failures, tag)
+
+
+def _closed_form_checks(params: EgrlParams, code: LinearCode, budget: int, failures: list,
+                        label: str):
+    """A_min, both distributions and (when small) the support-pattern census
+    against brute force, for an ell = 2, t = 0 instance with nonzero points."""
+    k = params.k
+    primal = code.weight_distribution(budget)
+    dual_dist = macwilliams(primal, k, params.ctx)
+    amin = dual_min_weight_count(params)
+    if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
+        failures.append(f"{label}: minimum-weight census disagrees with brute force")
+        return
+    if special_nmds_distribution(params) != (primal, dual_dist):
+        failures.append(f"{label}: closed-form distribution disagrees with brute force")
+    if params.q ** (params.length - k) <= min(budget, _CENSUS_LIMIT):
+        if dual_support_pattern_census(params, budget) != min_weight_census(params):
+            failures.append(f"{label}: support-pattern census disagrees")
 
 
 def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, tag: str):
-    q = ctx.q
     cases = [(name, 1, FieldMatrix.from_flat(ctx, 2, 2, vals), "ascending")
              for name, vals in _SWEEP_MIX_PATTERNS]
-    if (q, k) == (9, 5):
+    if (ctx.q, k) == (9, 5):
         cases.append(("golden", 2, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 2, 1]), "generator"))
     for name, b, mix, order in cases:
         sp = special_construction(ctx, k, b, mix, order)
-        label = f"{tag}[{name}]"
-        code = egrl_code(sp)
-        primal = code.weight_distribution(budget)
-        dual_dist = macwilliams(primal, k, ctx)
-        nk = sp.length - k
-        amin = dual_min_weight_count(sp)
-        if amin != primal.counts[nk] or amin != dual_dist.counts[k]:
-            failures.append(f"{label}: minimum-weight census disagrees with brute force")
-            continue
-        fp, fd = special_nmds_distribution(sp)
-        if fp != primal or fd != dual_dist:
-            failures.append(f"{label}: closed-form distribution disagrees with brute force")
-        if q ** (sp.length - k) <= min(budget, _CENSUS_LIMIT):
-            if dual_support_pattern_census(sp, budget) != min_weight_census(sp):
-                failures.append(f"{label}: support-pattern census disagrees")
+        _closed_form_checks(sp, egrl_code(sp), budget, failures, f"{tag}[{name}]")
 
 
 def cmd_sweep(args) -> Report:

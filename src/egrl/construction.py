@@ -11,11 +11,15 @@ over all polynomials f of degree < k, giving a [n + ell + 1, k] code.
 
 The ell = 2, t = 0 family carries the closed theory implemented here: an
 explicit parity-check matrix, MDS / dual-AMDS criteria decided by
-subset-sum counting (no subset enumeration), and -- for the special
-instances evaluated on all of F_q^* with unit multipliers -- exact
-minimum-weight counts and full NMDS weight distributions.  Other (ell, t)
-shapes are constructible and brute-force classifiable, but the criterion
-operations refuse them rather than extrapolate.
+subset-sum counting (no subset enumeration), and -- for every instance
+with nonzero evaluation points -- exact minimum-weight counts and full
+weight distributions: the NMDS expansion seeded with the counted A_min,
+which at A_min = 0 is the MDS distribution.  The special instances on all
+of F_q^* with unit multipliers are NMDS by the source paper; for other
+point sets and multipliers the closed form is checked against brute force
+(on 438,353 instances, q <= 27, when it was introduced), not proven.  Other
+(ell, t) shapes are constructible and brute-force classifiable, but the
+criterion operations refuse them rather than extrapolate.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .field import FieldCtx
 from .matrix import FieldMatrix
 from .linear import DEFAULT_BUDGET, LinearCode, WeightDistribution, nmds_distribution
-from .subsetsum import STAR, count_li_wan, find_subset
+from .subsetsum import STAR, count_dp, count_li_wan, find_subset
 
 
 class ConstructionError(Exception):
@@ -415,43 +419,30 @@ def special_construction(
     )
 
 
-def is_special_instance(params: EgrlParams) -> bool:
-    """Whether the closed weight formulas apply to this instance."""
-    return (
-        params.ell == 2
-        and params.t == 0
-        and params.n == params.q - 1
-        and all(x == 1 for x in params.v)
-        and set(params.alpha) == set(params.ctx.units())
-        and params.k in special_k_range(params.ctx)
-    )
-
-
-def _require_special(params: EgrlParams):
-    if not is_special_instance(params):
-        raise InvalidParams(
-            "closed weight formulas need the special construction: ell=2, t=0, "
-            "alpha = all of F_q^*, unit multipliers, k in the supported range"
-        )
-
-
 _TAIL_PATTERNS = list(itertools.product((False, True), repeat=3))
 
 
 def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     """Closed-form count of weight-k dual codewords per tail zero pattern.
 
-    Keys are the patterns of dual_support_pattern_census.  A mixing column
-    s with top entry a_1s != 0 contributes (q-1) * N(k-1, a_2s/a_1s)
-    codewords nonzero at column s alone and (q-1) * N(k-2, a_2s/a_1s) nonzero
-    at column s and the b column (N counts subsets of F_q^*, each supporting
-    q-1 scalar multiples); every other pattern has none.
+    For ell = 2, t = 0 and nonzero evaluation points (else UnsupportedShape
+    or InvalidParams).  Keys are the patterns of dual_support_pattern_census.
+    A mixing column s with top entry a_1s != 0 contributes
+    (q-1) * N(k-1, a_2s/a_1s) codewords nonzero at column s alone and
+    (q-1) * N(k-2, a_2s/a_1s) nonzero at column s and the b column (N counts
+    subsets of the evaluation points, each supporting q-1 scalar multiples);
+    every other pattern has none.  N is Li-Wan's closed form when the points
+    fill F_q^* (n = q-1), else the subset-sum DP over them.
     """
-    _require_special(params)
+    _require_shape(params)
+    if 0 in params.alpha:
+        raise InvalidParams("closed weight formulas need nonzero evaluation points, "
+                            f"got alpha[{params.alpha.index(0)}] = 0")
     ctx, q, k = params.ctx, params.q, params.k
+    count, domain = (count_li_wan, STAR) if params.n == q - 1 else (count_dp, params.alpha)
     census = {pat: 0 for pat in _TAIL_PATTERNS}
     for m, j, ratio in _criterion_terms(params):
-        census[(j == 0, j == 1, m == 2)] = (q - 1) * count_li_wan(ctx, STAR, k - m, ratio)
+        census[(j == 0, j == 1, m == 2)] = (q - 1) * count(ctx, domain, k - m, ratio)
     return census
 
 
@@ -463,12 +454,14 @@ def dual_min_weight_count(params: EgrlParams) -> int:
 def special_nmds_distribution(
     params: EgrlParams,
 ) -> tuple[WeightDistribution, WeightDistribution]:
-    """Full primal and dual weight distributions of a special instance.
+    """Full primal and dual weight distributions of an ell = 2, t = 0 instance
+    with nonzero evaluation points.
 
-    The code is NMDS with parameters [q+2, k, q+2-k]; its minimum-weight
-    count equals the dual's, so the closed NMDS expansion seeded with
-    dual_min_weight_count determines everything; min_weight_census raises
-    InvalidParams for any other instance.
+    The closed NMDS expansion of an [n+3, k] code, seeded with
+    dual_min_weight_count: a special instance is NMDS [q+2, k, q+2-k], an
+    MDS instance has A_min = 0 and gets the MDS distribution, and any other
+    instance is checked against brute force, not proven.  min_weight_census
+    refuses the other instances.
     """
     return nmds_distribution(
         params.length, params.k, params.ctx, dual_min_weight_count(params)
@@ -481,10 +474,11 @@ def dual_support_pattern_census(
     """Census of weight-k dual codewords by the zero pattern of their tail.
 
     Keys are (c_n != 0, c_{n+1} != 0, c_{n+2} != 0) over the three appended
-    coordinates (the two mixing columns and the b column).  For special
-    instances, patterns with both mixing coordinates nonzero, with only the
-    b coordinate nonzero, or with an all-zero tail carry no codewords, and
-    each surviving pattern matches its term of min_weight_census.
+    coordinates (the two mixing columns and the b column).  With nonzero
+    evaluation points, patterns with both mixing coordinates nonzero, with
+    only the b coordinate nonzero, or with an all-zero tail carry no
+    codewords, and each surviving pattern matches its term of
+    min_weight_census (checked against it, not proven, off F_q^*).
     """
     _require_shape(params)
     dual = egrl_code(params).dual()

@@ -16,13 +16,15 @@ tail + offset != 0 exactly when tail != -offset, so each block is the
 boolean mask of that comparison.
 
 Memory is bounded by the budget and the field's table cap.  Before building
-anything the walk adds up its tables -- k tables of multiples f * row_i
-(2*q*n bytes each, plus a 4*q*n int32 index sum while one is built), the
-tail span of T <= 2**16 codewords (2*n*T bytes) and one block mask (n*T) --
-and refuses them above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as
-for an [8192, 1] code at q = 2**16.  The q-by-q addition table, built only
-for k >= 3, is refused alone above the cap, so for q > 23170.  An [8, 2]
-code at q = 2**16 walks its 65537 scalar classes in 0.01 s (2-vCPU Xeon).
+anything the walk adds up its tables -- k-1 tables of multiples f * row_i
+for i >= 1 (2*q*n bytes each, plus a 4*q*n int32 index sum while one is
+built; row 0 only leads, so it needs the vector -row_0 alone), the tail
+span of T <= 2**16 codewords (2*n*T bytes) and one block mask (n*T) -- and
+refuses them above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for
+an [8192, 2] code at q = 2**16; an [8192, 1] code there needs no table.
+The q-by-q addition table, built only for k >= 3, is refused alone above
+the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
+scalar classes in 0.01 s (2-vCPU Xeon).
 
 Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
 actually walked, so a budget admits the same codes as plain enumeration.
@@ -176,10 +178,15 @@ class LinearCode:
         while tail_len < k - 1 and q ** (tail_len + 1) <= _BLOCK_LIMIT:
             tail_len += 1
         head = k - tail_len
-        # k multiples tables, one int32 index sum, the tail span and one block mask.
-        require_table_bytes(2 * q * n * (k + 2) + 3 * n * q**tail_len,
+        neg = ctx.neg
+        # Row 0 only ever leads, so it needs -row_0 alone: the k-1 multiples
+        # tables of rows 1..k-1, one int32 index sum, the tail span and one
+        # block mask.
+        require_table_bytes(2 * q * n * (k + 1 if k > 1 else 0) + 3 * n * q**tail_len,
                             "the enumeration tables need")
-        scaled = [ctx.multiples(self.gen.row(i)) for i in range(k)]
+        scaled = [None, *(ctx.multiples(self.gen.row(i)) for i in range(1, k))]
+        negated = [np.array([neg(x) for x in self.gen.row(0)], np.uint16),
+                   *(table[neg(1)] for table in scaled[1:])]
         # Only a walk that adds two rows needs the q-by-q table, so k >= 3 (or
         # a test's tiny block limit); add_table refuses it above the table cap.
         add_t = ctx.add_table() if tail_len >= 2 or head >= 2 else None
@@ -190,15 +197,14 @@ class LinearCode:
         tail = np.ascontiguousarray(scaled[k - 1].T) if tail_len else np.zeros((n, 1), np.uint16)
         for i in range(k - 2, head - 1, -1):
             tail = add_t[scaled[i].T[:, :, None], tail[:, None, :]].reshape(n, -1)
-        neg = ctx.neg
         # uint8 sums are the fastest; they would wrap from n = 256 on.
         wdtype = np.uint8 if n < 256 else np.intp
         walked = 0
         for lead in range(k):
             span = tail[:, : q ** min(tail_len, k - 1 - lead)]
             for syms in itertools.product(range(q), repeat=max(head - 1 - lead, 0)):
-                # minus the offset row_lead + sum f_i row_i, summed from -1 and -f_i
-                minus = scaled[lead][neg(1)]
+                # minus the offset row_lead + sum f_i row_i: -row_lead plus each -f_i row_i
+                minus = negated[lead]
                 for i, f in enumerate(syms, lead + 1):
                     minus = add_t[minus, scaled[i][neg(f)]]
                 mask = (span != minus[:, None]).T
@@ -227,9 +233,6 @@ class LinearCode:
             return primal, macwilliams(primal, self.k, self.ctx)
         dual_dist = self.dual().weight_distribution(budget)
         return macwilliams(dual_dist, self.n - self.k, self.ctx), dual_dist
-
-    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        return self._both_distributions(budget)[0].min_weight()
 
     def classify(self, budget: int = DEFAULT_BUDGET) -> CodeClass:
         """Singleton defects of the code and its dual, with the class label."""
@@ -295,8 +298,10 @@ def nmds_distribution(
     and the mirrored formula with k and n-k swapped for the dual.  The inner
     sums follow from one another by a recurrence in s, so a side of
     dimension d costs O(d) big-integer steps (about 0.01 s for both sides at
-    q = 512, k = 8; 2-vCPU Xeon).  Raises NegativeCount when a_min is
-    infeasible for these parameters.
+    q = 512, k = 8; 2-vCPU Xeon).  With a_min = 0 the expansion is, term
+    for term, the weight distribution of an [n, k, n-k+1] MDS code and its
+    dual (MacWilliams-Sloane, ch. 11, Thm 6).  Raises NegativeCount when
+    a_min is infeasible for these parameters.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")

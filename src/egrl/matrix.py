@@ -28,10 +28,6 @@ class DimMismatch(MatrixError):
     pass
 
 
-class ZeroScale(MatrixError):
-    pass
-
-
 class DuplicateNodes(MatrixError):
     pass
 
@@ -115,15 +111,6 @@ class FieldMatrix:
                             orow[j] = add(orow[j], mul(a, brow[j]))
             out.append(orow)
         return FieldMatrix(self.ctx, out, cols=other.cols)
-
-    def scale_columns(self, scalars: Sequence[int]) -> "FieldMatrix":
-        """Multiply column j by scalars[j]; every scalar must be nonzero."""
-        if len(scalars) != self.cols:
-            raise DimMismatch(f"need {self.cols} column scalars, got {len(scalars)}")
-        if any(d == 0 for d in scalars):
-            raise ZeroScale("column scalars must be nonzero")
-        rows = [map(self.ctx.mul, self.row(i), scalars) for i in range(self.rows)]
-        return FieldMatrix(self.ctx, rows, cols=self.cols)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.data)

@@ -156,6 +156,20 @@ def nmds_formula(n: int, k: int, q: int, a_min: int) -> tuple[tuple[int, ...], t
     return side(k, n - k), side(n - k, k)
 
 
+def mds_formula(n: int, k: int, q: int) -> tuple[int, ...]:
+    """Counts of an [n, k, n-k+1] MDS code, term by term (oracle).
+
+    A_w = C(n, w) sum_{j=0}^{w-d} (-1)**j C(w, j) (q**(w-d+1-j) - 1) for d <= w <= n,
+    d = n-k+1 (MacWilliams-Sloane, ch. 11, Thm 6).
+    """
+    d = n - k + 1
+    counts = [1] + [0] * n
+    for w in range(d, n + 1):
+        counts[w] = comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                                     for j in range(w - d + 1))
+    return tuple(counts)
+
+
 def cofactor_det(ctx: FieldCtx, rows) -> int:
     """Determinant by Laplace expansion along the first row (oracle)."""
     n = len(rows)

@@ -192,13 +192,35 @@ def test_weights_both_mismatch_exit4(capsys, monkeypatch):
     }
 
 
-def test_weights_formula_requires_special(capsys):
-    rc, _, err = run(
-        capsys, "weights", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9",
-        "--b", "1", "--M", "1,1,1,2", "--method", "formula",
-    )
-    assert rc == 2
-    assert "special-construction" in err
+@pytest.mark.parametrize("alpha,enumerator", [
+    ("1,2,7,8,9", "1+840x^4+6048x^5+38304x^6+130368x^7+195732x^8"),  # MDS
+    ("1,2,7,8,9,10,11", "1+144x^5+1800x^6+11520x^7+52020x^8+139080x^9+166728x^10"),  # NMDS
+], ids=["mds", "nmds"])
+def test_weights_formula_on_nonzero_points(capsys, alpha, enumerator):
+    # Not special instances: the closed form covers every ell = 2, t = 0 instance
+    # with nonzero points, and brute force agrees on both sides.
+    argv = ["weights", "--q", "13", "--k", "5", "--alpha", alpha, "--b", "1", "--M", "1,1,1,2"]
+    rc, out, err = run(capsys, *argv, "--method", "formula")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == f"enumerator: {enumerator}"
+    rc, out, err = run(capsys, *argv, "--method", "both", "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["oracle_agreement"] == {"distribution": True,
+                                                   "dual_distribution": True}
+
+
+@pytest.mark.parametrize("extra,rc,line", [
+    (["--alpha", "0,2,7,8,9", "--M", "1,1,1,2"], 2,
+     "InvalidParams: closed weight formulas need nonzero evaluation points, got alpha[0] = 0"),
+    (["--alpha", "1,2,3,4,5,6", "--ell", "3", "--M", "1,1,0,0,1,1,1,0,1"], 3,
+     "unsupported shape: closed formulas cover ell=2, t=0 only; got ell=3, t=0 "
+     "(general shapes remain brute-force classifiable)"),
+], ids=["zero-point", "ell3"])
+def test_weights_formula_refusals(capsys, extra, rc, line):
+    for method in ("formula", "both"):
+        got = run(capsys, "weights", "--q", "13", "--k", "5", "--b", "1", *extra,
+                  "--method", method)
+        assert got == (rc, "", line + "\n")
 
 
 def test_weights_raw_generator_file(capsys, tmp_path):
@@ -431,17 +453,29 @@ def test_oversized_addition_table_exit2_promptly(capsys):
 
 
 def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
-    # A [8192, 1] code at q = 2**16 passes the budget, but its multiples table
-    # alone takes 1 GiB; the walk adds up its tables and refuses before building.
+    # A [8192, 2] code at q = 2**16 passes the budget, but the multiples table
+    # of its second row alone takes 1 GiB; the walk adds up its tables and
+    # refuses before building.
     gen = tmp_path / "g.txt"
-    gen.write_text("1 8192\n" + " ".join(map(str, range(1, 8193))) + "\n")
+    gen.write_text("2 8192\n" + " ".join(map(str, range(1, 8193))) + "\n"
+                   + " ".join(["1"] * 8192) + "\n")
     started = time.perf_counter()
     rc, out, err = run(capsys, "weights", "--generator", str(gen), "--q", "65536",
-                       "--method", "brute")
+                       "--method", "brute", "--budget", "4294967296")
     assert time.perf_counter() - started < 1.0
     assert (rc, out) == (2, "")
-    assert err == ("TableTooLarge: the enumeration tables need 3221250048 bytes, "
+    assert err == ("TableTooLarge: the enumeration tables need 4831838208 bytes, "
                    "above the cap of 1073741824\n")
+
+
+def test_one_row_walk_needs_no_table(capsys, tmp_path):
+    # A [8192, 1] code at q = 2**16 walks its one row from -row_0 alone.
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 8192\n" + " ".join(map(str, range(1, 8193))) + "\n")
+    rc, out, err = run(capsys, "weights", "--generator", str(gen), "--q", "65536",
+                       "--method", "brute")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "enumerator: 1+65535x^8192"
 
 
 @pytest.mark.parametrize("command", [

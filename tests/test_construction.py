@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_nonsingular_2x2
 from egrl.field import FieldCtx
@@ -27,7 +27,7 @@ from egrl.construction import (
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
-    is_special_instance,
+    min_weight_census,
     params_from_text,
     parity_check_matrix,
     special_construction,
@@ -501,7 +501,6 @@ def test_special_construction_orders(gf9):
     assert asc.alpha == tuple(range(1, 9))
     gen = special_construction(gf9, 5, 2, mix, order="generator")
     assert gen.alpha == (1, 3, 7, 8, 2, 6, 5, 4)
-    assert is_special_instance(asc) and is_special_instance(gen)
     with pytest.raises(ValueError):
         special_construction(gf9, 5, 2, mix, order="sideways")
 
@@ -517,17 +516,27 @@ def test_special_construction_range(gf8, gf5):
     assert (p.n, p.k) == (4, 4)
 
 
-def test_is_special_instance_negatives(gf9, ex9):
-    assert is_special_instance(ex9)
+def test_closed_form_beyond_special_instances(gf9, ex9):
+    # Points short of F_q^* or non-unit multipliers: the census counts subsets
+    # of the points, and the closed form still equals brute force.
     not_all_units = make_params(gf9, (1, 2, 3, 4, 5, 6, 7), 5, [[1, 1], [2, 1]])
-    assert not is_special_instance(not_all_units)
     scaled = EgrlParams(
         ctx=gf9, n=8, k=5, ell=2, t=0, alpha=tuple(range(1, 9)),
         v=(2,) * 8, b=1, mix=FieldMatrix(gf9, [[1, 1], [2, 1]]),
     )
-    assert not is_special_instance(scaled)
-    with pytest.raises(InvalidParams):
-        dual_min_weight_count(not_all_units)
+    for p in (not_all_units, scaled):
+        brute = egrl_code(p).weight_distribution()
+        assert special_nmds_distribution(p) == (brute, macwilliams(brute, 5, gf9))
+    assert dual_min_weight_count(scaled) == dual_min_weight_count(ex9) == 224
+
+
+def test_closed_form_refusals(gf13):
+    with pytest.raises(InvalidParams, match=r"nonzero evaluation points, got alpha\[2\] = 0"):
+        dual_min_weight_count(make_params(gf13, (1, 2, 0, 7, 9), 5, EX13_MIX))
+    for p in (make_params(gf13, (1, 2, 3, 4, 5, 6), 5, EX13_MIX, t=1),
+              make_params(gf13, (1, 2, 3, 4, 5, 6), 5, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], ell=3)):
+        with pytest.raises(UnsupportedShape):
+            special_nmds_distribution(p)
 
 
 def branch_minimum_weight_value(q, p, k, case):
@@ -629,6 +638,46 @@ def test_special_nmds_distribution_property(p):
     assert dual == macwilliams(brute, p.k, p.ctx)
 
 
+_W_FIELDS = {q: FieldCtx.from_order(q) for q in (4, 5, 7, 8, 9, 11, 13, 16)}
+
+
+@st.composite
+def nonzero_point_instances(draw):
+    ctx = _W_FIELDS[draw(st.sampled_from(sorted(_W_FIELDS)))]
+    q = ctx.q
+    alpha = draw(st.lists(st.integers(1, q - 1), min_size=3, max_size=q - 1, unique=True))
+    n = len(alpha)
+    # Brute force walks the smaller side; k = 3 and k = n always qualify.
+    k = draw(st.sampled_from([k for k in range(3, n + 1)
+                              if min(q**k, q ** (n + 3 - k)) <= 1 << 16]))
+    mix = draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)
+               .map(lambda vals: FieldMatrix.from_flat(ctx, 2, 2, vals))
+               .filter(lambda m: m.det() != 0))
+    return EgrlParams(
+        ctx=ctx, n=n, k=k, ell=2, t=0, alpha=tuple(alpha),
+        v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
+        b=draw(st.integers(1, q - 1)), mix=mix,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_point_instances())
+@example(make_params(FieldCtx(13), EX13_ALPHA, 5, EX13_MIX))  # MDS, k = n
+@example(make_params(FieldCtx(7), (1, 2, 4, 5), 3, [[1, 0], [2, 1]], b=3))  # k = 3
+def test_closed_form_property(p):
+    # Every ell = 2, t = 0 instance with nonzero points, MDS (A_min = 0) or not.
+    code, k, dual_k = egrl_code(p), p.k, p.length - p.k
+    if k <= dual_k:
+        primal = code.weight_distribution()
+        dual = macwilliams(primal, k, p.ctx)
+    else:
+        dual = code.dual().weight_distribution()
+        primal = macwilliams(dual, dual_k, p.ctx)
+    assert special_nmds_distribution(p) == (primal, dual)
+    if p.q**dual_k <= 1 << 16:
+        assert dual_support_pattern_census(p) == min_weight_census(p)
+
+
 # -- support-pattern census -------------------------------------------------------------
 
 
@@ -696,16 +745,4 @@ def test_weight_distribution_invariant_under_multipliers(seed):
     plain = EgrlParams(ctx=ctx, n=n, k=k, ell=2, t=0, alpha=alpha, v=(1,) * n, b=b, mix=mix)
     assert (
         egrl_code(scaled).weight_distribution() == egrl_code(plain).weight_distribution()
-    )
-
-
-def test_scale_columns_preserves_distribution(gf9):
-    rng = random.Random(17)
-    g = generator_matrix(
-        make_params(gf9, (1, 2, 3, 4, 5), 4, [[1, 1], [1, 2]])
-    )
-    scalars = [rng.randrange(1, 9) for _ in range(g.cols)]
-    assert (
-        LinearCode(g).weight_distribution()
-        == LinearCode(g.scale_columns(scalars)).weight_distribution()
     )

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_weights, krawtchouk_transform, nmds_formula
+from conftest import brute_weights, krawtchouk_transform, mds_formula, nmds_formula
 from egrl import field, linear
 from egrl.construction import (
     dual_min_weight_count,
@@ -149,17 +149,20 @@ def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
 
 
 def test_walk_counts_its_tables_against_the_cap(monkeypatch):
-    # A table-bound walk (one row, q*n large): its k multiples tables, one int32
-    # index sum, the tail span and one block mask are counted before any is
-    # built, the cap is inclusive, and the peak allocation stays within the
-    # count up to 1 MiB of O(n) vectors and numpy's gather buffers.
-    ctx = FieldCtx.from_order(4096)
-    code = LinearCode(FieldMatrix(ctx, [list(range(1, 1025))]))
-    need = 2 * 4096 * 1024 * 3 + 3 * 1024
+    # A table-bound walk (two rows, q*n large): the multiples table of row 1,
+    # one int32 index sum, the tail span and one block mask are counted before
+    # any is built (row 0 only leads, so it needs no table), the cap is
+    # inclusive, and the peak allocation stays within the count up to 1 MiB of
+    # O(n) vectors and numpy's gather buffers.
+    q, n = 4096, 1024
+    ctx = FieldCtx.from_order(q)
+    code = LinearCode(FieldMatrix(ctx, [[1] * n, list(range(n))]))
+    need = 2 * q * n * 3 + 3 * n * q
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
     tracemalloc.start()
     try:
-        assert code.weight_distribution().counts[-1] == 4095
+        # An [n, 2, n-1] MDS code: n(q-1) codewords of weight n-1, the rest weight n.
+        assert code.weight_distribution().counts[-2:] == (n * (q - 1), q**2 - 1 - n * (q - 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,7 +245,7 @@ def test_classify_even_weight_code(gf2):
 def test_min_distance_uses_cheaper_side(gf3):
     # [4,3] parity-check code: min distance 2, enumerated via its [4,1] dual
     code = repetition(gf3, 4).dual()
-    assert code.min_distance() == 2
+    assert code.n - code.k + 1 - code.classify().singleton_defect == 2
 
 
 def test_min_distance_matches_column_independence():
@@ -262,7 +265,7 @@ def test_min_distance_matches_column_independence():
                 code = LinearCode(g)
             except ZeroCode:
                 continue
-            d = code.min_distance()
+            d = code.n - code.k + 1 - code.classify().singleton_defect
             h = code.dual().gen
             cols = h.transpose()
             for size, expect_full in ((d - 1, True), (d, False)):
@@ -306,6 +309,17 @@ def test_nmds_distribution_first_step_formula(gf9):
     n, k = 11, 5
     primal, _ = nmds_distribution(n, k, gf9, 0)
     assert primal.counts[n - k + 1] == math.comb(n, k - 1) * (9 - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 64, 243])
+def test_nmds_distribution_at_zero_amin_is_mds(q):
+    # A_min = 0 turns the NMDS expansion into the MDS distribution on both sides,
+    # wherever an [n, k] MDS code can exist (n <= q+1 unless k or n-k is 1).
+    ctx = FieldCtx.from_order(q)
+    for n in (3, 4, 7, 12):
+        for k in [k for k in range(1, n) if n <= q + 1 or k in (1, n - 1)]:
+            primal, dual = nmds_distribution(n, k, ctx, 0)
+            assert (primal.counts, dual.counts) == (mds_formula(n, k, q), mds_formula(n, n - k, q))
 
 
 @pytest.mark.parametrize("q", [64, 128, 243, 256])

@@ -9,7 +9,6 @@ from egrl.matrix import (
     DuplicateNodes,
     FieldMatrix,
     NotSquare,
-    ZeroScale,
     vandermonde_skip_det,
 )
 
@@ -93,17 +92,6 @@ def test_matmul_shapes_and_ctx(gf5, gf7):
         a.matmul(FieldMatrix(gf5, [[1, 2]]))
     with pytest.raises(CtxMismatch):
         a.matmul(FieldMatrix(gf7, [[1], [2]]))
-
-
-def test_scale_columns(gf5):
-    m = FieldMatrix(gf5, [[1, 2, 3], [4, 0, 1]])
-    assert m.scale_columns([1, 1, 1]) == m
-    scaled = m.scale_columns([2, 3, 4])
-    assert scaled.row(0) == (2, 1, 2)
-    with pytest.raises(ZeroScale):
-        m.scale_columns([1, 0, 1])
-    with pytest.raises(DimMismatch):
-        m.scale_columns([1, 1])
 
 
 def test_inverse_roundtrip(gf9):
