@@ -28,12 +28,11 @@ from .subsetsum import (
     FULL,
     STAR,
     DomainSize,
-    OutOfStatedRange,
     SubsetSumError,
     count_dp,
     count_li_wan,
     find_subset,
-    vanishes,
+    subset_row,
 )
 from .linear import (
     AMDS_NOT_NMDS,

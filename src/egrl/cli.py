@@ -33,6 +33,7 @@ from .matrix import FieldMatrix, MatrixError
 from .linear import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    CodeClass,
     InconsistentInput,
     LinearCode,
     NegativeCount,
@@ -372,27 +373,27 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 
 def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: str):
     g = generator_matrix(params)
-    code = LinearCode(g)
-    cls = code.classify(budget)  # the budget refuses before H's O(n**2) build
+    # One walk, before H's O(n**2) build, so the budget refuses first.
+    primal, dual_dist = LinearCode(g)._both_distributions(budget)
     if 4 <= params.k <= params.n - 1:
         h = parity_check_matrix(params)
         if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
             failures.append(f"{tag}: parity-check identity failed")
+    cls = CodeClass.from_distributions(params.k, primal, dual_dist)
     agreement = _brute_agreement(check_mds(params), cls)
     for key, name in (("mds", "MDS"), ("dual_amds", "dual-AMDS")):
         if not agreement[key]:
             failures.append(f"{tag}: {name} criterion disagrees with brute force")
     if 0 not in params.alpha:
-        _closed_form_checks(params, code, budget, failures, tag)
+        _closed_form_checks(params, primal, dual_dist, budget, failures, tag)
 
 
-def _closed_form_checks(params: EgrlParams, code: LinearCode, budget: int, failures: list,
-                        label: str):
+def _closed_form_checks(params: EgrlParams, primal: WeightDistribution,
+                        dual_dist: WeightDistribution, budget: int, failures: list, label: str):
     """A_min, both distributions and (when small) the support-pattern census
-    against brute force, for an ell = 2, t = 0 instance with nonzero points."""
+    against the enumerated distributions, for an ell = 2, t = 0 instance with
+    nonzero points."""
     k = params.k
-    primal = code.weight_distribution(budget)
-    dual_dist = macwilliams(primal, k, params.ctx)
     amin = dual_min_weight_count(params)
     if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
         failures.append(f"{label}: minimum-weight census disagrees with brute force")
@@ -411,7 +412,8 @@ def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, ta
         cases.append(("golden", 2, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 2, 1]), "generator"))
     for name, b, mix, order in cases:
         sp = special_construction(ctx, k, b, mix, order)
-        _closed_form_checks(sp, egrl_code(sp), budget, failures, f"{tag}[{name}]")
+        _closed_form_checks(sp, *egrl_code(sp)._both_distributions(budget), budget, failures,
+                            f"{tag}[{name}]")
 
 
 def cmd_sweep(args) -> Report:

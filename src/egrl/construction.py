@@ -24,18 +24,19 @@ criterion operations refuse them rather than extrapolate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .field import FieldCtx
 from .matrix import FieldMatrix
 from .linear import DEFAULT_BUDGET, LinearCode, WeightDistribution, nmds_distribution
-from .subsetsum import STAR, count_dp, count_li_wan, find_subset
+from .subsetsum import STAR, count_li_wan, find_subset, subset_row
 
 
 class ConstructionError(Exception):
@@ -346,17 +347,15 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     return FieldMatrix(ctx, [first] + [row + [*tail, 0] for row, tail in zip(powers, tails)])
 
 
-def _criterion_terms(params: EgrlParams) -> Iterator[tuple[int, int, int]]:
-    """(m, j, a_2j / a_1j) for m = 1, 2 and each mixing column j with a_1j != 0.
+def _column_ratios(params: EgrlParams) -> dict[int, int]:
+    """{a_2j / a_1j: j} over the mixing columns j with a_1j != 0, in column order.
 
-    A size-(k-m) subset of evaluation points summing to the ratio is an MDS
-    witness and supports weight-k dual codewords.
+    A nonsingular mix gives distinct ratios.  A size-(k-1) or size-(k-2)
+    subset of evaluation points summing to a ratio is an MDS witness and
+    supports weight-k dual codewords.
     """
-    for m in (1, 2):
-        for j in range(2):
-            a1 = params.mix.at(0, j)
-            if a1:
-                yield m, j, params.ctx.div(params.mix.at(1, j), a1)
+    ctx, mix = params.ctx, params.mix
+    return {ctx.div(mix.at(1, j), mix.at(0, j)): j for j in range(2) if mix.at(0, j)}
 
 
 def check_mds(params: EgrlParams) -> MdsReport:
@@ -365,18 +364,20 @@ def check_mds(params: EgrlParams) -> MdsReport:
     The code is MDS iff (1) no evaluation point is zero and (2) for each
     mixing column j with top entry a_1j != 0, no subset of the evaluation
     points of size k-1 or k-2 sums to a_2j / a_1j.  Columns with a_1j = 0
-    pass (2) automatically (a_2j != 0 by nonsingularity).  Subset existence
-    is decided by a boolean reachability DP; a witness subset is recovered
-    only when one exists.
+    pass (2) automatically (a_2j != 0 by nonsingularity).  One boolean
+    reachability DP per size decides every column, size k-1 first and
+    columns in order; a witness subset is recovered only when one exists,
+    and its sum names its column.
     """
     _require_shape(params)
     for idx, a in enumerate(params.alpha):
         if a == 0:
             return MdsReport(False, alpha_zero_index=idx)
-    for m, j, target in _criterion_terms(params):
-        subset = find_subset(params.ctx, params.alpha, params.k - m, target)
+    ratios = _column_ratios(params)
+    for m in (1, 2):
+        subset = find_subset(params.ctx, params.alpha, params.k - m, *ratios)
         if subset is not None:
-            return MdsReport(False, witness=(m, j + 1, subset))
+            return MdsReport(False, witness=(m, ratios[params.ctx.sum(subset)] + 1, subset))
     return MdsReport(True)
 
 
@@ -432,17 +433,20 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     (q-1) * N(k-2, a_2s/a_1s) nonzero at column s and the b column (N counts
     subsets of the evaluation points, each supporting q-1 scalar multiples);
     every other pattern has none.  N is Li-Wan's closed form when the points
-    fill F_q^* (n = q-1), else the subset-sum DP over them.
+    fill F_q^* (n = q-1), else one subset-sum DP row over them per size.
     """
     _require_shape(params)
     if 0 in params.alpha:
         raise InvalidParams("closed weight formulas need nonzero evaluation points, "
                             f"got alpha[{params.alpha.index(0)}] = 0")
     ctx, q, k = params.ctx, params.q, params.k
-    count, domain = (count_li_wan, STAR) if params.n == q - 1 else (count_dp, params.alpha)
+    ratios = _column_ratios(params)
     census = {pat: 0 for pat in _TAIL_PATTERNS}
-    for m, j, ratio in _criterion_terms(params):
-        census[(j == 0, j == 1, m == 2)] = (q - 1) * count(ctx, domain, k - m, ratio)
+    for m in (1, 2):
+        count = (functools.partial(count_li_wan, ctx, STAR, k - m) if params.n == q - 1
+                 else subset_row(ctx, params.alpha, k - m))
+        for ratio, j in ratios.items():
+            census[(j == 0, j == 1, m == 2)] = (q - 1) * count(ratio)
     return census
 
 

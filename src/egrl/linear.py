@@ -125,6 +125,22 @@ class CodeClass:
     singleton_defect: int
     dual_defect: int
 
+    @classmethod
+    def from_distributions(cls, k: int, primal: WeightDistribution,
+                           dual_dist: WeightDistribution) -> CodeClass:
+        """The class of an [n, k] code with these primal and dual weights."""
+        defect = primal.n - k + 1 - primal.min_weight()
+        dual_defect = k + 1 - dual_dist.min_weight()
+        if defect == 0:
+            label = MDS
+        elif defect == 1 and dual_defect == 1:
+            label = NMDS
+        elif defect == 1:
+            label = AMDS_NOT_NMDS
+        else:
+            label = OTHER
+        return cls(label, defect, dual_defect)
+
 
 class LinearCode:
     """A linear code held by a full-row-rank generator in reduced echelon form.
@@ -236,18 +252,7 @@ class LinearCode:
 
     def classify(self, budget: int = DEFAULT_BUDGET) -> CodeClass:
         """Singleton defects of the code and its dual, with the class label."""
-        primal, dual_dist = self._both_distributions(budget)
-        defect = self.n - self.k + 1 - primal.min_weight()
-        dual_defect = self.k + 1 - dual_dist.min_weight()
-        if defect == 0:
-            label = MDS
-        elif defect == 1 and dual_defect == 1:
-            label = NMDS
-        elif defect == 1:
-            label = AMDS_NOT_NMDS
-        else:
-            label = OTHER
-        return CodeClass(label, defect, dual_defect)
+        return CodeClass.from_distributions(self.k, *self._both_distributions(budget))
 
 
 def macwilliams(dist: WeightDistribution, k: int, ctx: FieldCtx) -> WeightDistribution:

@@ -1,46 +1,46 @@
 """Counting m-element subsets of a field domain with a prescribed sum.
 
-Three routes are provided and kept deliberately independent:
+Two independent routes:
 
-* :func:`count_dp` -- dynamic programming over (elements, subset size,
-  partial field sum); works for the full field, the units, or any explicit
-  duplicate-free element list.  This is the oracle.
+* :func:`subset_row` -- dynamic programming over (elements, subset size,
+  partial field sum) on the full field, the units or any duplicate-free
+  element list; :func:`count_dp`, the oracle, reads one cell of it.
 * :func:`count_li_wan` -- the closed forms for the full field and the unit
   domain.  Always equals ``count_dp`` on those domains.
-* :func:`vanishes` -- closed characterizations of when the count is zero,
-  valid on restricted parameter windows; raises
-  :class:`OutOfStatedRange` outside them so callers can fall back to
-  ``count_li_wan``.
 
 One numpy DP serves counting, existence and witnesses.  It walks the n
 domain elements in reverse and updates all subset sizes at once,
-T[1:] += T[:-1][:, t - x], on one (m+1)-by-q-by-limbs table.  Exact counts
-are carry-save base-2**32 limbs in uint64, limbs = ceil(log2(max_j C(n, j))
-/ 32), normalised every 30 steps and read back into a Python integer;
-existence is bool with one limb (+ is logical or).  The index array t - x
-is the field's translation row for -x (``FieldCtx.translate``).  Counting
-holds (m+1)*q*limbs*8 bytes.  The existence pass of :func:`find_subset`
-keeps every (isqrt(n)+1)-th table of (m+1)*q bytes; only when a witness
-exists does recovery recompute the tables one segment at a time from
-those checkpoints, left to right: about 2*sqrt(n) tables held and two
-passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).
-Both raise :class:`TableTooLarge`, before allocating, when these tables
-would pass the field module's ``MAX_TABLE_BYTES`` = 1 GiB; find_subset
-counts n//seg + seg + 2 tables, seg = isqrt(n)+1, for the checkpoints, one
-segment and the working one.
+T[1:] += T[:-1][:, t - x], on one (m+1)-by-q-by-limbs table, t - x being
+the field's translation row for -x (``FieldCtx.translate``).  Its final
+row holds every target b, so one pass per size answers them all:
+:func:`subset_row` returns that row as a function of b, turning limbs into
+a Python integer only for the cells read, and :func:`find_subset` recovers
+the greedy witness of the first of its targets that is reached.  Exact
+counts are carry-save base-2**32 limbs in uint64, limbs =
+ceil(log2 C(n, m) / 32), normalised every 30 steps; existence is bool
+with one limb (+ is logical or).  For m > n/2 a row is read by complement,
+N(m, b) = N(n-m, sum(domain) - b), from n-m+1 table rows; find_subset
+keeps the direct pass, so its witnesses stay the greedy ones.
 
-Counts are returned as Python integers (arbitrary precision); the division
-by q inside the closed forms is always exact and is checked.
+A row takes (m+1)*q*limbs*8 bytes, a bool row (m+1)*q, with m the
+complemented size.  The existence pass of find_subset keeps every seg-th
+table of (m+1)*q bytes, seg = isqrt(n)+1; only when a witness exists does
+recovery recompute the tables one segment at a time from those
+checkpoints, left to right: n//seg + seg + 2 tables held and two passes of
+work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).  Both raise
+:class:`TableTooLarge`, before allocating, when these tables would pass
+the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
 
-Size-0 convention: N(0, 0) = 1 and N(0, b) = 0 for b != 0, consistent with
-the closed forms evaluated at m = 0.
+Counts are Python integers; the division by q inside the closed forms is
+always exact and is checked.  Size 0: N(0, 0) = 1 and N(0, b) = 0 for
+b != 0, as the closed forms give at m = 0.
 """
 
 from __future__ import annotations
 
 import operator
 from math import comb, isqrt
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -60,11 +60,8 @@ class DomainSize(SubsetSumError):
     """Subset size outside [0, |domain|]."""
 
 
-class OutOfStatedRange(SubsetSumError):
-    """Parameters outside the window where the vanishing rules are valid."""
-
-
-def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[Sequence[int], int, int]:
+def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, targets: Sequence[int] = ()
+                  ) -> tuple[Sequence[int], int, list[int]]:
     if isinstance(domain, str):
         if domain not in (FULL, STAR):
             raise ValueError(f"unknown domain {domain!r} (use 'full', 'star', or a code list)")
@@ -73,18 +70,18 @@ def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[Sequen
         codes = list(map(ctx._check, domain))
         if len(set(codes)) != len(codes):
             raise ValueError(f"explicit domain must be duplicate-free: {codes}")
-    b, m = ctx._check(b), operator.index(m)
+    targets, m = list(map(ctx._check, targets)), operator.index(m)
     if not 0 <= m <= len(codes):
         raise DomainSize(f"subset size {m} outside [0, {len(codes)}]")
-    return codes, m, b
+    return codes, m, targets
 
 
 # Counts are carry-save base-2**32 numbers along the last table axis.  After
 # a normalisation every limb is below 2**33 (a 32-bit remainder plus a carry
 # below 2**31); one DP step at most doubles the largest limb, so within
 # _NORMALISE_EVERY = 30 steps every limb stays below 2**63 and uint64 never
-# wraps.  The top limb never carries: a cell holds at most
-# max_j C(n, j) < 2**(32 * limbs), and no limb is negative.
+# wraps.  The top limb never carries: with m <= n/2 a cell holds at most
+# max_{j<=m} C(n, j) = C(n, m) < 2**(32 * limbs), and no limb is negative.
 _LIMB_BITS = 32
 _NORMALISE_EVERY = 30
 
@@ -111,27 +108,52 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
         yield i, tbl
 
 
-def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
-    """Number of m-element subsets of the domain whose field sum is b."""
-    codes, m, b = _domain_codes(ctx, domain, m, b)
-    n = len(codes)
-    limbs = -(-comb(n, min(m, n // 2)).bit_length() // _LIMB_BITS)
-    require_table_bytes((m + 1) * ctx.q * limbs * 8, "DP tables need")
-    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
+def subset_row(ctx: FieldCtx, domain: Domain, m: int, exact: bool = True
+               ) -> Callable[[int], int]:
+    """N(m, b), the number of m-subsets of the domain summing to b, for every
+    target b from one DP pass, as a function of b.
+
+    With exact=False the function tells whether N(m, b) > 0.  For m > n/2
+    the pass runs at n-m and the function reads N(n-m, sum(domain) - b).
+    """
+    codes, m, _ = _domain_codes(ctx, domain, m)
+    n, total = len(codes), None
+    if 2 * m > n:
+        m, total = n - m, ctx.sum(codes)
+    limbs = -(-comb(n, m).bit_length() // _LIMB_BITS) if exact else 1
+    require_table_bytes((m + 1) * ctx.q * limbs * (8 if exact else 1), "DP tables need")
+    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64 if exact else bool)
     tbl[0, 0, 0] = 1  # the empty subset
     for _ in _steps(ctx, codes, m, tbl, n):
         pass
-    return sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(tbl[m, b]))
+    row = tbl[m]
+
+    def cell(b: int) -> int:
+        b = ctx._check(b)
+        limbs = row[b if total is None else ctx.sub(total, b)]
+        value = sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(limbs))
+        return value if exact else value > 0
+
+    return cell
 
 
-def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...] | None:
-    """First m-subset (greedy in domain order) summing to b, or None.
+def count_dp(ctx: FieldCtx, domain: Domain, m: int, b: int) -> int:
+    """Number of m-element subsets of the domain whose field sum is b."""
+    b = ctx._check(b)  # a bad target fails before the DP runs
+    return subset_row(ctx, domain, m)(b)
 
-    Deterministic: walks the domain left to right and includes an element
-    whenever a completion still exists, so for a sorted domain the result
-    is the lexicographically smallest witness.
+
+def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
+                ) -> tuple[int, ...] | None:
+    """First m-subset (greedy in domain order) summing to the first target,
+    in the order given, that any m-subset reaches; None if no target is.
+
+    One existence pass answers every target; the witness is recovered from
+    its checkpoints.  Deterministic: walks the domain left to right and
+    includes an element whenever a completion still exists, so for a sorted
+    domain the result is the lexicographically smallest witness.
     """
-    codes, m, b = _domain_codes(ctx, domain, m, b)
+    codes, m, targets = _domain_codes(ctx, domain, m, targets)
     n, seg = len(codes), isqrt(len(codes)) + 1
     require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q, "DP tables need")
     tbl = np.zeros((m + 1, ctx.q, 1), bool)
@@ -139,7 +161,8 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, b: int) -> tuple[int, ...
     # Checkpoints at seg, 2*seg, ... and n: recovery reads only hi >= 1.
     marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n)
              if i and i % seg == 0 or i == n}
-    if not tbl[m, b, 0]:
+    b = next((b for b in targets if tbl[m, b, 0]), None)
+    if b is None:
         return None
     picked, suffix = [], {}
     for i, x in enumerate(codes):
@@ -170,7 +193,7 @@ def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:
     """
     if domain not in (FULL, STAR):
         raise ValueError("closed forms exist for the 'full' and 'star' domains only")
-    _, m, b = _domain_codes(ctx, domain, m, b)  # checks b and 0 <= m <= |domain|
+    _, m, (b,) = _domain_codes(ctx, domain, m, (b,))  # checks b and 0 <= m <= |domain|
     q, p = ctx.q, ctx.p
     v = q - 1 if b == 0 else -1
     if domain == STAR:
@@ -183,41 +206,3 @@ def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:
     if rem or count < 0:
         raise SubsetSumError(f"closed form broke down at q={q}, domain={domain}, m={m}, b={b}")
     return count
-
-
-def vanishes(ctx: FieldCtx, domain: str, m: int, b: int) -> bool:
-    """Decide N(m, b, domain) == 0 from the closed vanishing rules.
-
-    Valid windows (outside them :class:`OutOfStatedRange` is raised and the
-    caller should test ``count_li_wan(...) == 0`` instead):
-
-    * full field, 2 <= m <= q-1, any b: zero iff p = 2, b = 0 and
-      m in {2, q-2};
-    * units, b = 0: zero iff m in {1, q-2} for odd p (1 <= m <= q-1), or
-      m in {2, q-3, q-2} for p = 2 (2 <= m <= q-1); needs q >= 3;
-    * units, b != 0, 2 <= m <= q-2: never zero.
-
-    The windows are deliberately narrower than a naive reading of the
-    source rules: edge sizes (m <= 1 on the full field, m = 1 in
-    characteristic 2 on the units, m >= q-1 on the units with b != 0, and
-    everything at q = 2) fall outside and must use the counting route.
-    """
-    q, p = ctx.q, ctx.p
-    b, m = ctx._check(b), operator.index(m)
-    if m < 0:
-        raise DomainSize(f"subset size {m} is negative")
-    if domain == FULL:
-        if 2 <= m <= q - 1:
-            return p == 2 and b == 0 and m in (2, q - 2)
-        raise OutOfStatedRange(f"full-field rule stated for 2 <= m <= q-1, got m={m}")
-    if domain == STAR:
-        if b == 0:
-            if q >= 3 and p != 2 and 1 <= m <= q - 1:
-                return m in (1, q - 2)
-            if q >= 3 and p == 2 and 2 <= m <= q - 1:
-                return m in (2, q - 3, q - 2)
-            raise OutOfStatedRange(f"unit-domain zero-sum rule does not cover q={q}, m={m}")
-        if 2 <= m <= q - 2:
-            return False
-        raise OutOfStatedRange(f"unit-domain rule stated for 2 <= m <= q-2, got m={m}")
-    raise ValueError(f"unknown domain {domain!r}")

@@ -1,7 +1,8 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately avoid the library's own code paths: subset
-counting enumerates combinations, determinants expand by cofactors,
+counting enumerates combinations, the vanishing rules of the subset counts
+are stated in closed form, determinants expand by cofactors,
 polynomial arithmetic is re-derived from digit vectors, and the MacWilliams
 transform and the NMDS expansion are summed term by term.  They exist to
 cross-check the production implementations, so keep them dumb.
@@ -10,12 +11,14 @@ cross-check the production implementations, so keep them dumb.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import comb
 
 import pytest
 
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
+from egrl.subsetsum import FULL, STAR, DomainSize
 
 
 @pytest.fixture(scope="session")
@@ -117,6 +120,48 @@ def brute_subset_count(ctx: FieldCtx, codes, m: int, b: int) -> int:
         if acc == b:
             total += 1
     return total
+
+
+class OutOfStatedRange(Exception):
+    """Parameters outside the window where the vanishing rules are valid."""
+
+
+def vanishes(ctx: FieldCtx, domain: str, m: int, b: int) -> bool:
+    """Decide N(m, b, domain) == 0 from the closed vanishing rules (oracle).
+
+    Valid windows (outside them :class:`OutOfStatedRange` is raised and the
+    caller should test ``count_li_wan(...) == 0`` instead):
+
+    * full field, 2 <= m <= q-1, any b: zero iff p = 2, b = 0 and
+      m in {2, q-2};
+    * units, b = 0: zero iff m in {1, q-2} for odd p (1 <= m <= q-1), or
+      m in {2, q-3, q-2} for p = 2 (2 <= m <= q-1); needs q >= 3;
+    * units, b != 0, 2 <= m <= q-2: never zero.
+
+    The windows are deliberately narrower than a naive reading of the
+    source rules: edge sizes (m <= 1 on the full field, m = 1 in
+    characteristic 2 on the units, m >= q-1 on the units with b != 0, and
+    everything at q = 2) fall outside and must use the counting route.
+    """
+    q, p = ctx.q, ctx.p
+    b, m = ctx._check(b), operator.index(m)
+    if m < 0:
+        raise DomainSize(f"subset size {m} is negative")
+    if domain == FULL:
+        if 2 <= m <= q - 1:
+            return p == 2 and b == 0 and m in (2, q - 2)
+        raise OutOfStatedRange(f"full-field rule stated for 2 <= m <= q-1, got m={m}")
+    if domain == STAR:
+        if b == 0:
+            if q >= 3 and p != 2 and 1 <= m <= q - 1:
+                return m in (1, q - 2)
+            if q >= 3 and p == 2 and 2 <= m <= q - 1:
+                return m in (2, q - 3, q - 2)
+            raise OutOfStatedRange(f"unit-domain zero-sum rule does not cover q={q}, m={m}")
+        if 2 <= m <= q - 2:
+            return False
+        raise OutOfStatedRange(f"unit-domain rule stated for 2 <= m <= q-2, got m={m}")
+    raise ValueError(f"unknown domain {domain!r}")
 
 
 def krawtchouk_transform(counts, k: int, q: int) -> tuple[int, ...]:

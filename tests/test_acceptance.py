@@ -12,18 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonsingular_2x2
+from conftest import OutOfStatedRange, random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
 from egrl.linear import LinearCode, macwilliams, nmds_distribution
-from egrl.subsetsum import (
-    FULL,
-    STAR,
-    OutOfStatedRange,
-    count_dp,
-    count_li_wan,
-    vanishes,
-)
+from egrl.subsetsum import FULL, STAR, count_dp, count_li_wan
 from egrl.construction import (
     EgrlParams,
     check_mds,

@@ -60,6 +60,12 @@ CASES = [
       "--t", "1", "--M", "1,1,1,2", "--with-h"], None),
     (["classify", *F13, "--M", "1,1,1,2", "--verify"], None),
     (["classify", *F13, "--M", "1,0,5,1"], None),
+    # Size k-2 witnesses on the second mixing column: column 1 has no ratio
+    # (a_11 = 0), then both columns have one and only the second is hit.
+    (["classify", "--q", "13", "--k", "6", "--alpha", "11,2,7,5,10,3,12", "--b", "1",
+      "--M", "0,9,10,0"], None),
+    (["classify", "--q", "13", "--k", "4", "--alpha", "10,4,12,2,9", "--b", "1",
+      "--M", "10,3,5,1", "--verify"], None),
     (["classify", "--q", "13", "--k", "5", "--alpha", "0,2,7,8,9", "--b", "1",
       "--M", "1,1,1,2"], None),
     (["classify", "--q", "13", "--k", "5", "--alpha", "1,2,3,4,5,6", "--b", "1",

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_nonsingular_2x2
+from conftest import random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix, vandermonde_skip_det
 from egrl.linear import LinearCode, macwilliams, nmds_distribution
-from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset, vanishes
+from egrl import subsetsum
+from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset
 from egrl.construction import (
     DuplicateAlpha,
     EgrlParams,
@@ -424,6 +425,45 @@ def test_check_mds_tries_size_k_minus_1_first(gf13):
     # column 2's ratio 5 is the 4-subset sum {1,2,7,8}.  Sizes k-1 come first.
     p = make_params(gf13, EX13_ALPHA, 5, [[1, 1], [3, 5]])
     assert check_mds(p).witness == (1, 2, (1, 2, 7, 8))
+
+
+@pytest.mark.parametrize("alpha,k,mix,witness", [
+    ((11, 2, 7, 5, 10, 3, 12), 6, [[0, 9], [10, 0]], (2, 2, (11, 2, 10, 3))),
+    ((10, 4, 12, 2, 9), 4, [[10, 3], [5, 1]], (2, 2, (10, 12))),
+])
+def test_check_mds_witness_sum_names_column(gf13, alpha, k, mix, witness):
+    # Size k-2 hits on column 2: alone (a_11 = 0), then with column 1's ratio
+    # tried first in the same pass.
+    assert check_mds(make_params(gf13, alpha, k, mix)).witness == witness
+
+
+@pytest.fixture
+def fresh_passes(monkeypatch):
+    """Sizes of the fresh subset-sum passes (_steps from T_n, lo = 0) made."""
+    real, sizes = subsetsum._steps, []
+
+    def counted(ctx, codes, m, tbl, hi, lo=0):
+        if hi == len(codes) and lo == 0:
+            sizes.append(m)
+        return real(ctx, codes, m, tbl, hi, lo)
+
+    monkeypatch.setattr(subsetsum, "_steps", counted)
+    return sizes
+
+
+def test_one_pass_per_size(gf13, ex13, fresh_passes):
+    # Both columns have a ratio; each size is one pass however many there are.
+    assert check_mds(ex13).is_mds and fresh_passes == [4, 3]
+    fresh_passes.clear()
+    min_weight_census(ex13)
+    assert fresh_passes == [1, 2]  # sizes 4 and 3 of 5 points, read by complement
+    fresh_passes.clear()
+    assert check_mds(make_params(gf13, EX13_ALPHA, 5, [[1, 0], [5, 1]])).witness[0] == 1
+    assert fresh_passes == [4]  # a hit at size k-1: one pass, then recovery
+    fresh_passes.clear()
+    special = special_construction(gf13, 5, 1, FieldMatrix(gf13, EX13_MIX))
+    min_weight_census(special)
+    assert fresh_passes == []  # Li-Wan on F_q^*
 
 
 def test_check_mds_zero_alpha(gf13):

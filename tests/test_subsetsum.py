@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_subset_count
+from conftest import OutOfStatedRange, brute_subset_count, vanishes
 from egrl.field import FieldCtx
 from egrl.subsetsum import (
     _LIMB_BITS,
@@ -12,12 +12,11 @@ from egrl.subsetsum import (
     FULL,
     STAR,
     DomainSize,
-    OutOfStatedRange,
     TableTooLarge,
     count_dp,
     count_li_wan,
     find_subset,
-    vanishes,
+    subset_row,
 )
 
 
@@ -174,6 +173,51 @@ def test_dp_and_witness_match_enumeration(case):
             first = combo
             break
     assert find_subset(ctx, codes, m, b) == first
+
+
+def _first_combo(ctx, codes, m, b):
+    """The first m-combination of codes, in itertools order, summing to b (oracle)."""
+    return next((c for c in itertools.combinations(codes, m) if ctx.sum(c) == b), None)
+
+
+@st.composite
+def row_instances(draw):
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    codes = draw(st.lists(st.integers(0, q - 1), unique=True, max_size=min(q, 10)))
+    return q, tuple(codes), draw(st.lists(st.integers(0, q - 1), max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_instances())
+@example((16, tuple(range(15, 5, -1)), [3, 0, 3, 7]))
+@example((2, (1, 0), [1, 0]))
+def test_rows_and_first_hit_witnesses_match_enumeration(case):
+    # Every size m, those above n/2 (read by complement) included: both rows
+    # hold every target's count, and a multi-target search returns the
+    # witness of the first target, in the order given, that is reachable.
+    q, codes, targets = case
+    ctx = _FIELDS[q]
+    for m in range(len(codes) + 1):
+        exact, exists = subset_row(ctx, codes, m), subset_row(ctx, codes, m, exact=False)
+        counts = [brute_subset_count(ctx, codes, m, b) for b in range(q)]
+        assert [exact(b) for b in range(q)] == counts
+        assert [exists(b) for b in range(q)] == [c > 0 for c in counts]
+        reached = [b for b in targets if counts[b]]
+        got = find_subset(ctx, codes, m, *targets)
+        if not reached:
+            assert got is None
+        else:
+            assert got == _first_combo(ctx, codes, m, reached[0])
+            assert got == find_subset(ctx, codes, m, reached[0])
+
+
+def test_complement_row_beyond_half():
+    # m = 4090 of 4095 units: the direct table of 4091 rows would exceed the
+    # 1 GiB cap; the complement needs 6 rows of one limb.
+    ctx = FieldCtx.from_order(4096)
+    row = subset_row(ctx, STAR, 4090)
+    for b in (0, 1, 4095):
+        assert row(b) == count_li_wan(ctx, STAR, 4090, b)
 
 
 @pytest.mark.parametrize("domain", [STAR, FULL])
