@@ -24,7 +24,6 @@ criterion operations refuse them rather than extrapolate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -443,7 +442,7 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     ratios = _column_ratios(params)
     census = {pat: 0 for pat in _TAIL_PATTERNS}
     for m in (1, 2):
-        count = (functools.partial(count_li_wan, ctx, STAR, k - m) if params.n == q - 1
+        count = ((lambda b: count_li_wan(ctx, STAR, k - m, b)) if params.n == q - 1
                  else subset_row(ctx, params.alpha, k - m))
         for ratio, j in ratios.items():
             census[(j == 0, j == 1, m == 2)] = (q - 1) * count(ratio)

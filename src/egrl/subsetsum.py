@@ -13,23 +13,22 @@ domain elements in reverse and updates all subset sizes at once,
 T[1:] += T[:-1][:, t - x], on one (m+1)-by-q-by-limbs table, t - x being
 the field's translation row for -x (``FieldCtx.translate``).  Its final
 row holds every target b, so one pass per size answers them all:
-:func:`subset_row` returns that row as a function of b, turning limbs into
-a Python integer only for the cells read, and :func:`find_subset` recovers
-the greedy witness of the first of its targets that is reached.  Exact
-counts are carry-save base-2**32 limbs in uint64, limbs =
+subset_row turns limbs into a Python integer only for the cells read, and
+find_subset recovers the greedy witness of the first target reached.
+Exact counts are carry-save base-2**32 limbs in uint64, limbs =
 ceil(log2 C(n, m) / 32), normalised every 30 steps; existence is bool
-with one limb (+ is logical or).  For m > n/2 a row is read by complement,
-N(m, b) = N(n-m, sum(domain) - b), from n-m+1 table rows; find_subset
-keeps the direct pass, so its witnesses stay the greedy ones.
+with one limb (+ is logical or).  For m > n/2 subset_row runs at n-m and
+reads N(m, b) = N(n-m, sum(domain) - b); find_subset keeps the direct
+pass, so its witnesses stay the greedy ones.
 
-A row takes (m+1)*q*limbs*8 bytes, a bool row (m+1)*q, with m the
-complemented size.  The existence pass of find_subset keeps every seg-th
-table of (m+1)*q bytes, seg = isqrt(n)+1; only when a witness exists does
-recovery recompute the tables one segment at a time from those
-checkpoints, left to right: n//seg + seg + 2 tables held and two passes of
-work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).  Both raise
-:class:`TableTooLarge`, before allocating, when these tables would pass
-the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
+A count pass holds (m+1)*q*limbs*8 bytes, m the complemented size, and
+keeps its final row only.  The existence pass of find_subset keeps every
+seg-th table of (m+1)*q bytes, seg = isqrt(n)+1; only when a witness
+exists does recovery recompute the tables one segment at a time from
+those checkpoints, left to right: n//seg + seg + 2 tables held and two
+passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).  Both
+raise :class:`TableTooLarge`, before allocating, when these tables would
+pass the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
 
 Counts are Python integers; the division by q inside the closed forms is
 always exact and is checked.  Size 0: N(0, 0) = 1 and N(0, b) = 0 for
@@ -108,31 +107,29 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
         yield i, tbl
 
 
-def subset_row(ctx: FieldCtx, domain: Domain, m: int, exact: bool = True
-               ) -> Callable[[int], int]:
+def subset_row(ctx: FieldCtx, domain: Domain, m: int) -> Callable[[int], int]:
     """N(m, b), the number of m-subsets of the domain summing to b, for every
     target b from one DP pass, as a function of b.
 
-    With exact=False the function tells whether N(m, b) > 0.  For m > n/2
-    the pass runs at n-m and the function reads N(n-m, sum(domain) - b).
+    For m > n/2 the pass runs at n-m and the function reads
+    N(n-m, sum(domain) - b).  Only the final row outlives the call.
     """
     codes, m, _ = _domain_codes(ctx, domain, m)
     n, total = len(codes), None
     if 2 * m > n:
         m, total = n - m, ctx.sum(codes)
-    limbs = -(-comb(n, m).bit_length() // _LIMB_BITS) if exact else 1
-    require_table_bytes((m + 1) * ctx.q * limbs * (8 if exact else 1), "DP tables need")
-    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64 if exact else bool)
+    limbs = -(-comb(n, m).bit_length() // _LIMB_BITS)
+    require_table_bytes((m + 1) * ctx.q * limbs * 8, "DP tables need")
+    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
     for _ in _steps(ctx, codes, m, tbl, n):
         pass
-    row = tbl[m]
+    row = tbl[m].copy()
 
     def cell(b: int) -> int:
         b = ctx._check(b)
-        limbs = row[b if total is None else ctx.sub(total, b)]
-        value = sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(limbs))
-        return value if exact else value > 0
+        cells = row[b if total is None else ctx.sub(total, b)]
+        return sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(cells))
 
     return cell
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import OutOfStatedRange, brute_subset_count, vanishes
+from egrl import subsetsum
 from egrl.field import FieldCtx
 from egrl.subsetsum import (
     _LIMB_BITS,
@@ -192,16 +194,15 @@ def row_instances(draw):
 @example((16, tuple(range(15, 5, -1)), [3, 0, 3, 7]))
 @example((2, (1, 0), [1, 0]))
 def test_rows_and_first_hit_witnesses_match_enumeration(case):
-    # Every size m, those above n/2 (read by complement) included: both rows
-    # hold every target's count, and a multi-target search returns the
+    # Every size m, those above n/2 (read by complement) included: the row
+    # holds every target's count, and a multi-target search returns the
     # witness of the first target, in the order given, that is reachable.
     q, codes, targets = case
     ctx = _FIELDS[q]
     for m in range(len(codes) + 1):
-        exact, exists = subset_row(ctx, codes, m), subset_row(ctx, codes, m, exact=False)
+        row = subset_row(ctx, codes, m)
         counts = [brute_subset_count(ctx, codes, m, b) for b in range(q)]
-        assert [exact(b) for b in range(q)] == counts
-        assert [exists(b) for b in range(q)] == [c > 0 for c in counts]
+        assert [row(b) for b in range(q)] == counts
         reached = [b for b in targets if counts[b]]
         got = find_subset(ctx, codes, m, *targets)
         if not reached:
@@ -209,6 +210,21 @@ def test_rows_and_first_hit_witnesses_match_enumeration(case):
         else:
             assert got == _first_combo(ctx, codes, m, reached[0])
             assert got == find_subset(ctx, codes, m, reached[0])
+
+
+def test_row_outlives_its_table(monkeypatch):
+    # The returned row must not be a view that keeps the (m+1)-row table alive.
+    tables, steps = [], subsetsum._steps
+
+    def spy(ctx, codes, m, tbl, hi, lo=0):
+        tables.append(weakref.ref(tbl))
+        return steps(ctx, codes, m, tbl, hi, lo)
+
+    monkeypatch.setattr(subsetsum, "_steps", spy)
+    ctx = FieldCtx(13)
+    row = subset_row(ctx, STAR, 4)
+    assert len(tables) == 1 and tables[0]() is None
+    assert row(1) == count_li_wan(ctx, STAR, 4, 1)
 
 
 def test_complement_row_beyond_half():
