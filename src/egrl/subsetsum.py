@@ -15,20 +15,20 @@ the field's translation row for -x (``FieldCtx.translate``).  Its final
 row holds every target b, so one pass per size answers them all:
 subset_row turns limbs into a Python integer only for the cells read, and
 find_subset recovers the greedy witness of the first target reached.
-Exact counts are carry-save base-2**32 limbs in uint64, limbs =
-ceil(log2 C(n, m) / 32), normalised every 30 steps; existence is bool
-with one limb (+ is logical or).  For m > n/2 subset_row runs at n-m and
-reads N(m, b) = N(n-m, sum(domain) - b); find_subset keeps the direct
-pass, so its witnesses stay the greedy ones.
+Every pass runs at size s = min(m, n-m): an m-subset sums to b exactly
+when its complement, an (n-m)-subset, sums to sum(domain) - b.  Exact
+counts are carry-save base-2**32 limbs in uint64, limbs =
+ceil(log2 C(n, s) / 32), normalised every 30 steps; existence is bool
+with one limb (+ is logical or).
 
-A count pass holds (m+1)*q*limbs*8 bytes, m the complemented size, and
-keeps its final row only.  The existence pass of find_subset keeps every
-seg-th table of (m+1)*q bytes, seg = isqrt(n)+1; only when a witness
-exists does recovery recompute the tables one segment at a time from
-those checkpoints, left to right: n//seg + seg + 2 tables held and two
-passes of work (q = 4096, m = 100: about 80 MiB peak, not 1.6 GiB).  Both
-raise :class:`TableTooLarge`, before allocating, when these tables would
-pass the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
+A count pass holds (s+1)*q*limbs*8 bytes and keeps its final row only.
+The existence pass of find_subset keeps every seg-th table of (s+1)*q
+bytes, seg = isqrt(n)+1; only when a witness exists does recovery
+recompute the tables one segment at a time from those checkpoints, left
+to right: n//seg + seg + 2 tables held and two passes of work (q = 4096,
+s = 100: about 80 MiB peak, not 1.6 GiB).  Both raise
+:class:`TableTooLarge`, before allocating, when these tables would pass
+the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
 
 Counts are Python integers; the division by q inside the closed forms is
 always exact and is checked.  Size 0: N(0, 0) = 1 and N(0, b) = 0 for
@@ -98,8 +98,9 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
     yield hi, tbl
     for i in range(hi - 1, lo - 1, -1):
         r0, r1 = max(1, m - i), min(n - i, m)
-        shift = ctx.translate(ctx.neg(codes[i]))  # column t reads column t - x
-        tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift, axis=1)
+        if r0 <= r1:  # else m = 0 and no row changes
+            shift = ctx.translate(ctx.neg(codes[i]))  # column t reads column t - x
+            tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift, axis=1)
         if tbl.shape[-1] > 1 and (n - i) % _NORMALISE_EVERY == 0:
             carry = tbl >> _LIMB_BITS
             tbl &= (1 << _LIMB_BITS) - 1
@@ -107,28 +108,31 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
         yield i, tbl
 
 
+def _pass_size(ctx: FieldCtx, codes: Sequence[int], m: int) -> tuple[int, Callable[[int], int]]:
+    """min(m, n-m), the size the pass runs at, and the map from a target b to
+    the sum it reads: past n/2 the pass's subsets are the complements."""
+    if 2 * m <= len(codes):
+        return m, lambda b: b
+    total = ctx.sum(codes)
+    return len(codes) - m, lambda b: ctx.sub(total, b)
+
+
 def subset_row(ctx: FieldCtx, domain: Domain, m: int) -> Callable[[int], int]:
     """N(m, b), the number of m-subsets of the domain summing to b, for every
-    target b from one DP pass, as a function of b.
-
-    For m > n/2 the pass runs at n-m and the function reads
-    N(n-m, sum(domain) - b).  Only the final row outlives the call.
-    """
+    target b from one DP pass, as a function of b; only the final row
+    outlives the call."""
     codes, m, _ = _domain_codes(ctx, domain, m)
-    n, total = len(codes), None
-    if 2 * m > n:
-        m, total = n - m, ctx.sum(codes)
-    limbs = -(-comb(n, m).bit_length() // _LIMB_BITS)
+    m, read = _pass_size(ctx, codes, m)
+    limbs = -(-comb(len(codes), m).bit_length() // _LIMB_BITS)
     require_table_bytes((m + 1) * ctx.q * limbs * 8, "DP tables need")
     tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
-    for _ in _steps(ctx, codes, m, tbl, n):
+    for _ in _steps(ctx, codes, m, tbl, len(codes)):
         pass
     row = tbl[m].copy()
 
     def cell(b: int) -> int:
-        b = ctx._check(b)
-        cells = row[b if total is None else ctx.sub(total, b)]
+        cells = row[read(ctx._check(b))]
         return sum(int(limb) << _LIMB_BITS * k for k, limb in enumerate(cells))
 
     return cell
@@ -151,14 +155,15 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
     domain the result is the lexicographically smallest witness.
     """
     codes, m, targets = _domain_codes(ctx, domain, m, targets)
-    n, seg = len(codes), isqrt(len(codes)) + 1
-    require_table_bytes((n // seg + seg + 2) * (m + 1) * ctx.q, "DP tables need")
-    tbl = np.zeros((m + 1, ctx.q, 1), bool)
+    size, read = _pass_size(ctx, codes, m)
+    n, seg, flipped = len(codes), isqrt(len(codes)) + 1, size != m
+    require_table_bytes((n // seg + seg + 2) * (size + 1) * ctx.q, "DP tables need")
+    tbl = np.zeros((size + 1, ctx.q, 1), bool)
     tbl[0, 0, 0] = True  # the empty subset
     # Checkpoints at seg, 2*seg, ... and n: recovery reads only hi >= 1.
-    marks = {i: t.copy() for i, t in _steps(ctx, codes, m, tbl, n)
+    marks = {i: t.copy() for i, t in _steps(ctx, codes, size, tbl, n)
              if i and i % seg == 0 or i == n}
-    b = next((b for b in targets if tbl[m, b, 0]), None)
+    b = next((b for b in map(read, targets) if tbl[size, b, 0]), None)
     if b is None:
         return None
     picked, suffix = [], {}
@@ -169,12 +174,17 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
             # This segment's suffix tables i+1 .. hi, recomputed from the checkpoint at hi.
             hi = min(n, i + seg)
             suffix.clear()
-            suffix.update((j, t.copy()) for j, t in _steps(ctx, codes, m, marks.pop(hi), hi, i + 1))
+            suffix.update((j, t.copy())
+                          for j, t in _steps(ctx, codes, size, marks.pop(hi), hi, i + 1))
         rest = ctx.sub(b, x)
-        # len(picked) <= i, so this row is never one of the stale ones.
-        if suffix[i + 1][m - len(picked) - 1, rest, 0]:
+        # The pass's subset (on a flipped pass, the witness's complement) needs size
+        # more of codes[i:], summing to b; it has at most i, so no row read is stale.
+        # x joins the witness when that subset can be completed with x (flipped: without).
+        joins = suffix[i + 1][size, b, 0] if flipped else suffix[i + 1][size - 1, rest, 0]
+        if joins:
             picked.append(x)
-            b = rest
+        if joins != flipped:  # the pass's subset takes x
+            size, b = size - 1, rest
     return tuple(picked)
 
 

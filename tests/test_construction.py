@@ -453,17 +453,27 @@ def fresh_passes(monkeypatch):
 
 def test_one_pass_per_size(gf13, ex13, fresh_passes):
     # Both columns have a ratio; each size is one pass however many there are.
-    assert check_mds(ex13).is_mds and fresh_passes == [4, 3]
+    assert check_mds(ex13).is_mds and fresh_passes == [1, 2]  # sizes 4 and 3 of 5, flipped
     fresh_passes.clear()
     min_weight_census(ex13)
-    assert fresh_passes == [1, 2]  # sizes 4 and 3 of 5 points, read by complement
+    assert fresh_passes == [1, 2]
     fresh_passes.clear()
     assert check_mds(make_params(gf13, EX13_ALPHA, 5, [[1, 0], [5, 1]])).witness[0] == 1
-    assert fresh_passes == [4]  # a hit at size k-1: one pass, then recovery
+    assert fresh_passes == [1]  # a hit at size k-1: one pass, then recovery
     fresh_passes.clear()
     special = special_construction(gf13, 5, 1, FieldMatrix(gf13, EX13_MIX))
     min_weight_census(special)
     assert fresh_passes == []  # Li-Wan on F_q^*
+
+
+def test_check_mds_witness_beyond_half():
+    # k = 4090 on the 4095 units: the size-4089 witness comes from a pass at
+    # size 6 on the complement; the direct pass would need 2 GB of tables.
+    ctx = FieldCtx.from_order(4096)
+    mix = FieldMatrix(ctx, [[1, 1], [1, 2]])
+    m, j, subset = check_mds(special_construction(ctx, 4090, 1, mix)).witness
+    assert m == 1 and len(set(subset)) == len(subset) == 4089 and 0 not in subset
+    assert ctx.sum(subset) == ctx.div(mix.at(1, j - 1), mix.at(0, j - 1))
 
 
 def test_check_mds_zero_alpha(gf13):

@@ -227,6 +227,17 @@ def test_row_outlives_its_table(monkeypatch):
     assert row(1) == count_li_wan(ctx, STAR, 4, 1)
 
 
+def test_sizes_0_and_n_build_no_translation_row(monkeypatch):
+    # m = 0, and m = n through its complement, change no table row.
+    calls, translate = [], FieldCtx.translate
+    ctx, codes = FieldCtx(13), (3, 1, 4, 12, 5)  # sum 12
+    monkeypatch.setattr(FieldCtx, "translate", lambda c, y: calls.append(y) or translate(c, y))
+    assert [subset_row(ctx, codes, m)(b) for m, b in ((0, 0), (0, 1), (5, 12), (5, 0))] == [1, 0, 1, 0]
+    assert (find_subset(ctx, codes, 0, 1, 0), find_subset(ctx, codes, 5, 0, 12)) == ((), codes)
+    assert (count_dp(ctx, STAR, 0, 0), count_dp(ctx, STAR, 12, 0)) == (1, 1)
+    assert calls == []
+
+
 def test_complement_row_beyond_half():
     # m = 4090 of 4095 units: the direct table of 4091 rows would exceed the
     # 1 GiB cap; the complement needs 6 rows of one limb.
@@ -285,9 +296,9 @@ def test_shift_table_is_field_subtraction(q):
 
 def test_oversized_tables_refused_before_allocation():
     # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 129 bool
-    # tables of 3001*4096 bytes for the witness search: both above 1 GiB.
+    # tables of 2048*4096 bytes for the witness search: both above 1 GiB.
     ctx = FieldCtx.from_order(4096)
     with pytest.raises(TableTooLarge):
         count_dp(ctx, STAR, 2000, 1)
     with pytest.raises(TableTooLarge):
-        find_subset(ctx, STAR, 3000, 1)
+        find_subset(ctx, STAR, 2047, 1)
