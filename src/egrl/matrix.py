@@ -127,6 +127,8 @@ class FieldMatrix:
         pivots: list[int] = []
         det, r = 1, 0
         for c in range(self.cols):
+            if r == self.rows:  # every row has its pivot (at once for a 0-row matrix)
+                break
             pivot_row = next((i for i in range(r, self.rows) if work[i][c]), None)
             if pivot_row is None:
                 continue
@@ -143,8 +145,6 @@ class FieldMatrix:
                     work[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[i], work[r])]
             pivots.append(c)
             r += 1
-            if r == self.rows:
-                break
         return work, pivots, det
 
     def rref(self) -> "FieldMatrix":
