@@ -40,6 +40,7 @@ from .linear import (
     WeightDistribution,
     ZeroCode,
     macwilliams,
+    nmds_distribution,
 )
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
 from .construction import (
@@ -48,7 +49,6 @@ from .construction import (
     UnsupportedShape,
     check_ell,
     check_mds,
-    dual_min_weight_count,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
@@ -56,7 +56,6 @@ from .construction import (
     params_from_text,
     parity_check_matrix,
     special_construction,
-    special_k_range,
     special_nmds_distribution,
 )
 
@@ -371,49 +370,32 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
     )
 
 
-def _sweep_random_checks(params: EgrlParams, budget: int, failures: list, tag: str):
+def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
+    """Check G H^T = 0, rank H, both criteria and, with nonzero points, A_min, both
+    distributions and (small duals) the support patterns against one census."""
     g = generator_matrix(params)
     # One walk, before H's O(n**2) build, so the budget refuses first.
     primal, dual_dist = LinearCode(g)._both_distributions(budget)
-    if 4 <= params.k <= params.n - 1:
-        h = parity_check_matrix(params)
-        if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
-            failures.append(f"{tag}: parity-check identity failed")
+    h = parity_check_matrix(params)
+    if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
+        failures.append(f"{tag}: parity-check identity failed")
     cls = CodeClass.from_distributions(params.k, primal, dual_dist)
     agreement = _brute_agreement(check_mds(params), cls)
     for key, name in (("mds", "MDS"), ("dual_amds", "dual-AMDS")):
         if not agreement[key]:
             failures.append(f"{tag}: {name} criterion disagrees with brute force")
-    if 0 not in params.alpha:
-        _closed_form_checks(params, primal, dual_dist, budget, failures, tag)
-
-
-def _closed_form_checks(params: EgrlParams, primal: WeightDistribution,
-                        dual_dist: WeightDistribution, budget: int, failures: list, label: str):
-    """A_min, both distributions and (when small) the support-pattern census
-    against the enumerated distributions, for an ell = 2, t = 0 instance with
-    nonzero points."""
-    k = params.k
-    amin = dual_min_weight_count(params)
-    if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
-        failures.append(f"{label}: minimum-weight census disagrees with brute force")
+    if 0 in params.alpha:
         return
-    if special_nmds_distribution(params) != (primal, dual_dist):
-        failures.append(f"{label}: closed-form distribution disagrees with brute force")
+    k, census = params.k, min_weight_census(params)
+    amin = sum(census.values())
+    if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
+        failures.append(f"{tag}: minimum-weight census disagrees with brute force")
+        return
+    if nmds_distribution(params.length, k, params.ctx, amin) != (primal, dual_dist):
+        failures.append(f"{tag}: closed-form distribution disagrees with brute force")
     if params.q ** (params.length - k) <= min(budget, _CENSUS_LIMIT):
-        if dual_support_pattern_census(params, budget) != min_weight_census(params):
-            failures.append(f"{label}: support-pattern census disagrees")
-
-
-def _sweep_special_checks(ctx: FieldCtx, k: int, budget: int, failures: list, tag: str):
-    cases = [(name, 1, FieldMatrix.from_flat(ctx, 2, 2, vals), "ascending")
-             for name, vals in _SWEEP_MIX_PATTERNS]
-    if (ctx.q, k) == (9, 5):
-        cases.append(("golden", 2, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 2, 1]), "generator"))
-    for name, b, mix, order in cases:
-        sp = special_construction(ctx, k, b, mix, order)
-        _closed_form_checks(sp, *egrl_code(sp)._both_distributions(budget), budget, failures,
-                            f"{tag}[{name}]")
+        if dual_support_pattern_census(params, budget) != census:
+            failures.append(f"{tag}: support-pattern census disagrees")
 
 
 def cmd_sweep(args) -> Report:
@@ -435,9 +417,13 @@ def cmd_sweep(args) -> Report:
             before = len(failures)
             for trial in range(args.trials):
                 params = _random_instance(ctx, k, rng)
-                _sweep_random_checks(params, args.budget, failures, f"q={q} k={k} trial={trial}")
-            if k in special_k_range(ctx):
-                _sweep_special_checks(ctx, k, args.budget, failures, f"q={q} k={k} special")
+                _check_instance(params, args.budget, failures, f"q={q} k={k} trial={trial}")
+            specials = [(name, 1, vals, "ascending") for name, vals in _SWEEP_MIX_PATTERNS]
+            if (q, k) == (9, 5):
+                specials.append(("golden", 2, [1, 1, 2, 1], "generator"))
+            for name, b, vals, order in specials:
+                sp = special_construction(ctx, k, b, FieldMatrix.from_flat(ctx, 2, 2, vals), order)
+                _check_instance(sp, args.budget, failures, f"q={q} k={k} special[{name}]")
             records.append({"q": q, "k": k, "new_failures": len(failures) - before})
     instance = {"q_list": qs, "k_list": ks, "trials": args.trials, "seed": args.seed}
     results = {"records": records, "failures": failures,

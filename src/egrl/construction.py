@@ -14,12 +14,13 @@ explicit parity-check matrix, MDS / dual-AMDS criteria decided by
 subset-sum counting (no subset enumeration), and -- for every instance
 with nonzero evaluation points -- exact minimum-weight counts and full
 weight distributions: the NMDS expansion seeded with the counted A_min,
-which at A_min = 0 is the MDS distribution.  The special instances on all
-of F_q^* with unit multipliers are NMDS by the source paper; for other
-point sets and multipliers the closed form is checked against brute force
-(on 438,353 instances, q <= 27, when it was introduced), not proven.  Other
-(ell, t) shapes are constructible and brute-force classifiable, but the
-criterion operations refuse them rather than extrapolate.
+which at A_min = 0 is the MDS distribution.  EgrlParams holds the one range
+rule, 3 <= k <= n <= q and 0 <= t <= k-3.  The source paper proves the
+special instances (all of F_q^*, unit multipliers) NMDS for 5 <= k <= q-2
+in characteristic 2, else 4 <= k <= q-1; at other k, and for other points
+or multipliers, the closed form is checked against brute force (438,353
+instances, q <= 27, when introduced), not proven.  Other (ell, t) shapes are
+constructible and brute-force classifiable; the criteria refuse them.
 """
 
 from __future__ import annotations
@@ -164,14 +165,20 @@ def _int(x) -> int:
     return int(x)
 
 
+def _ints(x) -> list[int]:
+    if not isinstance(x, list):  # a string would be read one character per code
+        raise TypeError(f"expected a list, got {json.dumps(x)}")
+    return [_int(c) for c in x]
+
+
 def params_from_dict(d: dict) -> EgrlParams:
     try:  # a value of the wrong JSON type: a string, number or list where another belongs
         ctx = FieldCtx.from_text(d["field"])
         ell, k = _int(d.get("ell", 2)), _int(d["k"])
         check_ell(ell, k)
-        mix = FieldMatrix.from_flat(ctx, ell, ell, [_int(x) for x in d["M"]])
+        mix = FieldMatrix.from_flat(ctx, ell, ell, _ints(d["M"]))
         n, t = _int(d["n"]), _int(d.get("t", 0))
-        alpha, v = tuple(map(_int, d["alpha"])), tuple(map(_int, d["v"]))
+        alpha, v = _ints(d["alpha"]), _ints(d["v"])
         b = _int(d["b"])
     except (AttributeError, TypeError, OverflowError) as exc:
         raise InvalidParams(f"malformed instance: {exc}") from None
@@ -310,7 +317,7 @@ def _completion_row(params: EgrlParams, top: list[int], r_mat: FieldMatrix) -> l
 
 
 def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
-    """The (n-k+3) x (n+3) parity-check matrix for ell = 2, t = 0, 4 <= k <= n-1.
+    """The (n-k+3) x (n+3) parity-check matrix for ell = 2, t = 0 and any 3 <= k <= n.
 
     The last n-k+2 rows are (u_i/v_i) * alpha_i**j for j = 0..n-k+1, with
 
@@ -323,12 +330,11 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     special construction -- and otherwise a completion row built from the
     u coefficients and the top k coefficients of P(x) = prod_s (x - alpha_s),
     since the classical row annihilates no general instance.  Either way
-    G H^T = 0 and rank(H) = n+3-k.
+    G H^T = 0 and rank(H) = n+3-k; the paper states the form for
+    4 <= k <= n-1, and k = 3 and k = n are checked, not proven.
     """
     _require_shape(params)
     ctx, n, k = params.ctx, params.n, params.k
-    if not 4 <= k <= n - 1:
-        raise RangeViolation(f"parity-check form needs 4 <= k <= n-1, got k={k}, n={n}")
     base = [ctx.div(us, vs) for us, vs in zip(compute_u(ctx, params.alpha), params.v)]
     powers = _power_rows(ctx, base, params.alpha, n - k + 3)
     minus_one = ctx.neg(1)
@@ -383,30 +389,18 @@ def check_mds(params: EgrlParams) -> MdsReport:
 # -- the special construction on all of F_q^* ---------------------------------
 
 
-def special_k_range(ctx: FieldCtx) -> range:
-    """Dimensions covered by the closed weight theory for this field."""
-    if ctx.p == 2:
-        return range(5, ctx.q - 1)
-    return range(4, ctx.q)
-
-
 def special_construction(
     ctx: FieldCtx, k: int, b: int, mix: FieldMatrix, order: str = "ascending"
 ) -> EgrlParams:
     """The instance evaluated on all of F_q^* with unit multipliers.
 
-    Needs 5 <= k <= q-2 in characteristic 2, else 4 <= k <= q-1.  The
+    Any 3 <= k <= q-1 builds.  NMDS is proven for 5 <= k <= q-2 in
+    characteristic 2, else 4 <= k <= q-1; elsewhere the closed form is
+    checked by brute force, as for every instance with nonzero points.  The
     evaluation points default to ascending element code; order="generator"
     lists them as consecutive powers of the smallest primitive element.
     Weight data does not depend on the ordering.
     """
-    kr = special_k_range(ctx)
-    if k not in kr:
-        char = "characteristic 2" if ctx.p == 2 else "odd characteristic"
-        raise RangeViolation(
-            f"k={k} outside the supported range for GF({ctx.q}): "
-            f"{char} requires {kr.start} <= k <= {kr.stop - 1}"
-        )
     if order == "ascending":
         alpha = ctx.units()
     elif order == "generator":

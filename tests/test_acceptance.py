@@ -27,7 +27,6 @@ from egrl.construction import (
     generator_matrix,
     parity_check_matrix,
     special_construction,
-    special_k_range,
     special_nmds_distribution,
 )
 
@@ -230,9 +229,7 @@ def _special_sweep_instances():
     rng = random.Random(7_2304)
     for q in (5, 7, 8, 9, 11, 13):
         ctx = FieldCtx.from_order(q)
-        for k in (4, 5):
-            if k not in special_k_range(ctx):
-                continue
+        for k in range(3, min(5, q - 1) + 1):
             mixes = [
                 FieldMatrix.from_flat(ctx, 2, 2, vals)
                 for vals in ([1, 1, 1, 2], [1, 0, 1, 1], [1, 0, 0, 1])

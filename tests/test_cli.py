@@ -356,6 +356,19 @@ def test_instance_file_roundtrip(capsys, tmp_path):
     assert "MDS: true" in out
 
 
+def test_json_report_instance_loads_back(capsys, tmp_path):
+    # A --json report's instance block (decimal strings, lists of them) is
+    # itself an --instance document for the same code.
+    argv = ["--q", "9", "--mod", "2,1,1", "--k", "5", "--b", "2", "--M", "1,1,2,1", "--special"]
+    rc, out, _ = run(capsys, "classify", *argv, "--verify", "--json")
+    instance = json.loads(out)["instance"]
+    assert rc == 0 and instance["k"] == "5" and instance["alpha"][0] == "1"
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    assert run(capsys, "classify", "--instance", str(inst), "--verify") == \
+        run(capsys, "classify", *argv, "--verify")
+
+
 @pytest.mark.parametrize("header", ["q=9", "p=3 s=2 mod=2,1,1 extra", "p=3 s=x mod=2,1,1"])
 @pytest.mark.parametrize("form", ["text", "json"])
 def test_instance_malformed_field_header_exit2(capsys, tmp_path, header, form):
@@ -687,8 +700,11 @@ def test_instance_json_value_types_exit_documented(tmp_path_factory, changed, dr
     ("--instance", json.dumps({**_INSTANCE, "n": 5.9})),
     ("--instance", json.dumps({**_INSTANCE, "v": [True, 1, 1, 1, 1]})),
     ("--instance", json.dumps({**_INSTANCE, "alpha": [1.5, 2, 7, 8, 9]})),
+    # Iterating a string would read these one character per code.
+    ("--instance", json.dumps({**_INSTANCE, "alpha": "12789"})),
+    ("--instance", json.dumps({**_INSTANCE, "M": "1051"})),
 ], ids=["empty-generator", "field-int", "alpha-int", "n-list", "b-infinity",
-        "n-float", "v-bool", "alpha-float"])
+        "n-float", "v-bool", "alpha-float", "alpha-string", "M-string"])
 def test_malformed_input_files_exit2(capsys, tmp_path, path, text):
     target = tmp_path / "input"
     target.write_text(text)
@@ -758,20 +774,24 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a21-zero", "a12-zero", "a11-zero"
 
 @pytest.mark.parametrize("name,fake,line", [
     ("parity_check_matrix", lambda real: lambda p: FieldMatrix.identity(p.ctx, p.n + 3),
-     "trial=0: parity-check identity failed"),
-    ("dual_min_weight_count", lambda real: lambda p: real(p) + 1,
-     "special[{}]: minimum-weight census disagrees with brute force"),
-    ("special_nmds_distribution", lambda real: lambda p: real(p)[::-1],
-     "special[{}]: closed-form distribution disagrees with brute force"),
+     "parity-check identity failed"),
     ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
-     "special[{}]: support-pattern census disagrees"),
+     "minimum-weight census disagrees with brute force"),
+    ("nmds_distribution", lambda real: lambda *a: real(*a)[::-1],
+     "closed-form distribution disagrees with brute force"),
+    ("dual_support_pattern_census",
+     lambda real: lambda p, budget: {**real(p, budget), (True, True, True): 1},
+     "support-pattern census disagrees"),
 ], ids=["parity-check", "census", "closed-form", "support-pattern"])
 def test_sweep_failure_lines_exit4(capsys, monkeypatch, name, fake, line):
-    # Each check's failure line, forced by one broken library function as the CLI sees it.
+    # Each check's failure line, forced by one broken library function as the CLI
+    # sees it.  Every instance takes the one check path; the trial holds the
+    # point 0 (n = q), so of these only the parity check reaches it.
     monkeypatch.setattr(egrl.cli, name, fake(getattr(egrl.cli, name)))
     rc, out, err = run(capsys, "sweep", "--q-list", "5", "--k-list", "4", "--trials", "1")
-    fails = [f"FAIL q=5 k=4 {line.format(pattern)}"
-             for pattern in (_SWEEP_PATTERNS if "{}" in line else [None])]
+    trial = ["trial=0"] if name == "parity_check_matrix" else []
+    fails = [f"FAIL q=5 k=4 {tag}: {line}"
+             for tag in trial + [f"special[{pattern}]" for pattern in _SWEEP_PATTERNS]]
     assert (rc, err) == (4, "")
     assert out.splitlines() == [f"q=5 k=4: {len(fails)} new failures", *fails,
                                 f"{len(fails)} disagreements"]

@@ -32,7 +32,6 @@ from egrl.construction import (
     params_from_text,
     parity_check_matrix,
     special_construction,
-    special_k_range,
     special_nmds_distribution,
 )
 
@@ -359,19 +358,20 @@ def test_parity_check_pinned_special(gf7):
     ]
 
 
-_H_FIELDS = {q: FieldCtx.from_order(q) for q in (5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)}
+_H_FIELDS = {q: FieldCtx.from_order(q)
+             for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)}
 
 
 @st.composite
 def h_instances(draw):
     q = draw(st.sampled_from(sorted(_H_FIELDS)))
     ctx = _H_FIELDS[q]
-    alpha = draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=q, unique=True))
+    alpha = draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=q, unique=True))
     n = len(alpha)
     mix = FieldMatrix.from_flat(ctx, 2, 2, draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)))
     assume(mix.det() != 0)
     return EgrlParams(
-        ctx=ctx, n=n, k=draw(st.integers(4, n - 1)), ell=2, t=0, alpha=tuple(alpha),
+        ctx=ctx, n=n, k=draw(st.integers(3, n)), ell=2, t=0, alpha=tuple(alpha),
         v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
         b=draw(st.integers(1, q - 1)), mix=mix,
     )
@@ -379,7 +379,13 @@ def h_instances(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(h_instances())
+@example(make_params(FieldCtx.from_order(32), (0, 5, 17, 30), 3, [[0, 3], [7, 1]],
+                     b=9, v=(2, 31, 1, 6)))  # k = 3, a zero point, characteristic 2
+@example(make_params(FieldCtx(29), (3, 0, 11, 28, 7, 19), 6, [[4, 1], [1, 3]],
+                     b=2, v=(5, 1, 9, 27, 2, 14)))  # k = n, a zero point
+@example(make_params(FieldCtx(7), (1, 2, 3, 4, 5, 6), 3, [[1, 1], [1, 2]]))  # k = 3, classical row
 def test_parity_check_property(p):
+    # The form holds at every 3 <= k <= n, not only the paper's 4 <= k <= n-1.
     h = parity_check_matrix(p)
     assert generator_matrix(p).matmul(h.transpose()).is_zero()
     assert h.rank() == p.n + 3 - p.k
@@ -392,8 +398,10 @@ def test_parity_check_shape_refusals(gf13):
     p2 = make_params(gf13, (1, 2, 3, 4, 5, 6), 5, EX13_MIX, t=1)
     with pytest.raises(UnsupportedShape):
         parity_check_matrix(p2)
-    with pytest.raises(RangeViolation):
-        parity_check_matrix(make_params(gf13, (1, 2, 3, 4, 5), 5, EX13_MIX))  # k = n
+    p3 = make_params(gf13, (1, 2, 3, 4, 5), 5, EX13_MIX)  # k = n: accepted, 3 x 8
+    h = parity_check_matrix(p3)
+    assert (h.rows, h.cols) == (3, 8)
+    assert generator_matrix(p3).matmul(h.transpose()).is_zero() and h.rank() == 3
 
 
 # -- MDS / dual-AMDS criteria ---------------------------------------------------------
@@ -556,14 +564,18 @@ def test_special_construction_orders(gf9):
 
 
 def test_special_construction_range(gf8, gf5):
-    mix8 = FieldMatrix(gf8, [[1, 1], [1, 2]])
-    with pytest.raises(RangeViolation):
-        special_construction(gf8, 4, 1, mix8)  # char 2 needs k >= 5
-    with pytest.raises(RangeViolation):
-        special_construction(gf8, 7, 1, mix8)  # char 2 needs k <= q-2
-    mix5 = FieldMatrix(gf5, [[1, 1], [1, 2]])
-    p = special_construction(gf5, 4, 1, mix5)  # odd char boundary k = q-1
-    assert (p.n, p.k) == (4, 4)
+    # EgrlParams is the only range rule: any 3 <= k <= q-1 builds, outside the
+    # paper's NMDS range too (char 2: 5 <= k <= q-2), and the formula is exact.
+    for ctx, k in ((gf8, 3), (gf8, 4), (gf8, 7), (gf5, 3), (gf5, 4)):
+        p = special_construction(ctx, k, 1, FieldMatrix(ctx, [[1, 1], [1, 2]]))
+        assert (p.n, p.k) == (ctx.q - 1, k)
+        brute = egrl_code(p).weight_distribution()
+        assert special_nmds_distribution(p) == (brute, macwilliams(brute, k, ctx))
+    for k, reason in ((2, r"need 0 <= t <= k-3"), (8, r"need k <= n <= q")):
+        with pytest.raises(RangeViolation, match=reason):
+            special_construction(gf8, k, 1, FieldMatrix(gf8, [[1, 1], [1, 2]]))
+    with pytest.raises(RangeViolation, match=r"need k <= n <= q"):
+        special_construction(gf5, 5, 1, FieldMatrix(gf5, [[1, 1], [1, 2]]))
 
 
 def test_closed_form_beyond_special_instances(gf9, ex9):
@@ -670,7 +682,7 @@ def test_special_nmds_distribution_matches_bruteforce(q, k):
 @st.composite
 def special_instances(draw):
     ctx = _H_FIELDS[draw(st.sampled_from([5, 7, 8, 9, 11, 13]))]
-    k = draw(st.sampled_from([k for k in special_k_range(ctx) if ctx.q**k <= 1 << 17]))
+    k = draw(st.sampled_from([k for k in range(3, ctx.q) if ctx.q**k <= 1 << 17]))
     # A filter, not a redraw loop, which trips the large_base_example health check.
     mix = draw(st.lists(st.integers(0, ctx.q - 1), min_size=4, max_size=4)
                .map(lambda vals: FieldMatrix.from_flat(ctx, 2, 2, vals))
