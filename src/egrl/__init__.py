@@ -11,7 +11,6 @@ from .field import (
     CtxMismatch,
     FieldCtx,
     FieldError,
-    NoPrimitive,
     NonMonic,
     ReducibleModulus,
     ZeroInverse,

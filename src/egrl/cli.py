@@ -193,7 +193,7 @@ def _emit_report(args, report: Report, started: float) -> int:
 def _build_ctx(args) -> FieldCtx:
     if args.q is None:
         raise InvalidParams("an instance needs --q (or --instance FILE)")
-    modulus = _int_list(args.mod) if args.mod else None
+    modulus = None if args.mod is None else _int_list(args.mod)
     return FieldCtx.from_order(args.q, modulus)
 
 
@@ -220,7 +220,7 @@ def _load_instance(args) -> EgrlParams:
     n = len(alpha)
     if args.n is not None and args.n != n:
         raise InvalidParams(f"--n {args.n} disagrees with {n} evaluation points")
-    v = tuple(_int_list(args.v)) if args.v else (1,) * n
+    v = (1,) * n if args.v is None else tuple(_int_list(args.v))
     check_ell(args.ell, args.k)
     return EgrlParams(
         ctx=ctx, n=n, k=args.k, ell=args.ell, t=args.t, alpha=alpha, v=v, b=args.b,

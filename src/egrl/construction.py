@@ -171,8 +171,20 @@ def _ints(x) -> list[int]:
     return [_int(c) for c in x]
 
 
+def _unique_keys(pairs) -> dict:
+    """The document's (key, value) pairs as a dict; a repeated key is refused."""
+    d: dict = {}
+    for key, value in pairs:
+        if key in d:
+            raise InvalidParams(f"malformed instance: repeated key {key!r}")
+        d[key] = value
+    return d
+
+
 def params_from_dict(d: dict) -> EgrlParams:
     try:  # a value of the wrong JSON type: a string, number or list where another belongs
+        if unknown := sorted(set(d) - {"field", "n", "k", "ell", "t", "alpha", "v", "b", "M"}):
+            raise InvalidParams(f"malformed instance: unknown key {unknown[0]!r}")
         ctx = FieldCtx.from_text(d["field"])
         ell, k = _int(d.get("ell", 2)), _int(d["k"])
         check_ell(ell, k)
@@ -189,14 +201,10 @@ def params_from_text(text: str) -> EgrlParams:
     """Parse the canonical instance document (text or JSON form)."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return params_from_dict(json.loads(stripped))
-    d: dict = {}
-    for line in stripped.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        d[key.strip()] = value.strip()
+        return params_from_dict(json.loads(stripped, object_pairs_hook=_unique_keys))
+    lines = [line.strip() for line in stripped.splitlines()]
+    pairs = [line.partition(":")[::2] for line in lines if line and not line.startswith("#")]
+    d = _unique_keys((key.strip(), value.strip()) for key, value in pairs)
     for key in ("alpha", "v", "M"):
         d[key] = [int(x) for x in d[key].split(",")]
     return params_from_dict(d)

@@ -90,10 +90,6 @@ class CtxMismatch(FieldError):
     """Operands belong to different field contexts."""
 
 
-class NoPrimitive(FieldError):
-    """No primitive element exists (only for q = 2)."""
-
-
 class TableTooLarge(FieldError):
     """A numpy table would take more than MAX_TABLE_BYTES."""
 
@@ -404,30 +400,11 @@ class FieldCtx:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroInverse("0 has no multiplicative inverse")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
     # -- enumeration -----------------------------------------------------------
-
-    def elements(self) -> list[int]:
-        """Codes of all q elements, ascending."""
-        return list(range(self.q))
 
     def units(self) -> list[int]:
         """Codes of the q-1 nonzero elements, ascending."""
         return list(range(1, self.q))
-
-    def primitive_element(self) -> int:
-        """Smallest-code element of multiplicative order q-1."""
-        if self.q == 2:
-            raise NoPrimitive("GF(2) has a trivial unit group")
-        return self._exp[1]
 
     def generator_powers(self) -> list[int]:
         """[w**0, w**1, ..., w**(q-2)] for the smallest-code primitive w."""

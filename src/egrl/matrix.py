@@ -147,10 +147,6 @@ class FieldMatrix:
             r += 1
         return work, pivots, det
 
-    def rref(self) -> "FieldMatrix":
-        work, _, _ = self._rref_pivots()
-        return FieldMatrix(self.ctx, work, cols=self.cols)
-
     def rank(self) -> int:
         return len(self._rref_pivots()[1])
 

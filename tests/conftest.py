@@ -231,11 +231,19 @@ def cofactor_det(ctx: FieldCtx, rows) -> int:
     return acc
 
 
+def power(ctx: FieldCtx, a: int, e: int) -> int:
+    """a**e for e >= 0 by e repeated multiplications (0**0 = 1)."""
+    acc = 1
+    for _ in range(e):
+        acc = ctx.mul(acc, a)
+    return acc
+
+
 def modified_vandermonde(ctx: FieldCtx, xs) -> FieldMatrix:
     """Rows 1, x, ..., x**(n-2), then x**n (the x**(n-1) row skipped)."""
     n = len(xs)
-    rows = [[ctx.pow(x, e) for x in xs] for e in range(n - 1)]
-    rows.append([ctx.pow(x, n) for x in xs])
+    rows = [[power(ctx, x, e) for x in xs] for e in range(n - 1)]
+    rows.append([power(ctx, x, n) for x in xs])
     return FieldMatrix(ctx, rows)
 
 

@@ -384,6 +384,29 @@ def test_instance_malformed_field_header_exit2(capsys, tmp_path, header, form):
                   f"got {header!r}\n"
 
 
+@pytest.mark.parametrize("extra,line", [
+    ([("k", 3)], "repeated key 'k'"),
+    ([("bogus", 7)], "unknown key 'bogus'"),
+], ids=["repeated", "unknown"])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_instance_repeated_or_unknown_key_exit2(capsys, tmp_path, extra, line, form):
+    pairs = [("field", "p=13 s=1 mod=0,1"), ("n", 5), ("k", 5), ("alpha", [1, 2, 7, 8, 9]),
+             ("v", [1, 1, 1, 1, 1]), ("b", 1), ("M", [1, 1, 1, 2])] + extra
+
+    def document(pairs):
+        if form == "json":
+            return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+        return "\n".join(f"{key}: {','.join(map(str, val)) if isinstance(val, list) else val}"
+                         for key, val in pairs)
+
+    inst = tmp_path / "inst"
+    inst.write_text(document(pairs))
+    rc, out, err = run(capsys, "construct", "--instance", str(inst))
+    assert (rc, out, err) == (2, "", f"InvalidParams: malformed instance: {line}\n")
+    inst.write_text(document(pairs[:-1]))
+    assert run(capsys, "construct", "--instance", str(inst))[0] == 0
+
+
 @pytest.mark.parametrize("ell", [-1, 0, 6])
 def test_instance_bad_ell_refused_before_mixing_matrix(capsys, tmp_path, ell):
     doc = {"field": "p=13 s=1 mod=0,1", "n": 5, "k": 5, "ell": ell, "t": 0,
@@ -417,8 +440,13 @@ def test_missing_instance_flags_exit2(capsys):
       "--M", "1,1,1,2"], "RangeViolation: need 1 <= ell <= k, got ell=5, k=4"),
     (["construct", "--instance", "p13.txt"],
      "ValueError: prime fields take the placeholder modulus (0, 1)"),
+    # An empty value is a value, not an absent flag.
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5", "--v", "", "--b", "1",
+      "--M", "1,1,1,2"], "RangeViolation: alpha and v must have length n=5, got 5 and 0"),
+    (["construct", "--q", "13", "--mod", "", "--k", "4", "--alpha", "1,2,3,4,5", "--b", "1",
+      "--M", "1,1,1,2"], "ValueError: prime fields take the placeholder modulus (0, 1)"),
 ], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero",
-        "ell-negative", "ell-above-k", "prime-field-modulus"])
+        "ell-negative", "ell-above-k", "prime-field-modulus", "empty-v", "empty-mod"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")
@@ -626,9 +654,7 @@ def test_subsetsum_modulus_text_exits(case):
     q, coeffs = case
     p, s = _ORDERS[q]
     f = tuple(c % p for c in coeffs)
-    if not coeffs:
-        accepted = True
-    elif s == 1:
+    if s == 1:  # an empty --mod= is a modulus too, and refused
         accepted = coeffs == [0, 1]  # compared before reduction mod p
     else:
         accepted = len(f) == s + 1 and f[-1] == 1 and poly_is_irreducible(p, f)

@@ -63,14 +63,15 @@ def test_rref_rank_nullspace_properties():
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 6)
             m = FieldMatrix(ctx, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
-            r = m.rref()
+            work, pivots, _ = m._rref_pivots()
+            r = FieldMatrix(ctx, work, cols=cols)
             rank = m.rank()
-            assert r.rank() == rank
+            assert r.rank() == rank == len(pivots)
             assert sum(1 for i in range(r.rows) if any(r.row(i))) == rank
             ns = m.null_space()
             assert ns.rows == cols - rank
             assert m.matmul(ns.transpose()).is_zero()
-            assert r.rref() == r
+            assert r._rref_pivots()[:2] == (work, pivots)
 
 
 def test_nullspace_repetition_parity(gf2):

@@ -42,7 +42,7 @@ def test_char2_pair_vanishing(gf4):
 
 
 def test_singletons(gf7):
-    for b in gf7.elements():
+    for b in range(gf7.q):
         assert count_li_wan(gf7, FULL, 1, b) == 1
 
 
