@@ -47,12 +47,12 @@ from .construction import (
     EgrlParams,
     InvalidParams,
     UnsupportedShape,
-    check_ell,
     check_mds,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
     min_weight_census,
+    mix_from_entries,
     params_from_text,
     parity_check_matrix,
     special_construction,
@@ -183,7 +183,8 @@ def _emit_report(args, report: Report, started: float) -> int:
             print(json.dumps(doc, sort_keys=True, indent=2))
         else:
             out = getattr(args, "out", None)
-            with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext() as fh:
+            with (contextlib.nullcontext() if out is None
+                  else open(out, "w", encoding="utf-8")) as fh:
                 print("\n".join(args.text(report)), file=fh)
     if report.agreement and not all(report.agreement.values()):
         return EXIT_MISMATCH
@@ -197,34 +198,26 @@ def _build_ctx(args) -> FieldCtx:
     return FieldCtx.from_order(args.q, modulus)
 
 
-def _mix_from_flag(ctx: FieldCtx, text: str, ell: int) -> FieldMatrix:
-    vals = _int_list(text)
-    if len(vals) != ell * ell:
-        raise InvalidParams(f"--M needs {ell * ell} row-major entries, got {len(vals)}")
-    return FieldMatrix.from_flat(ctx, ell, ell, vals)
-
-
 def _load_instance(args) -> EgrlParams:
-    if args.instance:
+    if args.instance is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
             return params_from_text(fh.read())
+    if args.order is not None and not args.special:
+        raise InvalidParams("--order needs --special")
     ctx = _build_ctx(args)
-    if args.special:
-        if args.k is None or args.b is None or args.M is None:
-            raise InvalidParams("--special needs --k, --b and --M")
-        order = {"asc": "ascending", "gen": "generator"}[args.order]
-        return special_construction(ctx, args.k, args.b, _mix_from_flag(ctx, args.M, 2), order)
-    if args.alpha is None or args.k is None or args.b is None or args.M is None:
-        raise InvalidParams("an inline instance needs --alpha, --k, --b and --M")
-    alpha = tuple(_int_list(args.alpha))
+    if None in (args.k, args.b, args.M) or args.special == (args.alpha is not None):
+        raise InvalidParams(
+            "an inline instance needs --k, --b, --M and one of --alpha and --special")
+    # --special only picks the points, all of F_q^*; the other flags read as without it.
+    alpha = ((ctx.generator_powers() if args.order == "gen" else ctx.units()) if args.special
+             else _int_list(args.alpha))
     n = len(alpha)
     if args.n is not None and args.n != n:
         raise InvalidParams(f"--n {args.n} disagrees with {n} evaluation points")
-    v = (1,) * n if args.v is None else tuple(_int_list(args.v))
-    check_ell(args.ell, args.k)
+    v = (1,) * n if args.v is None else _int_list(args.v)
     return EgrlParams(
         ctx=ctx, n=n, k=args.k, ell=args.ell, t=args.t, alpha=alpha, v=v, b=args.b,
-        mix=_mix_from_flag(ctx, args.M, args.ell),
+        mix=mix_from_entries(ctx, args.ell, args.k, _int_list(args.M)),
     )
 
 
@@ -242,7 +235,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--t", type=int, default=0, help="carried coefficient index (default 0)")
     sub.add_argument("--special", action="store_true", help="evaluate on all of F_q^*")
     sub.add_argument(
-        "--order", choices=("asc", "gen"), default="asc",
+        "--order", choices=("asc", "gen"),
         help="evaluation-point order for --special: ascending codes or generator powers",
     )
 
@@ -295,7 +288,7 @@ def cmd_classify(args) -> Report:
 
 
 def cmd_weights(args) -> Report:
-    if args.generator:
+    if args.generator is not None:
         if args.method != "brute":
             raise InvalidParams("a raw generator file supports --method brute only")
         ctx = _build_ctx(args)

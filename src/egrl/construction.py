@@ -78,6 +78,14 @@ def check_ell(ell: int, k: int) -> None:
         raise RangeViolation(f"need 1 <= ell <= k, got ell={ell}, k={k}")
 
 
+def mix_from_entries(ctx: FieldCtx, ell: int, k: int, entries: Sequence[int]) -> FieldMatrix:
+    """The ell x ell mixing matrix from row-major codes: ell is checked, then the count."""
+    check_ell(ell, k)
+    if len(entries) != ell * ell:
+        raise InvalidParams(f"M needs {ell * ell} row-major entries, got {len(entries)}")
+    return FieldMatrix.from_flat(ctx, ell, ell, entries)
+
+
 @dataclass(frozen=True)
 class EgrlParams:
     """One EGRL instance: (ctx, n, k, ell, t, alpha, v, b, mix).
@@ -187,8 +195,7 @@ def params_from_dict(d: dict) -> EgrlParams:
             raise InvalidParams(f"malformed instance: unknown key {unknown[0]!r}")
         ctx = FieldCtx.from_text(d["field"])
         ell, k = _int(d.get("ell", 2)), _int(d["k"])
-        check_ell(ell, k)
-        mix = FieldMatrix.from_flat(ctx, ell, ell, _ints(d["M"]))
+        mix = mix_from_entries(ctx, ell, k, _ints(d["M"]))
         n, t = _int(d["n"]), _int(d.get("t", 0))
         alpha, v = _ints(d["alpha"]), _ints(d["v"])
         b = _int(d["b"])

@@ -23,7 +23,7 @@ the default-modulus search and the antilog doubling all read one list of
 squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
 subset-sum DP and code enumeration): ``translate`` adds a row of the low
 digits' translation table to one of the high digits' (``_digit_table``, at
-most 3.6 MiB), and ``add_table`` stacks all q rows on each call.  Field
+most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  Field
 orders are capped at q <= 2**16 (``MAX_ORDER``), and one numpy table build,
 the DP's or ``add_table``'s, at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``).
 
@@ -412,18 +412,12 @@ class FieldCtx:
 
     # -- vectorized tables (internal; used by enumeration and the DP) ---------
 
-    def translate(self, y):
-        """The row [t + y for t in range(q)] for a code y; for an int array
-        of codes, their rows stacked, shape (len(y), q); uint16 either way.
-
-        Addition carries no digit over, so the row is the outer sum of the
-        rows for y's high and low digits in their groups' tables.
-        """
+    def translate(self, y: int) -> np.ndarray:
+        """The uint16 row [t + y for t in range(q)] for a code y: addition carries no
+        digit over, so it is the outer sum of y's high and low digits' table rows."""
         low, high = self._tables.digit
         size = low.shape[-1]
-        if isinstance(y, (int, np.integer)):
-            return (high[y // size][:, None] + low[y % size]).reshape(self.q)
-        return (high[y // size][:, :, None] + low[y % size][:, None, :]).reshape(len(y), self.q)
+        return (high[y // size][:, None] + low[y % size]).reshape(self.q)
 
     def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
         # Rows v -> [c + v for c] over the low k = ceil(s/2) digits' n = p**k codes
@@ -438,10 +432,12 @@ class FieldCtx:
         return tuple(out)
 
     def add_table(self) -> np.ndarray:
-        """q-by-q uint16 numpy table with ADD[a, b] = a + b, built on each call: 2*q*q
-        bytes, at most twice that while building, refused above MAX_TABLE_BYTES."""
+        """q-by-q uint16 numpy table with ADD[a, b] = a + b, built on each call as the
+        outer sum of both digit groups' tables: 2*q*q bytes, refused above MAX_TABLE_BYTES."""
         require_table_bytes(2 * self.q**2, "the addition table needs")
-        return self.translate(np.arange(self.q))
+        low, high = self._tables.digit
+        h, l = high.shape[-1], low.shape[-1]
+        return (high[:h, None, :h, None] + low[None, :l, None, :l]).reshape(self.q, self.q)
 
     def multiples(self, vec: Sequence[int]) -> np.ndarray:
         """q-by-len(vec) uint16 array, row f = f * vec, via an int32 index sum twice its size."""

@@ -425,9 +425,14 @@ def test_missing_instance_flags_exit2(capsys):
     (["classify", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1,2"],
      "InvalidParams: an instance needs --q (or --instance FILE)"),
     (["classify", "--q", "13", "--k", "5", "--alpha", "1,2,7,8,9", "--b", "1", "--M", "1,1,1"],
-     "InvalidParams: --M needs 4 row-major entries, got 3"),
+     "InvalidParams: M needs 4 row-major entries, got 3"),
+    (["classify", "--instance", "short-M.txt"],  # files and flags share one rule
+     "InvalidParams: M needs 4 row-major entries, got 3"),
     (["classify", "--special", "--q", "9", "--b", "1", "--M", "1,1,1,2"],
-     "InvalidParams: --special needs --k, --b and --M"),
+     "InvalidParams: an inline instance needs --k, --b, --M and one of --alpha and --special"),
+    (["classify", "--special", "--q", "13", "--k", "5", "--alpha", "1,2,3,4", "--b", "1",
+      "--M", "1,1,1,2"],
+     "InvalidParams: an inline instance needs --k, --b, --M and one of --alpha and --special"),
     (["classify", "--q", "13", "--n", "7", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1",
       "--M", "1,1,1,2"], "InvalidParams: --n 7 disagrees with 6 evaluation points"),
     (["weights", "--q", "3", "--generator", "rep.txt"],
@@ -445,15 +450,69 @@ def test_missing_instance_flags_exit2(capsys):
       "--M", "1,1,1,2"], "RangeViolation: alpha and v must have length n=5, got 5 and 0"),
     (["construct", "--q", "13", "--mod", "", "--k", "4", "--alpha", "1,2,3,4,5", "--b", "1",
       "--M", "1,1,1,2"], "ValueError: prime fields take the placeholder modulus (0, 1)"),
-], ids=["no-q", "short-M", "special-no-k", "n-mismatch", "generator-both", "ell-zero",
-        "ell-negative", "ell-above-k", "prime-field-modulus", "empty-v", "empty-mod"])
+    (["construct", "--instance", "", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6",
+      "--b", "1", "--M", "1,1,1,2"],
+     "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+    (["weights", "--generator", "", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6",
+      "--b", "1", "--M", "1,1,1,2", "--method", "brute"],
+     "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1",
+      "--M", "1,1,1,2", "--out", ""],
+     "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+    (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1",
+      "--M", "1,1,1,2", "--order", "gen"], "InvalidParams: --order needs --special"),
+], ids=["no-q", "short-M", "short-M-file", "special-no-k", "special-and-alpha", "n-mismatch",
+        "generator-both", "ell-zero", "ell-negative", "ell-above-k", "prime-field-modulus",
+        "empty-v", "empty-mod", "empty-instance", "empty-generator", "empty-out",
+        "order-without-special"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")
     (tmp_path / "p13.txt").write_text("field: p=13 s=1 mod=5,5,5\nn: 5\nk: 5\nell: 2\nt: 0\n"
                                       "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
+    (tmp_path / "short-M.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
+                                          "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1\n")
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("mix", [["--M", "1,1,1,2"], ["--ell", "1", "--M", "1"],
+                                 ["--t", "1", "--M", "1,1,1,2"],
+                                 ["--v", ",".join(["2"] * 12), "--n", "12", "--M", "1,0,5,1"]],
+                         ids=["default", "ell-1", "t-1", "v-and-n"])
+@pytest.mark.parametrize("order", ["asc", "gen"])
+def test_special_only_picks_the_points(capsys, mix, order):
+    # --special is --alpha over F_q^* (ascending codes or generator powers);
+    # every other flag reads the same with it as without it.
+    ctx = FieldCtx.from_order(13)
+    alpha = ctx.units() if order == "asc" else ctx.generator_powers()
+    base = ["classify", "--q", "13", "--k", "5", "--b", "1", *mix, "--verify", "--json"]
+    rc, out, err = run(capsys, *base, "--special", "--order", order)
+    assert (rc, err) == (0, "")
+    special = json.loads(out)
+    rc, out, _ = run(capsys, *base, "--alpha", ",".join(map(str, alpha)))
+    assert (rc, {**json.loads(out), "argv": special["argv"]}) == (0, special)
+
+
+@pytest.mark.parametrize("argv,lines", [
+    # A t = 1 request is classified as t = 1, not as the t = 0 special family.
+    (["--k", "5", "--special", "--t", "1", "--M", "1,1,1,2"],
+     ["criteria unsupported for (ell,t)=(2,1): brute-force only",
+      "parameters: [15,5,9] other", "dual parameters: [15,10,5]"]),
+    (["--k", "5", "--special", "--ell", "1", "--M", "1"],
+     ["criteria unsupported for (ell,t)=(1,0): brute-force only",
+      "parameters: [14,5,10] MDS", "dual parameters: [14,9,6]"]),
+    (["--k", "4", "--alpha", "1,2,3,4,5,6", "--ell", "1", "--M", "1"],
+     ["criteria unsupported for (ell,t)=(1,0): brute-force only",
+      "parameters: [8,4,5] MDS", "dual parameters: [8,4,5]"]),
+    (["--k", "4", "--alpha", "1,2,3,4,5,6", "--ell", "4",
+      "--M", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"],
+     ["criteria unsupported for (ell,t)=(4,0): brute-force only",
+      "parameters: [11,4,6] other", "dual parameters: [11,7,2]"]),
+], ids=["special-t1", "special-ell1", "ell-1", "ell-k"])
+def test_inline_shapes_at_the_ell_and_t_bounds(capsys, argv, lines):
+    rc, out, err = run(capsys, "classify", "--q", "13", "--b", "1", *argv)
+    assert (rc, out.splitlines(), err) == (0, lines, "")
 
 
 def _without_timing(doc: dict) -> dict:
@@ -771,9 +830,13 @@ def inline_argvs(draw):
         elif change == "drop":
             flags.pop(flag, None)
     command = draw(st.sampled_from(["construct", "classify", "weights"]))
+    special = draw(st.integers(0, 3)) == 0
+    if special and draw(st.integers(0, 3)):  # --special takes the place of --alpha
+        flags.pop("alpha", None)
     argv = [command, f"--q={q}", *(f"--{flag}={value}" for flag, value in flags.items())]
-    if draw(st.integers(0, 3)) == 0:
-        argv += ["--special", f"--order={draw(st.sampled_from(['asc', 'gen']))}"]
+    argv += ["--special"] * special
+    if special or draw(st.integers(0, 7)) == 0:
+        argv += [f"--order={draw(st.sampled_from(['asc', 'gen']))}"]
     extra = {"construct": ["--with-h"], "classify": ["--verify"],
              "weights": ["--method=formula", "--method=brute"]}[command]
     # construct enumerates nothing, so --budget there is a one-line usage error.

@@ -126,6 +126,20 @@ def test_budget_exceeded_reports_requirement(gf9):
     assert err.value.required == 9**5
 
 
+def test_budget_admits_a_code_of_exactly_its_size(gf3):
+    code = LinearCode(FieldMatrix(gf3, [[1, 0, 1, 1], [0, 1, 1, 2]]))
+    assert code.weight_distribution(budget=9).counts == (1, 0, 0, 8, 0)
+    with pytest.raises(BudgetExceeded) as err:
+        code.weight_distribution(budget=8)
+    assert err.value.required == 9
+
+
+def test_length_256_weights_do_not_wrap(gf2):
+    # Weight sums of a length-256 code no longer fit uint8.
+    counts = repetition(gf2, 256).weight_distribution().counts
+    assert (counts[0], counts[256], sum(counts)) == (1, 1, 2)
+
+
 def test_walk_refuses_a_message_giving_the_zero_codeword(gf5):
     # A generator made rank-deficient after construction: row 1 is twice row 0,
     # so the message (1, 2) gives the zero codeword.
@@ -233,6 +247,13 @@ def test_macwilliams_matches_krawtchouk_oracle(case):
 def test_macwilliams_rejects_bad_sum(gf2):
     with pytest.raises(InconsistentInput):
         macwilliams(WeightDistribution(3, (1, 0, 0, 5)), 1, gf2)
+
+
+@pytest.mark.parametrize("counts", [(1, 0, 3), (1, 3, 0)])
+def test_macwilliams_rejects_a_non_count(gf2, counts):
+    # Sums to q^k = 4, but the transform does not divide out at weight 1.
+    with pytest.raises(InconsistentInput, match="non-count at weight 1"):
+        macwilliams(WeightDistribution(2, counts), 2, gf2)
 
 
 def test_classify_even_weight_code(gf2):
