@@ -47,6 +47,7 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
+    distribution_from_low_counts,
     macwilliams,
     nmds_distribution,
 )

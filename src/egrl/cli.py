@@ -198,9 +198,17 @@ def _build_ctx(args) -> FieldCtx:
     return FieldCtx.from_order(args.q, modulus)
 
 
+def _one_source(args, rule: str, skip: int = 0) -> None:
+    """Refuse the first instance flag (bar the first ``skip``) given next to a file."""
+    for f in ("q", "mod", "k", "n", "alpha", "v", "b", "M", "ell", "t", "special", "order")[skip:]:
+        if getattr(args, f) is not None and getattr(args, f) is not False:
+            raise InvalidParams(f"{rule}, got --{f}")
+
+
 def _load_instance(args) -> EgrlParams:
     if args.instance is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
+            _one_source(args, "--instance takes no inline instance flags")
             return params_from_text(fh.read())
     if args.order is not None and not args.special:
         raise InvalidParams("--order needs --special")
@@ -215,9 +223,10 @@ def _load_instance(args) -> EgrlParams:
     if args.n is not None and args.n != n:
         raise InvalidParams(f"--n {args.n} disagrees with {n} evaluation points")
     v = (1,) * n if args.v is None else _int_list(args.v)
+    ell = 2 if args.ell is None else args.ell
     return EgrlParams(
-        ctx=ctx, n=n, k=args.k, ell=args.ell, t=args.t, alpha=alpha, v=v, b=args.b,
-        mix=mix_from_entries(ctx, args.ell, args.k, _int_list(args.M)),
+        ctx=ctx, n=n, k=args.k, ell=ell, t=0 if args.t is None else args.t, alpha=alpha, v=v,
+        b=args.b, mix=mix_from_entries(ctx, ell, args.k, _int_list(args.M)),
     )
 
 
@@ -231,8 +240,8 @@ def _add_instance_flags(sub):
     sub.add_argument("--v", help="comma-separated column multipliers (default all ones)")
     sub.add_argument("--b", type=int, help="nonzero scalar for the last column")
     sub.add_argument("--M", help="row-major mixing-matrix codes")
-    sub.add_argument("--ell", type=int, default=2, help="mixing block width (default 2)")
-    sub.add_argument("--t", type=int, default=0, help="carried coefficient index (default 0)")
+    sub.add_argument("--ell", type=int, help="mixing block width (default 2)")
+    sub.add_argument("--t", type=int, help="carried coefficient index (default 0)")
     sub.add_argument("--special", action="store_true", help="evaluate on all of F_q^*")
     sub.add_argument(
         "--order", choices=("asc", "gen"),
@@ -289,10 +298,13 @@ def cmd_classify(args) -> Report:
 
 def cmd_weights(args) -> Report:
     if args.generator is not None:
+        if args.instance is not None:
+            raise InvalidParams("give --instance or --generator, not both")
         if args.method != "brute":
             raise InvalidParams("a raw generator file supports --method brute only")
         ctx = _build_ctx(args)
         with open(args.generator, "r", encoding="utf-8") as fh:
+            _one_source(args, "--generator takes no instance flags but --q and --mod", 2)
             code = LinearCode(FieldMatrix.from_text(ctx, fh.read()))
         instance, params = {"field": str(ctx), "generator": args.generator}, None
     else:

@@ -150,20 +150,6 @@ class FieldMatrix:
     def rank(self) -> int:
         return len(self._rref_pivots()[1])
 
-    def null_space(self) -> "FieldMatrix":
-        """Basis of the right kernel, one row per free column (ascending)."""
-        work, pivots, _ = self._rref_pivots()
-        ctx = self.ctx
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [0] * self.cols
-            vec[f] = 1
-            for r, c in enumerate(pivots):
-                vec[c] = ctx.neg(work[r][f])
-            basis.append(vec)
-        return FieldMatrix(ctx, basis, cols=self.cols)
-
     def det(self) -> int:
         if self.rows != self.cols:
             raise NotSquare(f"determinant of {self.rows}x{self.cols} matrix")

@@ -262,6 +262,24 @@ def test_c07_nmds_distribution_identity():
     )
 
 
+def test_c07_nmds_distribution_at_field_scale():
+    # Both sides of the special [1026, 512] code over GF(1024) by the
+    # low-count solve: O(n) big-integer steps per side.  A route that took
+    # the dual side from the MacWilliams transform needs seconds here.
+    ctx = FieldCtx.from_order(1024)
+    p = special_construction(ctx, 512, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
+    amin = dual_min_weight_count(p)
+    started = time.time()
+    primal, dual = nmds_distribution(p.length, p.k, ctx, amin)
+    elapsed = time.time() - started
+    _report(
+        "C7 NMDS expansion of the special [1026, 512] code over GF(1024) under 1 s",
+        primal.total() == 1024**512 and dual.total() == 1024**514
+        and primal.counts[514] == dual.counts[512] == amin > 0 and elapsed < 1.0,
+        f"A_min has {len(str(amin))} digits; both sides in {elapsed * 1e3:.1f} ms",
+    )
+
+
 def test_c08_support_pattern_census():
     started = time.time()
     forbidden = [

@@ -461,10 +461,21 @@ def test_missing_instance_flags_exit2(capsys):
      "FileNotFoundError: [Errno 2] No such file or directory: ''"),
     (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1",
       "--M", "1,1,1,2", "--order", "gen"], "InvalidParams: --order needs --special"),
+    # One instance source per command: a file takes no instance flags beside it.
+    (["weights", "--generator", "rep.txt", "--q", "3", "--method", "brute", "--special",
+      "--t", "5", "--k", "9", "--order", "gen"],
+     "InvalidParams: --generator takes no instance flags but --q and --mod, got --k"),
+    (["construct", "--instance", "inst.txt", "--k", "3", "--alpha", "1,2,3", "--ell", "7"],
+     "InvalidParams: --instance takes no inline instance flags, got --k"),
+    (["classify", "--instance", "inst.txt", "--q", "7"],
+     "InvalidParams: --instance takes no inline instance flags, got --q"),
+    (["weights", "--instance", "inst.txt", "--generator", "rep.txt", "--q", "3",
+      "--method", "brute"], "InvalidParams: give --instance or --generator, not both"),
 ], ids=["no-q", "short-M", "short-M-file", "special-no-k", "special-and-alpha", "n-mismatch",
         "generator-both", "ell-zero", "ell-negative", "ell-above-k", "prime-field-modulus",
         "empty-v", "empty-mod", "empty-instance", "empty-generator", "empty-out",
-        "order-without-special"])
+        "order-without-special", "generator-and-flags", "instance-and-flags",
+        "instance-and-q", "instance-and-generator"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rep.txt").write_text("1 3\n1 1 1\n")
@@ -472,6 +483,8 @@ def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
                                       "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
     (tmp_path / "short-M.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
                                           "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1\n")
+    (tmp_path / "inst.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
+                                       "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", line + "\n")
 

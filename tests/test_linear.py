@@ -23,6 +23,7 @@ from egrl.linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
+    distribution_from_low_counts,
     macwilliams,
     nmds_distribution,
 )
@@ -369,3 +370,44 @@ def test_nmds_distribution_infeasible_amin(gf9):
 def test_nmds_distribution_bad_dims(gf9):
     with pytest.raises(ValueError):
         nmds_distribution(5, 5, gf9, 1)
+
+
+@st.composite
+def any_defect_generators(draw):
+    # Any defect pair: random rows, q**k <= 2**12, n <= 10; `fewer` moves the
+    # solve below the dual distance, where the moments still hold.
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    k = draw(st.integers(1, max(kk for kk in range(1, 11) if q**kk <= 1 << 12)))
+    n = draw(st.integers(k, 10))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return q, draw(st.lists(entries, min_size=k, max_size=k)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_defect_generators())
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0))  # k = n: no dual, no low counts
+# Defects (3, 2), so the solve starts from A_1..A_6, four of them nonzero.
+@example((3, [[1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 2, 0, 1, 1]], 0))
+def test_distribution_from_low_counts_matches_brute_force(case):
+    # Oracles share no code with the solver: the counts by plain message
+    # enumeration, the dual distance from the literal Krawtchouk sum.
+    q, rows, fewer = case
+    ctx = _FIELDS[q]
+    try:
+        code = LinearCode(FieldMatrix(ctx, rows))
+    except ZeroCode:
+        return
+    n, k = code.n, code.k
+    counts = tuple(brute_weights(ctx, code.gen.to_lists()))
+    dual = krawtchouk_transform(counts, k, q)
+    d = max(next((j for j in range(1, n + 1) if dual[j]), n) - fewer, 1)
+    low = counts[1 : n - d + 1]
+    assert distribution_from_low_counts(n, k, ctx, low).counts == counts
+    if low:
+        with pytest.raises(NegativeCount):
+            distribution_from_low_counts(n, k, ctx, low[:-1] + (-1,))
+    with pytest.raises(ValueError):
+        distribution_from_low_counts(n, k, ctx, counts[1:])  # n low counts: d = 0
+    if n - k - 2 >= 0:
+        with pytest.raises(ValueError):
+            distribution_from_low_counts(n, k, ctx, (0,) * (n - k - 2))  # d = k + 2
