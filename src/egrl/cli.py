@@ -6,10 +6,11 @@ Exit codes: 0 ok, 2 bad input, 3 unsupported shape, 4 verification failure.
 Each ``cmd_*`` only computes: it returns a :class:`Report` and writes
 nothing.  ``main`` starts the clock, runs the command and hands its report
 to ``_emit_report``, the one place output is written -- the JSON document
-(--json), the command's text form derived from the same results, the
---out file, or an early exit's stderr line.  ``_emit_report`` also lifts
-the int-to-str digit limit (as does subsetsum for its mismatch line), so
-counts of any length render under a caller's limit, restored afterwards.
+(--json) or the command's text form derived from the same results, to
+stdout or the --out file, or an early exit's stderr line.  ``_emit_report``
+also lifts the int-to-str digit limit (as does subsetsum for its mismatch
+line), so counts of any length render under a caller's limit, restored
+afterwards.
 
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
 is rendered as a decimal string so counts survive any magnitude.  Identical
@@ -39,8 +40,8 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
-    macwilliams,
     nmds_distribution,
+    walk_size,
 )
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
 from .construction import (
@@ -165,7 +166,9 @@ def _sweep_text(report: Report) -> Iterator[str]:
 
 def _emit_report(args, report: Report, started: float) -> int:
     """Write ``report`` -- the only output a command makes -- and return its exit code."""
-    with _all_digits():
+    out = getattr(args, "out", None)  # only construct writes a file, and never errs
+    with _all_digits(), (contextlib.nullcontext() if out is None
+                         else open(out, "w", encoding="utf-8")) as fh:
         if report.error is not None:
             print(report.error, file=sys.stderr)
         elif args.json:
@@ -180,12 +183,9 @@ def _emit_report(args, report: Report, started: float) -> int:
                 doc["oracle_agreement"] = _jsonable(report.agreement)
             if args.timing:
                 doc["timing"] = {"seconds": f"{time.time() - started:.3f}"}
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(json.dumps(doc, sort_keys=True, indent=2), file=fh)
         else:
-            out = getattr(args, "out", None)
-            with (contextlib.nullcontext() if out is None
-                  else open(out, "w", encoding="utf-8")) as fh:
-                print("\n".join(args.text(report)), file=fh)
+            print("\n".join(args.text(report)), file=fh)
     if report.agreement and not all(report.agreement.values()):
         return EXIT_MISMATCH
     return report.exit_code
@@ -282,6 +282,7 @@ def cmd_classify(args) -> Report:
             results["witness"] = {"m": m, "j": j, "subset": list(subset)}
 
     if args.verify or report is None:
+        walk_size(params.q, params.length, params.k, args.budget)  # rank k: before any rref
         code = egrl_code(params)
         cls = code.classify(args.budget)
         results["classification"] = {
@@ -317,13 +318,13 @@ def cmd_weights(args) -> Report:
         results["distribution"], results["dual_distribution"] = special_nmds_distribution(params)
     if args.method in ("brute", "both"):
         if code is None:
+            walk_size(params.q, params.length, params.k, args.budget)  # rank k: before any rref
             code = egrl_code(params)
-        results["brute_distribution"] = brute = code.weight_distribution(args.budget)
-        results.setdefault("distribution", brute)
+        results["brute_distribution"], brute_dual = code._both_distributions(args.budget)
+        results.setdefault("distribution", results["brute_distribution"])
     if args.method != "both":
         return Report(instance, results)
-    brute_dual = macwilliams(brute, code.k, code.ctx)
-    agreement = {"distribution": results["distribution"] == brute,
+    agreement = {"distribution": results["distribution"] == results["brute_distribution"],
                  "dual_distribution": results["dual_distribution"] == brute_dual}
     return Report(instance, results, agreement)
 
@@ -378,8 +379,9 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
     """Check G H^T = 0, rank H, both criteria and, with nonzero points, A_min, both
     distributions and (small duals) the support patterns against one census."""
+    # The generator has rank k, so the budget refuses before any row reduction.
+    walk_size(params.q, params.length, params.k, budget)
     g = generator_matrix(params)
-    # One walk, before H's O(n**2) build, so the budget refuses first.
     primal, dual_dist = LinearCode(g)._both_distributions(budget)
     h = parity_check_matrix(params)
     if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):

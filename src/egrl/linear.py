@@ -98,11 +98,11 @@ class WeightDistribution:
         return sum(self.counts)
 
     def min_weight(self) -> int:
-        """Least positive weight with a nonzero count."""
+        """Least positive weight with a nonzero count; ZeroCode for the zero code."""
         for i in range(1, self.n + 1):
             if self.counts[i]:
                 return i
-        raise InconsistentInput("distribution has no nonzero-weight codewords")
+        raise ZeroCode("distribution has no nonzero-weight codewords")
 
     def poly_str(self) -> str:
         """Enumerator polynomial, e.g. '1+224x^6+1520x^7'; A_0 = 1 always leads."""
@@ -247,8 +247,8 @@ class LinearCode:
     def _both_distributions(
         self, budget: int = DEFAULT_BUDGET
     ) -> tuple[WeightDistribution, WeightDistribution]:
-        # Enumerate whichever side is smaller; transform for the other.
-        if self.k <= self.n - self.k:
+        # Walk the side walk_size picks, before building a dual; transform for the other.
+        if walk_size(self.ctx.q, self.n, self.k, budget) == self.ctx.q**self.k:
             primal = self.weight_distribution(budget)
             return primal, macwilliams(primal, self.k, self.ctx)
         dual_dist = self.dual().weight_distribution(budget)
@@ -257,6 +257,16 @@ class LinearCode:
     def classify(self, budget: int = DEFAULT_BUDGET) -> CodeClass:
         """Singleton defects of the code and its dual, with the class label."""
         return CodeClass.from_distributions(self.k, *self._both_distributions(budget))
+
+
+def walk_size(q: int, n: int, k: int, budget: int) -> int:
+    """Codewords q**min(k, n-k) a brute-force walk of an [n, k] code enumerates: the
+    smaller of the code and its dual (the code on a tie, and the full [n, n] code, whose
+    dual is the zero code).  BudgetExceeded above ``budget``; no row reduction needed."""
+    size = q ** (min(k, n - k) if k < n else n)
+    if size > budget:
+        raise BudgetExceeded(size, budget)
+    return size
 
 
 def macwilliams(dist: WeightDistribution, k: int, ctx: FieldCtx) -> WeightDistribution:

@@ -6,6 +6,9 @@ ceilings asserted alongside.  The q = 27 brute-force cross-check is marked
 ``slow`` but runs in the default suite.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import OutOfStatedRange, power, random_nonsingular_2x2, vanishes
+from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
 from egrl.linear import LinearCode, macwilliams, nmds_distribution
@@ -277,6 +281,32 @@ def test_c07_nmds_distribution_at_field_scale():
         primal.total() == 1024**512 and dual.total() == 1024**514
         and primal.counts[514] == dual.counts[512] == amin > 0 and elapsed < 1.0,
         f"A_min has {len(str(amin))} digits; both sides in {elapsed * 1e3:.1f} ms",
+    )
+
+
+def test_c07_top_of_proven_range_by_brute_force():
+    # k = q-1 (q-2 in characteristic 2), the top of the paper's NMDS range:
+    # weights --method both walks the dual's q**3 codewords, the smaller side.
+    started = time.time()
+    details, ok = [], True
+    for q, k in ((25, 24), (27, 26), (32, 30), (49, 48)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["weights", "--q", str(q), "--k", str(k), "--b", "1", "--M", "1,1,1,2",
+                       "--special", "--method", "both", "--json"])
+        agree = False
+        if rc == 0:
+            doc = json.loads(out.getvalue())
+            res = doc["results"]
+            agree = (all(doc["oracle_agreement"].values())
+                     and res["distribution"] == res["brute_distribution"])
+        ok &= agree
+        details.append(f"[{q + 2},{k}]/GF({q}) rc={rc}")
+    elapsed = time.time() - started
+    _report(
+        "C7 closed form equals brute force at the top of the proven range, under 2 s",
+        ok and elapsed < 2.0,
+        f"{'; '.join(details)} in {elapsed:.2f}s",
     )
 
 

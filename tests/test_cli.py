@@ -82,6 +82,16 @@ def test_construct_out_file(capsys, tmp_path):
     rc, out, _ = run(capsys, *GOLDEN_F9, "--out", str(target))
     assert rc == 0 and out == ""
     assert target.read_text().startswith("G\n5 11\n")
+    # --out takes the JSON report too, and stdout stays empty.
+    rc, out, _ = run(capsys, *GOLDEN_F9, "--out", str(target), "--json")
+    assert rc == 0 and out == ""
+    assert json.loads(target.read_text())["results"]["G"].startswith("5 11\n")
+    # An unwritable --out path is refused in either form.
+    missing = str(tmp_path / "no" / "dir" / "x")
+    for form in ([], ["--json"]):
+        rc, out, err = run(capsys, *GOLDEN_F9, "--out", missing, *form)
+        assert (rc, out) == (2, "")
+        assert err.startswith("FileNotFoundError: ") and err.count("\n") == 1
 
 
 def test_classify_example_verified(capsys):
@@ -284,6 +294,77 @@ def test_weights_budget_guidance(capsys):
     )
     assert rc == 2
     assert "--budget" in err
+
+
+# The top of the paper's proven NMDS range, k = q-1 (q-2 in characteristic 2):
+# the dual has q**3 codewords, so the walk takes it.
+TOP_OF_RANGE = [(25, 24), (27, 26), (32, 30), (49, 48)]
+
+
+@pytest.mark.parametrize("q,k", TOP_OF_RANGE)
+def test_weights_top_of_range_walks_the_dual(capsys, q, k):
+    special = ["weights", "--q", str(q), "--k", str(k), "--b", "1", "--M", "1,1,1,2",
+               "--special"]
+    rc, out, err = run(capsys, *special, "--method", "both")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "agreement: true"
+    rc, formula, _ = run(capsys, *special, "--method", "formula", "--json")
+    assert rc == 0
+    rc, brute, _ = run(capsys, *special, "--method", "brute", "--json")
+    assert rc == 0
+    assert (json.loads(brute)["results"]["distribution"]
+            == json.loads(formula)["results"]["distribution"])
+
+
+def test_weights_inline_high_rate_instance(capsys):
+    rc, out, err = run(capsys, "weights", "--q", "13", "--k", "11",
+                       "--alpha", ",".join(map(str, range(1, 13))), "--b", "1",
+                       "--M", "1,1,1,2", "--method", "both")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "agreement: true"
+
+
+def test_weights_budget_names_the_smaller_side(capsys):
+    # [34, 28] over GF(32): the dual's 32**6 codewords are over the budget too.
+    rc, out, err = run(capsys, "weights", "--q", "32", "--k", "28", "--b", "1",
+                       "--M", "1,1,1,2", "--special", "--method", "both")
+    assert (rc, out) == (2, "")
+    assert err == ("enumeration of a code of 1073741824 codewords exceeds the budget of "
+                   "67108864; raise --budget to allow it\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--q", "1024", "--k", "700", "--b", "1", "--M", "1,1,1,2", "--special",
+     "--verify"],
+    ["weights", "--q", "1024", "--k", "700", "--b", "1", "--M", "1,1,1,2", "--special",
+     "--method", "brute"],
+    ["sweep", "--q-list", "1024", "--k-list", "700", "--trials", "1"],
+], ids=["classify", "weights", "sweep"])
+def test_budget_refuses_before_any_row_reduction(capsys, monkeypatch, argv):
+    # An instance's generator has rank k, so its walk size is known before
+    # the O(k**2 n) row reduction that building the code starts with.
+    def never(*args):
+        raise AssertionError("code built before the budget check")
+
+    monkeypatch.setattr(egrl.cli, "egrl_code", never)
+    monkeypatch.setattr(egrl.cli.LinearCode, "__init__", never)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"enumeration of a code of \d+ codewords exceeds the budget of "
+                        r"67108864; raise --budget to allow it\n", err)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 3)])
+def test_weights_full_code_walks_itself(capsys, tmp_path, q, n):
+    # The dual of the full [n, n] code is the zero code, so there is no smaller side.
+    gen = tmp_path / "id.txt"
+    gen.write_text(f"{n} {n}\n" + "".join(" ".join(str(int(i == j)) for j in range(n)) + "\n"
+                                         for i in range(n)))
+    rc, out, err = run(capsys, "weights", "--generator", str(gen), "--q", str(q),
+                       "--method", "brute", "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["results"]["distribution"] == [
+        str(comb(n, w) * (q - 1) ** w) for w in range(n + 1)]
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from egrl.linear import (
     distribution_from_low_counts,
     macwilliams,
     nmds_distribution,
+    walk_size,
 )
 
 
@@ -53,6 +54,9 @@ def test_dual_of_full_code_is_refused(gf5):
     assert (full.n, full.k) == (3, 3)
     with pytest.raises(ZeroCode, match=r"^dual of the full \[3,3\] code is trivial$"):
         full.dual()
+    # The full code walks itself, but its dual, the zero code, has no minimum weight.
+    with pytest.raises(ZeroCode):
+        full.classify()
 
 
 def test_dual_of_repetition_is_parity(gf2):
@@ -125,6 +129,24 @@ def test_budget_exceeded_reports_requirement(gf9):
     with pytest.raises(BudgetExceeded) as err:
         code.weight_distribution(budget=100)
     assert err.value.required == 9**5
+
+
+@pytest.mark.parametrize("n,k,walked", [(6, 2, 2), (6, 3, 3), (6, 4, 2), (6, 5, 1), (6, 6, 6)])
+def test_walk_size_takes_the_smaller_side(n, k, walked):
+    assert walk_size(7, n, k, budget=7**walked) == 7**walked
+    with pytest.raises(BudgetExceeded) as err:
+        walk_size(7, n, k, budget=7**walked - 1)
+    assert err.value.required == 7**walked
+
+
+def test_over_budget_dual_side_is_refused_before_the_dual_is_built(gf9):
+    # [6, 4] over GF(9): the dual's 81 codewords are the walk, above a budget of 80.
+    code = LinearCode(FieldMatrix(gf9, [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2],
+                                        [0, 0, 1, 0, 1, 3], [0, 0, 0, 1, 1, 4]]))
+    with mock.patch.object(LinearCode, "dual", side_effect=AssertionError("dual built")):
+        with pytest.raises(BudgetExceeded) as err:
+            code._both_distributions(budget=80)
+    assert err.value.required == 81
 
 
 def test_budget_admits_a_code_of_exactly_its_size(gf3):
@@ -226,6 +248,7 @@ def balanced_generators(draw):
 @given(balanced_generators())
 @example((3, [[1, 2, 0, 1]]))  # k = 1
 @example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # k = n: the dual is the zero code
+@example((5, [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]]))  # k > n-k: the walk takes the dual
 def test_macwilliams_matches_krawtchouk_oracle(case):
     q, rows = case
     ctx = _FIELDS[q]
@@ -242,6 +265,8 @@ def test_macwilliams_matches_krawtchouk_oracle(case):
     assert macwilliams(primal, k, ctx).counts == krawtchouk_transform(primal.counts, k, q)
     assert macwilliams(dual, n - k, ctx).counts == krawtchouk_transform(dual.counts, n - k, q)
     assert macwilliams(primal, k, ctx) == dual
+    # The one walk, on whichever side walk_size picks (the full code walks itself).
+    assert code._both_distributions() == (primal, dual)
     assert macwilliams(macwilliams(dual, n - k, ctx), k, ctx) == dual
 
 
