@@ -7,9 +7,9 @@ Each ``cmd_*`` only computes: it returns a :class:`Report` and writes
 nothing.  ``main`` starts the clock, runs the command and hands its report
 to ``_emit_report``, the one place output is written -- the JSON document
 (--json) or the command's text form derived from the same results, to
-stdout or the --out file, or an early exit's stderr line.  ``_emit_report``
-also lifts the int-to-str digit limit (as does subsetsum for its mismatch
-line), so counts of any length render under a caller's limit, restored
+stdout or the --out file, or an early exit's stderr line.  ``main`` runs
+the command and prints any failure line with the int-to-str digit limit
+lifted, so counts of any length render under a caller's limit, restored
 afterwards.
 
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
@@ -40,6 +40,7 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
+    macwilliams,
     nmds_distribution,
     walk_size,
 )
@@ -105,7 +106,7 @@ def _jsonable(value):
 
 @contextlib.contextmanager
 def _all_digits():
-    """Lift the process-wide int-to-str digit limit only while egrl renders counts."""
+    """Lift the process-wide int-to-str digit limit only while an egrl command runs."""
     if not hasattr(sys, "set_int_max_str_digits"):  # older interpreters have no limit
         yield
         return
@@ -167,8 +168,7 @@ def _sweep_text(report: Report) -> Iterator[str]:
 def _emit_report(args, report: Report, started: float) -> int:
     """Write ``report`` -- the only output a command makes -- and return its exit code."""
     out = getattr(args, "out", None)  # only construct writes a file, and never errs
-    with _all_digits(), (contextlib.nullcontext() if out is None
-                         else open(out, "w", encoding="utf-8")) as fh:
+    with contextlib.nullcontext() if out is None else open(out, "w", encoding="utf-8") as fh:
         if report.error is not None:
             print(report.error, file=sys.stderr)
         elif args.json:
@@ -257,6 +257,12 @@ def cmd_construct(args) -> Report:
     return Report(params.to_dict(), results)
 
 
+def _instance_code(params: EgrlParams, budget: int) -> LinearCode:
+    """The instance's code, once the budget admits its walk (G has rank k: before any rref)."""
+    walk_size(params.q, params.length, params.k, budget)
+    return egrl_code(params)
+
+
 def _brute_agreement(report, cls) -> dict[str, bool]:
     """Criterion vs brute force: MDS is singleton defect 0, dual-AMDS dual defect 1."""
     return {"mds": report.is_mds == (cls.singleton_defect == 0),
@@ -282,8 +288,7 @@ def cmd_classify(args) -> Report:
             results["witness"] = {"m": m, "j": j, "subset": list(subset)}
 
     if args.verify or report is None:
-        walk_size(params.q, params.length, params.k, args.budget)  # rank k: before any rref
-        code = egrl_code(params)
+        code = _instance_code(params, args.budget)
         cls = code.classify(args.budget)
         results["classification"] = {
             "label": cls.label,
@@ -317,13 +322,12 @@ def cmd_weights(args) -> Report:
     if args.method in ("formula", "both"):
         results["distribution"], results["dual_distribution"] = special_nmds_distribution(params)
     if args.method in ("brute", "both"):
-        if code is None:
-            walk_size(params.q, params.length, params.k, args.budget)  # rank k: before any rref
-            code = egrl_code(params)
-        results["brute_distribution"], brute_dual = code._both_distributions(args.budget)
+        code = code or _instance_code(params, args.budget)
+        results["brute_distribution"] = code.weight_distribution(args.budget)
         results.setdefault("distribution", results["brute_distribution"])
     if args.method != "both":
         return Report(instance, results)
+    brute_dual = macwilliams(results["brute_distribution"], code.k, code.ctx)
     agreement = {"distribution": results["distribution"] == results["brute_distribution"],
                  "dual_distribution": results["dual_distribution"] == brute_dual}
     return Report(instance, results, agreement)
@@ -341,8 +345,7 @@ def cmd_subsetsum(args) -> Report:
     closed = count_li_wan(ctx, domain, args.m, args.b)
     results.update(closed_form=closed, dp=count_dp(ctx, domain, args.m, args.b), count=closed)
     agree = closed == results["dp"]
-    with _all_digits():  # both counts may pass a caller's int-to-str limit
-        error = None if agree else f"closed form {closed} != dp {results['dp']}"
+    error = None if agree else f"closed form {closed} != dp {results['dp']}"
     return Report(instance, results, {"closed_form_vs_dp": agree}, error=error)
 
 
@@ -377,14 +380,13 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 
 
 def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
-    """Check G H^T = 0, rank H, both criteria and, with nonzero points, A_min, both
-    distributions and (small duals) the support patterns against one census."""
-    # The generator has rank k, so the budget refuses before any row reduction.
-    walk_size(params.q, params.length, params.k, budget)
-    g = generator_matrix(params)
-    primal, dual_dist = LinearCode(g)._both_distributions(budget)
+    """Check G H^T = 0 (G row-reduced), rank H, both criteria and, with nonzero points, A_min,
+    both distributions and (small duals) the support patterns against one census."""
+    code = _instance_code(params, budget)
+    primal = code.weight_distribution(budget)
+    dual_dist = macwilliams(primal, code.k, code.ctx)
     h = parity_check_matrix(params)
-    if not (g.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
+    if not (code.gen.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
         failures.append(f"{tag}: parity-check identity failed")
     cls = CodeClass.from_distributions(params.k, primal, dual_dist)
     agreement = _brute_agreement(check_mds(params), cls)
@@ -406,11 +408,11 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
 
 
 def cmd_sweep(args) -> Report:
-    qs = _int_list(args.q_list)
-    ks = _int_list(args.k_list)
-    if not qs or not ks:
-        return Report({}, {}, exit_code=EXIT_USAGE,
-                      error="sweep needs nonempty --q-list and --k-list")
+    qs, ks = _int_list(args.q_list), _int_list(args.k_list)
+    error = ("sweep needs nonempty --q-list and --k-list" if not qs or not ks
+             else f"sweep needs --trials >= 0, got {args.trials}" if args.trials < 0 else None)
+    if error:
+        return Report({}, {}, exit_code=EXIT_USAGE, error=error)
     failures: list[str] = []
     records = []
     for q in qs:
@@ -515,21 +517,22 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code or 0  # argparse exits with an int status
     args._argv = argv
     started = time.time()
-    try:
-        return _emit_report(args, args.func(args), started)
-    except UnsupportedShape as exc:
-        print(f"unsupported shape: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        print(f"{exc}; raise --budget to allow it", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidParams, FieldError, MatrixError, SubsetSumError, ZeroCode,
-            OSError, ValueError, KeyError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InconsistentInput, NegativeCount) as exc:
-        print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    with _all_digits():  # counts and sizes of any length render, in reports and failure lines
+        try:
+            return _emit_report(args, args.func(args), started)
+        except UnsupportedShape as exc:
+            print(f"unsupported shape: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        except BudgetExceeded as exc:
+            print(f"{exc}; raise --budget to allow it", file=sys.stderr)
+            return EXIT_USAGE
+        except (InvalidParams, FieldError, MatrixError, SubsetSumError, ZeroCode,
+                OSError, ValueError, KeyError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (InconsistentInput, NegativeCount) as exc:
+            print(f"verification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

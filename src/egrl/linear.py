@@ -26,8 +26,9 @@ The q-by-q addition table, built only for k >= 3, is refused alone above
 the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
 scalar classes in 0.01 s (2-vCPU Xeon).
 
-Budgets count the code size q**k, not the (q**k - 1)/(q - 1) messages
-actually walked, so a budget admits the same codes as plain enumeration.
+Budgets count the side walked, q**min(k, n-k) codewords (q**n for the full
+code), which ``weight_distribution`` picks by ``walk_size`` before building
+a dual; a dual walk gives the code's counts by one MacWilliams transform.
 
 All counts are exact Python integers.
 """
@@ -44,7 +45,7 @@ import numpy as np
 from .field import FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
 
-DEFAULT_BUDGET = 1 << 26  # code size q**k; overridable per call
+DEFAULT_BUDGET = 1 << 26  # walked side size q**min(k, n-k); overridable per call
 _BLOCK_LIMIT = 1 << 16  # max rows per block
 
 MDS = "MDS"
@@ -62,13 +63,15 @@ class ZeroCode(CodeError):
 
 
 class BudgetExceeded(CodeError):
-    """Exhaustive enumeration of a code with more than budget codewords (q**k)."""
+    """A walk of more than ``budget`` codewords (the walked side's size, see walk_size)."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration of a code of {required} codewords exceeds "
-                         f"the budget of {budget}")
-        self.required = required
-        self.budget = budget
+        super().__init__(required, budget)
+        self.required, self.budget = required, budget
+
+    def __str__(self) -> str:  # formatted when shown: the size may pass the digit limit
+        return (f"enumeration of a code of {self.required} codewords exceeds "
+                f"the budget of {self.budget}")
 
 
 class InconsistentInput(CodeError):
@@ -237,26 +240,20 @@ class LinearCode:
             raise InconsistentInput(f"enumeration walked {walked} scalar classes")
 
     def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-        """Exact weight counts: A_0 = 1, A_w = (q-1) * (scalar classes of weight w)."""
+        """Exact counts A_0..A_n by a walk of the side walk_size picks: on the code A_0 = 1,
+        A_w = (q-1) * (scalar classes of weight w); on the dual, by MacWilliams."""
+        if walk_size(self.ctx.q, self.n, self.k, budget) != self.ctx.q**self.k:
+            return macwilliams(self.dual().weight_distribution(budget), self.n - self.k, self.ctx)
         classes = np.zeros(self.n + 1, dtype=np.int64)
         for _, weights in self.codeword_blocks(budget):
             classes += np.bincount(weights, minlength=self.n + 1)
         # codeword_blocks walked exactly (q**k - 1)/(q - 1) classes, so the total is q**k.
         return WeightDistribution(self.n, (1, *((self.ctx.q - 1) * int(c) for c in classes[1:])))
 
-    def _both_distributions(
-        self, budget: int = DEFAULT_BUDGET
-    ) -> tuple[WeightDistribution, WeightDistribution]:
-        # Walk the side walk_size picks, before building a dual; transform for the other.
-        if walk_size(self.ctx.q, self.n, self.k, budget) == self.ctx.q**self.k:
-            primal = self.weight_distribution(budget)
-            return primal, macwilliams(primal, self.k, self.ctx)
-        dual_dist = self.dual().weight_distribution(budget)
-        return macwilliams(dual_dist, self.n - self.k, self.ctx), dual_dist
-
     def classify(self, budget: int = DEFAULT_BUDGET) -> CodeClass:
         """Singleton defects of the code and its dual, with the class label."""
-        return CodeClass.from_distributions(self.k, *self._both_distributions(budget))
+        primal = self.weight_distribution(budget)
+        return CodeClass.from_distributions(self.k, primal, macwilliams(primal, self.k, self.ctx))
 
 
 def walk_size(q: int, n: int, k: int, budget: int) -> int:

@@ -333,6 +333,42 @@ def test_weights_budget_names_the_smaller_side(capsys):
                    "67108864; raise --budget to allow it\n")
 
 
+def test_budget_refusal_past_the_caller_digit_limit(capsys, monkeypatch):
+    # q**k = 65536**1000 has 4,817 digits, past a caller's limit of 640: the
+    # refusal still names it, before the code is built, and the caller's
+    # limit is back afterwards.
+    monkeypatch.setattr(egrl.cli, "egrl_code", lambda params: pytest.fail("code built"))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        rc, out, err = run(capsys, "weights", "--q", "65536", "--k", "1000", "--b", "1",
+                           "--M", "1,1,1,2", "--special", "--method", "brute")
+        after = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        size = str(65536**1000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out, after, len(size)) == (2, "", 640, 4817)
+    assert err == (f"enumeration of a code of {size} codewords exceeds the budget of "
+                   "67108864; raise --budget to allow it\n")
+
+
+def test_sweep_refuses_negative_trials(capsys, monkeypatch):
+    rc, out, err = run(capsys, "sweep", "--q-list", "4", "--k-list", "3", "--trials", "-1")
+    assert (rc, out, err) == (2, "", "sweep needs --trials >= 0, got -1\n")
+    # --trials 0 runs no random trial, but still every special instance.
+    tags, check = [], egrl.cli._check_instance
+
+    def counted(params, budget, failures, tag):
+        tags.append(tag)
+        check(params, budget, failures, tag)
+
+    monkeypatch.setattr(egrl.cli, "_check_instance", counted)
+    rc, out, err = run(capsys, "sweep", "--q-list", "4", "--k-list", "3", "--trials", "0")
+    assert (rc, out, err) == (0, "q=4 k=3: 0 new failures\n0 disagreements\n", "")
+    assert len(tags) == 7 and all("special[" in tag for tag in tags)
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--q", "1024", "--k", "700", "--b", "1", "--M", "1,1,1,2", "--special",
      "--verify"],

@@ -578,6 +578,14 @@ def test_special_construction_range(gf8, gf5):
         special_construction(gf5, 5, 1, FieldMatrix(gf5, [[1, 1], [1, 2]]))
 
 
+def test_top_of_range_library_walk_takes_the_dual():
+    # The special [29, 26] code over GF(27) has 27**26 codewords, over the
+    # default budget; weight_distribution walks its dual's 27**3 instead.
+    ctx = FieldCtx.from_order(27)
+    p = special_construction(ctx, 26, 1, FieldMatrix(ctx, [[1, 1], [1, 2]]))
+    assert egrl_code(p).weight_distribution() == special_nmds_distribution(p)[0]
+
+
 def test_closed_form_beyond_special_instances(gf9, ex9):
     # Points short of F_q^* or non-unit multipliers: the census counts subsets
     # of the points, and the closed form still equals brute force.

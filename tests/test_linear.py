@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_weights, krawtchouk_transform, mds_formula, nmds_formula
@@ -18,6 +20,7 @@ from egrl.matrix import FieldMatrix
 from egrl.linear import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    CodeClass,
     InconsistentInput,
     LinearCode,
     NegativeCount,
@@ -110,9 +113,12 @@ def small_generators(draw):
 @given(small_generators(), st.sampled_from([1, 8, linear._BLOCK_LIMIT]))
 @example((2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]]), linear._BLOCK_LIMIT)  # q = 2
 @example((7, [[3, 0, 5, 1, 6]]), linear._BLOCK_LIMIT)  # k = 1: a single coset
+@example((5, [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]]), 8)  # k > n-k: walked directly
 def test_projective_enumeration_matches_python_oracle(case, block_limit):
     # Small block limits move rows from the shared tail block into the
-    # per-block offsets, so every split of head and tail gets exercised.
+    # per-block offsets, so every split of head and tail gets exercised.  The
+    # blocks are counted directly: weight_distribution would walk the dual of
+    # a k > n-k code, and dual_support_pattern_census walks such duals.
     q, rows = case
     ctx = _FIELDS[q]
     try:
@@ -121,7 +127,52 @@ def test_projective_enumeration_matches_python_oracle(case, block_limit):
         return
     expected = tuple(brute_weights(ctx, code.gen.to_lists()))
     with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
-        assert code.weight_distribution().counts == expected
+        classes = sum(np.bincount(w, minlength=code.n + 1) for _, w in code.codeword_blocks())
+    assert (1, *((q - 1) * int(c) for c in classes[1:])) == expected
+
+
+@st.composite
+def full_rank_generators(draw):
+    # [I_k | A] with its columns permuted, so full rank by construction; `shape`
+    # puts k below, at or above n-k, or at n.
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    small, extra = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    k, n = {"k<n-k": (small, 2 * small + extra), "k=n-k": (small, 2 * small),
+            "k>n-k": (small + extra, 2 * small + extra),
+            "k=n": (small, small)}[draw(st.sampled_from(["k<n-k", "k=n-k", "k>n-k", "k=n"]))]
+    cols = draw(st.permutations(range(n)))
+    a = [[draw(st.integers(0, q - 1)) for _ in range(n - k)] for _ in range(k)]
+    rows = [[0] * n for _ in range(k)]
+    for i in range(k):
+        rows[i][cols[i]] = 1
+        for j, c in enumerate(cols[k:]):
+            rows[i][c] = a[i][j]
+    return q, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_generators())
+@example((3, [[1, 0, 2, 1, 1]]))  # k < n-k
+@example((5, [[1, 0, 1, 2], [0, 1, 3, 4]]))  # k = n-k: the code walks itself
+@example((5, [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]]))  # k > n-k: the dual is walked
+@example((2, [[1, 0], [0, 1]]))  # k = n: the dual is the zero code
+def test_public_walk_matches_brute_oracle_on_either_side(case):
+    # A budget of exactly the smaller side's size admits the walk: the public
+    # method picks that side itself, and the class follows from both oracles.
+    q, rows = case
+    ctx = _FIELDS[q]
+    code = LinearCode(FieldMatrix(ctx, rows))
+    n, k = code.n, code.k
+    assert k == len(rows)
+    budget = q ** (min(k, n - k) if k < n else n)
+    primal = WeightDistribution(n, tuple(brute_weights(ctx, rows)))
+    assert code.weight_distribution(budget) == primal
+    if k == n:
+        with pytest.raises(ZeroCode):
+            code.classify(budget)
+        return
+    dual = WeightDistribution(n, tuple(brute_weights(ctx, code.dual().gen.to_lists())))
+    assert code.classify(budget) == CodeClass.from_distributions(k, primal, dual)
 
 
 def test_budget_exceeded_reports_requirement(gf9):
@@ -143,10 +194,24 @@ def test_over_budget_dual_side_is_refused_before_the_dual_is_built(gf9):
     # [6, 4] over GF(9): the dual's 81 codewords are the walk, above a budget of 80.
     code = LinearCode(FieldMatrix(gf9, [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2],
                                         [0, 0, 1, 0, 1, 3], [0, 0, 0, 1, 1, 4]]))
-    with mock.patch.object(LinearCode, "dual", side_effect=AssertionError("dual built")):
+    for method in (code.weight_distribution, code.classify):
+        with mock.patch.object(LinearCode, "dual", side_effect=AssertionError("dual built")):
+            with pytest.raises(BudgetExceeded) as err:
+                method(budget=80)
+        assert err.value.required == 81
+
+
+def test_budget_refusal_past_the_digit_limit():
+    # 65536**1000 has 4,817 digits; the refusal formats it only when shown.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
         with pytest.raises(BudgetExceeded) as err:
-            code._both_distributions(budget=80)
-    assert err.value.required == 81
+            walk_size(65536, 2000, 1000, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.required == 65536**1000
+    assert err.value.budget == 1
 
 
 def test_budget_admits_a_code_of_exactly_its_size(gf3):
@@ -163,13 +228,19 @@ def test_length_256_weights_do_not_wrap(gf2):
     assert (counts[0], counts[256], sum(counts)) == (1, 1, 2)
 
 
-def test_walk_refuses_a_message_giving_the_zero_codeword(gf5):
-    # A generator made rank-deficient after construction: row 1 is twice row 0,
-    # so the message (1, 2) gives the zero codeword.
-    code = LinearCode(FieldMatrix(gf5, [[1, 0, 1], [0, 1, 1]]))
-    code.gen = FieldMatrix(gf5, [[1, 2, 3], [2, 4, 1]])
+def test_walk_refuses_a_message_giving_the_zero_codeword(gf5, monkeypatch):
+    # A [6, 2] generator made rank-deficient after construction: row 1 is twice
+    # row 0, so the message (1, 2) gives the zero codeword.  The public walk
+    # takes it as the code itself, then as the dual of a [6, 4] code.
+    bad = LinearCode(FieldMatrix(gf5, [[1, 0, 1, 1, 1, 0], [0, 1, 1, 2, 0, 0]]))
+    bad.gen = FieldMatrix(gf5, [[1, 2, 3, 4, 1, 0], [2, 4, 1, 3, 2, 0]])
+    high_rate = LinearCode(FieldMatrix(gf5, [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2],
+                                             [0, 0, 1, 0, 1, 3], [0, 0, 0, 1, 1, 4]]))
     with pytest.raises(InconsistentInput, match="^a nonzero message gave the zero codeword$"):
-        code.weight_distribution()
+        bad.weight_distribution()
+    monkeypatch.setattr(LinearCode, "dual", lambda self: bad)
+    with pytest.raises(InconsistentInput, match="^a nonzero message gave the zero codeword$"):
+        high_rate.weight_distribution()
 
 
 def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
@@ -265,8 +336,8 @@ def test_macwilliams_matches_krawtchouk_oracle(case):
     assert macwilliams(primal, k, ctx).counts == krawtchouk_transform(primal.counts, k, q)
     assert macwilliams(dual, n - k, ctx).counts == krawtchouk_transform(dual.counts, n - k, q)
     assert macwilliams(primal, k, ctx) == dual
-    # The one walk, on whichever side walk_size picks (the full code walks itself).
-    assert code._both_distributions() == (primal, dual)
+    # The one public walk, on whichever side walk_size picks (the full code walks itself).
+    assert code.weight_distribution(walk_size(q, n, k, DEFAULT_BUDGET)) == primal
     assert macwilliams(macwilliams(dual, n - k, ctx), k, ctx) == dual
 
 
