@@ -3,14 +3,13 @@
 Subcommands: construct, classify, weights, subsetsum, sweep.
 Exit codes: 0 ok, 2 bad input, 3 unsupported shape, 4 verification failure.
 
-Each ``cmd_*`` only computes: it returns a :class:`Report` and writes
-nothing.  ``main`` starts the clock, runs the command and hands its report
-to ``_emit_report``, the one place output is written -- the JSON document
-(--json) or the command's text form derived from the same results, to
-stdout or the --out file, or an early exit's stderr line.  ``main`` runs
-the command and prints any failure line with the int-to-str digit limit
-lifted, so counts of any length render under a caller's limit, restored
-afterwards.
+Each ``cmd_*`` only computes: it returns a :class:`Report` or raises, and
+writes nothing.  ``_emit_report`` is the one place a report is written --
+the JSON document (--json) or the command's text form derived from the
+same results, to stdout or the --out file -- and ``main`` the one place a
+raised failure becomes an exit code and one stderr line, both with the
+int-to-str digit limit lifted, so counts of any length render under a
+caller's limit, restored afterwards.
 
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
 is rendered as a decimal string so counts survive any magnitude.  Identical
@@ -68,17 +67,13 @@ EXIT_MISMATCH = 4
 
 
 class Report(NamedTuple):
-    """What one command computed; only ``_emit_report`` renders it.
-
-    A false entry in ``agreement`` makes the exit code EXIT_MISMATCH.
-    ``error`` marks an early exit: that line is the whole output, on stderr.
-    """
+    """What one command computed; only ``_emit_report`` renders it.  A false entry in
+    ``agreement`` makes the exit code EXIT_MISMATCH."""
 
     instance: dict
     results: dict
     agreement: dict | None = None
     exit_code: int = EXIT_OK
-    error: str | None = None
 
 
 def _int_list(text: str) -> list[int]:
@@ -167,11 +162,9 @@ def _sweep_text(report: Report) -> Iterator[str]:
 
 def _emit_report(args, report: Report, started: float) -> int:
     """Write ``report`` -- the only output a command makes -- and return its exit code."""
-    out = getattr(args, "out", None)  # only construct writes a file, and never errs
+    out = getattr(args, "out", None)  # only construct writes a file
     with contextlib.nullcontext() if out is None else open(out, "w", encoding="utf-8") as fh:
-        if report.error is not None:
-            print(report.error, file=sys.stderr)
-        elif args.json:
+        if args.json:
             doc = {
                 "schema": 1,
                 "command": args.command,
@@ -344,9 +337,9 @@ def cmd_subsetsum(args) -> Report:
         return Report(instance, results)
     closed = count_li_wan(ctx, domain, args.m, args.b)
     results.update(closed_form=closed, dp=count_dp(ctx, domain, args.m, args.b), count=closed)
-    agree = closed == results["dp"]
-    error = None if agree else f"closed form {closed} != dp {results['dp']}"
-    return Report(instance, results, {"closed_form_vs_dp": agree}, error=error)
+    if closed != results["dp"]:
+        raise InconsistentInput(f"closed form {closed} != dp {results['dp']}")
+    return Report(instance, results, {"closed_form_vs_dp": True})
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -409,10 +402,10 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
 
 def cmd_sweep(args) -> Report:
     qs, ks = _int_list(args.q_list), _int_list(args.k_list)
-    error = ("sweep needs nonempty --q-list and --k-list" if not qs or not ks
-             else f"sweep needs --trials >= 0, got {args.trials}" if args.trials < 0 else None)
-    if error:
-        return Report({}, {}, exit_code=EXIT_USAGE, error=error)
+    if not qs or not ks:
+        raise InvalidParams("sweep needs nonempty --q-list and --k-list")
+    if args.trials < 0:
+        raise InvalidParams(f"sweep needs --trials >= 0, got {args.trials}")
     failures: list[str] = []
     records = []
     for q in qs:
@@ -503,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_cls, p_wts, p_sw):  # the commands that enumerate codewords
         p.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
-            help="max code size q^k for exhaustive enumeration",
+            help="max codewords walked: q^min(k, n-k), the smaller of the code and its dual",
         )
     return parser
 

@@ -208,7 +208,11 @@ def params_from_text(text: str) -> EgrlParams:
     """Parse the canonical instance document (text or JSON form)."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return params_from_dict(json.loads(stripped, object_pairs_hook=_unique_keys))
+        try:
+            doc = json.loads(stripped, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise InvalidParams("malformed instance: JSON nested too deeply") from None
+        return params_from_dict(doc)
     lines = [line.strip() for line in stripped.splitlines()]
     pairs = [line.partition(":")[::2] for line in lines if line and not line.startswith("#")]
     d = _unique_keys((key.strip(), value.strip()) for key, value in pairs)

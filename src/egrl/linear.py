@@ -75,7 +75,7 @@ class BudgetExceeded(CodeError):
 
 
 class InconsistentInput(CodeError):
-    """A distribution failed an exactness check (sum, sign, divisibility)."""
+    """An exact result failed a consistency check (sum, sign, divisibility, agreement)."""
 
 
 class NegativeCount(CodeError):

@@ -176,9 +176,10 @@ class FieldMatrix:
     @classmethod
     def from_text(cls, ctx: FieldCtx, text: str) -> "FieldMatrix":
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if not lines:
+        header = lines[0].split() if lines else []
+        if len(header) != 2:
             raise DimMismatch("matrix text has no 'rows cols' header line")
-        rows, cols = map(int, lines[0].split())
+        rows, cols = map(int, header)
         if len(lines) != rows + 1:
             raise DimMismatch(f"expected {rows} rows, got {len(lines) - 1}")
         data = [[int(t) for t in ln.split()] for ln in lines[1:]]

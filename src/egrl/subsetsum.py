@@ -31,8 +31,8 @@ s = 100: about 80 MiB peak, not 1.6 GiB).  Both raise
 the field module's ``MAX_TABLE_BYTES`` = 1 GiB.
 
 Counts are Python integers; the division by q inside the closed forms is
-always exact and is checked.  Size 0: N(0, 0) = 1 and N(0, b) = 0 for
-b != 0, as the closed forms give at m = 0.
+always exact, and checked: a remainder raises InconsistentInput.  Size 0:
+N(0, 0) = 1 and N(0, b) = 0 for b != 0, as the closed forms give at m = 0.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .field import FieldCtx, TableTooLarge, require_table_bytes
+from .linear import InconsistentInput
 
 FULL = "full"  # the whole field F_q
 STAR = "star"  # the nonzero elements F_q^*
@@ -52,7 +53,7 @@ Domain = Union[str, Sequence[int]]
 
 
 class SubsetSumError(Exception):
-    pass
+    """Bad subset-sum input."""
 
 
 class DomainSize(SubsetSumError):
@@ -211,5 +212,5 @@ def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:
         num = comb(q, m) + (-1) ** (m + m // p) * v * comb(q // p, m // p)
     count, rem = divmod(num, q)
     if rem or count < 0:
-        raise SubsetSumError(f"closed form broke down at q={q}, domain={domain}, m={m}, b={b}")
+        raise InconsistentInput(f"closed form broke down at q={q}, domain={domain}, m={m}, b={b}")
     return count

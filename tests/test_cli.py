@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import egrl.cli
 import egrl.construction
+import egrl.subsetsum
 from conftest import poly_is_irreducible
 from egrl.cli import main
 from egrl.field import FieldCtx
@@ -355,7 +356,7 @@ def test_budget_refusal_past_the_caller_digit_limit(capsys, monkeypatch):
 
 def test_sweep_refuses_negative_trials(capsys, monkeypatch):
     rc, out, err = run(capsys, "sweep", "--q-list", "4", "--k-list", "3", "--trials", "-1")
-    assert (rc, out, err) == (2, "", "sweep needs --trials >= 0, got -1\n")
+    assert (rc, out, err) == (2, "", "InvalidParams: sweep needs --trials >= 0, got -1\n")
     # --trials 0 runs no random trial, but still every special instance.
     tags, check = [], egrl.cli._check_instance
 
@@ -426,6 +427,19 @@ def test_subsetsum_json(capsys):
     report = json.loads(out)
     assert report["results"]["count"] == "1"
     assert report["oracle_agreement"]["closed_form_vs_dp"] is True
+
+
+def test_inexact_li_wan_division_exits4(capsys, monkeypatch):
+    # C(5, 2) + 1 = 11 is not divisible by q = 5: the closed form fails its own
+    # exactness check, a verification failure like a disagreement with the DP.
+    monkeypatch.setattr(egrl.subsetsum, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(InconsistentInput):
+        egrl.subsetsum.count_li_wan(FieldCtx.from_order(5), "full", 2, 1)
+    rc, out, err = run(capsys, "subsetsum", "--q", "5", "--domain", "full", "--m", "2",
+                       "--b", "1", "--method", "lw")
+    assert (rc, out) == (4, "")
+    assert err == ("verification failed: InconsistentInput: closed form broke down at q=5, "
+                   "domain=full, m=2, b=1\n")
 
 
 def test_sweep_small_clean(capsys):
@@ -794,7 +808,8 @@ def test_mismatch_line_renders_under_caller_digit_limit(capsys, monkeypatch):
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(saved)
-    assert got == (4, "", f"closed form 1{'0' * 699}1 != dp 1\n")
+    assert got == (4, "", f"verification failed: InconsistentInput: closed form 1{'0' * 699}1 "
+                          "!= dp 1\n")
 
 
 def _one_line_failure(argv: list[str]) -> None:
@@ -905,8 +920,35 @@ def test_instance_json_value_types_exit_documented(tmp_path_factory, changed, dr
     _one_line_failure(["classify", "--instance", str(inst), "--budget", "4096"])
 
 
+_TEXT_VALUES = st.one_of(
+    st.text(alphabet="0123456789,-=:# psmod\n", max_size=12),
+    st.lists(st.integers(-2, 14) | st.sampled_from([10**40, -10**40]), max_size=6)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["p=5 s=1 mod=0,1", "p=3 s=2 mod=2,2,1", "p=3 s=40000000 mod=1",
+                     "p=4 s=1 mod=0,1", "1.5", "{", "[1]", "", "1,,2", "１"]),
+)
+
+
+def _text_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed=st.dictionaries(st.sampled_from(sorted(_INSTANCE)), _TEXT_VALUES, max_size=3),
+       dropped=st.sets(st.sampled_from(sorted(_INSTANCE)), max_size=1),
+       extra=st.lists(st.sampled_from(["# note", "k: 4", "x: 1", "alpha", ":", "{"]),
+                      max_size=2))
+def test_instance_text_values_exit_documented(tmp_path_factory, changed, dropped, extra):
+    # The text form of the instance document: values, keys and stray lines fuzzed.
+    doc = {key: value for key, value in {**_INSTANCE, **changed}.items() if key not in dropped}
+    inst = tmp_path_factory.mktemp("inst") / "inst.txt"
+    inst.write_text("\n".join([*(f"{key}: {_text_value(v)}" for key, v in doc.items()), *extra]))
+    _one_line_failure(["classify", "--instance", str(inst), "--budget", "4096"])
+
+
 @pytest.mark.parametrize("path,text", [
     ("--generator", ""),
+    ("--generator", "1 2 3\n1 1 1\n"),
     ("--instance", json.dumps({**_INSTANCE, "field": 3})),
     ("--instance", json.dumps({**_INSTANCE, "alpha": 7})),
     ("--instance", json.dumps({**_INSTANCE, "n": [5]})),
@@ -918,8 +960,11 @@ def test_instance_json_value_types_exit_documented(tmp_path_factory, changed, dr
     # Iterating a string would read these one character per code.
     ("--instance", json.dumps({**_INSTANCE, "alpha": "12789"})),
     ("--instance", json.dumps({**_INSTANCE, "M": "1051"})),
-], ids=["empty-generator", "field-int", "alpha-int", "n-list", "b-infinity",
-        "n-float", "v-bool", "alpha-float", "alpha-string", "M-string"])
+    # The JSON decoder recurses once per level, past the recursion limit here.
+    ("--instance", '{"n": ' + "[" * 1000 + "]" * 1000 + "}"),
+], ids=["empty-generator", "three-number-header", "field-int", "alpha-int", "n-list",
+        "b-infinity", "n-float", "v-bool", "alpha-float", "alpha-string", "M-string",
+        "nested-1000-deep"])
 def test_malformed_input_files_exit2(capsys, tmp_path, path, text):
     target = tmp_path / "input"
     target.write_text(text)
