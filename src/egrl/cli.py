@@ -354,12 +354,9 @@ _SWEEP_MIX_PATTERNS = [
     ("antidiagonal", [0, 1, 1, 0]),
 ]
 
-_CENSUS_LIMIT = 1 << 20
-
-
 def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
     q = ctx.q
-    n = rng.randint(k + 1, q)
+    n = rng.randint(k, q)
     alpha = tuple(rng.sample(range(q), n))
     v = tuple(rng.randrange(1, q) for _ in range(n))
     while True:
@@ -374,12 +371,12 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 
 def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
     """Check G H^T = 0 (G row-reduced), rank H, both criteria and, with nonzero points, A_min,
-    both distributions and (small duals) the support patterns against one census."""
+    both distributions and, when the census admits its dual walk, the support patterns."""
     code = _instance_code(params, budget)
     primal = code.weight_distribution(budget)
     dual_dist = macwilliams(primal, code.k, code.ctx)
     h = parity_check_matrix(params)
-    if not (code.gen.matmul(h.transpose()).is_zero() and h.rank() == params.n + 3 - params.k):
+    if not (code.gen.matmul(h.transpose()).is_zero() and h.rank() == params.length - params.k):
         failures.append(f"{tag}: parity-check identity failed")
     cls = CodeClass.from_distributions(params.k, primal, dual_dist)
     agreement = _brute_agreement(check_mds(params), cls)
@@ -395,7 +392,7 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
         return
     if nmds_distribution(params.length, k, params.ctx, amin) != (primal, dual_dist):
         failures.append(f"{tag}: closed-form distribution disagrees with brute force")
-    if params.q ** (params.length - k) <= min(budget, _CENSUS_LIMIT):
+    with contextlib.suppress(BudgetExceeded):
         if dual_support_pattern_census(params, budget) != census:
             failures.append(f"{tag}: support-pattern census disagrees")
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .field import FieldCtx
 from .matrix import FieldMatrix
-from .linear import DEFAULT_BUDGET, LinearCode, WeightDistribution, nmds_distribution
+from .linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, WeightDistribution,
+                     nmds_distribution)
 from .subsetsum import STAR, count_li_wan, find_subset, subset_row
 
 
@@ -494,16 +495,19 @@ def dual_support_pattern_census(
     evaluation points, patterns with both mixing coordinates nonzero, with
     only the b coordinate nonzero, or with an all-zero tail carry no
     codewords, and each surviving pattern matches its term of
-    min_weight_census (checked against it, not proven, off F_q^*).
+    min_weight_census (checked against it, not proven, off F_q^*).  The walk
+    is the dual itself, q**(n+3-k) codewords: BudgetExceeded above ``budget``,
+    before any row reduction.
     """
     _require_shape(params)
-    dual = egrl_code(params).dual()
     n, k, q = params.n, params.k, params.q
+    if q ** (params.length - k) > budget:
+        raise BudgetExceeded(q ** (params.length - k), budget)
     counts = {pat: 0 for pat in _TAIL_PATTERNS}
     # Scaling preserves the weight and the tail zero pattern, so each
     # enumerated scalar class stands for q-1 codewords.
-    for mask, weights in dual.codeword_blocks(budget):
-        tails = mask[weights == k, n : n + 3]
+    for mask, weights in egrl_code(params).dual().codeword_blocks():
+        tails = mask[weights == k, n : params.length]
         idx = tails[:, 0] * 4 + tails[:, 1] * 2 + tails[:, 2]
         for pat, c in zip(_TAIL_PATTERNS, np.bincount(idx, minlength=8)):
             counts[pat] += (q - 1) * int(c)

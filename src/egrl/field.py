@@ -40,11 +40,10 @@ modulus is cached by (p, s) and the tables by (p, s, resolved modulus), so
 ``from_text`` all bind one entry.  A failed build (reducible, non-monic,
 composite) is not kept and raises every time.  The memo keeps at most
 64 MiB (``_MEMO_BYTES``: numpy bytes plus 40 per list entry), evicting the
-least recently used field; q = 2**16 counts 10.7 MiB, and a first
-``from_order(65536)`` takes about 0.03 s, a repeat under 0.01 ms (2-vCPU
-Xeon, Python 3.11).  A field above the whole budget is not kept, but its
-contexts hold their tables.  Contexts are immutable, compare by (p, s,
-modulus) and are safe to share across threads; the tables are read-only.
+least recently used field; q = 2**16 counts 10.7 MiB.  A field above the
+whole budget is not kept, but its contexts hold their tables.  Contexts
+are immutable, compare by (p, s, modulus) and are safe to share across
+threads; the tables are read-only.
 """
 
 from __future__ import annotations

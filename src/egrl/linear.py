@@ -15,12 +15,13 @@ materialized: consumers only ask which symbols are nonzero, and
 tail + offset != 0 exactly when tail != -offset, so each block is the
 boolean mask of that comparison.
 
-Memory is bounded by the budget and the field's table cap.  Before building
-anything the walk adds up its tables -- k-1 tables of multiples f * row_i
-for i >= 1 (2*q*n bytes each, plus a 4*q*n int32 index sum while one is
-built; row 0 only leads, so it needs the vector -row_0 alone), the tail
-span of T <= 2**16 codewords (2*n*T bytes) and one block mask (n*T) -- and
-refuses them above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for
+Time is bounded by a budget each caller checks before the walk starts,
+memory by the field's table cap.  Before building anything the walk adds
+up its tables -- k-1 tables of multiples f * row_i for i >= 1 (2*q*n
+bytes each, plus a 4*q*n int32 index sum while one is built; row 0 only
+leads, so it needs the vector -row_0 alone), the tail span of T <= 2**16
+codewords (2*n*T bytes) and one block mask (n*T) -- and refuses them
+above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for
 an [8192, 2] code at q = 2**16; an [8192, 1] code there needs no table.
 The q-by-q addition table, built only for k >= 3, is refused alone above
 the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
@@ -63,7 +64,7 @@ class ZeroCode(CodeError):
 
 
 class BudgetExceeded(CodeError):
-    """A walk of more than ``budget`` codewords (the walked side's size, see walk_size)."""
+    """A walk of more than ``budget`` codewords: walk_size's side, or the census's dual."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(required, budget)
@@ -183,20 +184,17 @@ class LinearCode:
 
     # -- exhaustive enumeration -------------------------------------------------
 
-    def codeword_blocks(
-        self, budget: int = DEFAULT_BUDGET
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def codeword_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (nonzero mask, row weights) blocks, one row per scalar class.
 
         Row r of a mask marks the nonzero symbols of the codeword of a
-        message whose first nonzero symbol is 1.  Checks exactness on the
-        way: no walked message gives the zero codeword (the generator has
-        full rank), and the blocks hold exactly (q**k - 1)/(q - 1) rows.
+        message whose first nonzero symbol is 1.  Lazy and unbudgeted: each
+        caller sizes the walk first, and ``require_table_bytes`` caps the
+        eager tables.  Checks exactness on the way: no walked message gives
+        the zero codeword (the generator has full rank), and the blocks hold
+        exactly (q**k - 1)/(q - 1) rows.
         """
         ctx, q, k, n = self.ctx, self.ctx.q, self.k, self.n
-        total = q**k
-        if total > budget:
-            raise BudgetExceeded(total, budget)
         tail_len = 0
         while tail_len < k - 1 and q ** (tail_len + 1) <= _BLOCK_LIMIT:
             tail_len += 1
@@ -236,7 +234,7 @@ class LinearCode:
                     raise InconsistentInput("a nonzero message gave the zero codeword")
                 walked += len(weights)
                 yield mask, weights
-        if walked != (total - 1) // (q - 1):
+        if walked != (q**k - 1) // (q - 1):
             raise InconsistentInput(f"enumeration walked {walked} scalar classes")
 
     def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
@@ -245,7 +243,7 @@ class LinearCode:
         if walk_size(self.ctx.q, self.n, self.k, budget) != self.ctx.q**self.k:
             return macwilliams(self.dual().weight_distribution(budget), self.n - self.k, self.ctx)
         classes = np.zeros(self.n + 1, dtype=np.int64)
-        for _, weights in self.codeword_blocks(budget):
+        for _, weights in self.codeword_blocks():
             classes += np.bincount(weights, minlength=self.n + 1)
         # codeword_blocks walked exactly (q**k - 1)/(q - 1) classes, so the total is q**k.
         return WeightDistribution(self.n, (1, *((self.ctx.q - 1) * int(c) for c in classes[1:])))

@@ -370,6 +370,27 @@ def test_sweep_refuses_negative_trials(capsys, monkeypatch):
     assert len(tags) == 7 and all("special[" in tag for tag in tags)
 
 
+def test_check_instance_census_takes_the_budget(monkeypatch):
+    # The special [10, 3] code over GF(8): --budget alone decides whether the
+    # census walks its dual's 8**7 = 2**21 codewords, and a budget one below
+    # that skips the census with no failure.
+    ctx = FieldCtx.from_order(8)
+    p = egrl.construction.special_construction(ctx, 3, 1, FieldMatrix.from_flat(ctx, 2, 2,
+                                                                               [1, 1, 1, 2]))
+    censuses, census = [], egrl.cli.dual_support_pattern_census
+
+    def counted(params, budget):
+        censuses.append(census(params, budget))
+        return censuses[-1]
+
+    monkeypatch.setattr(egrl.cli, "dual_support_pattern_census", counted)
+    for budget, walked in ((egrl.cli.DEFAULT_BUDGET, 1), (8**7, 2), (8**7 - 1, 2)):
+        failures = []
+        egrl.cli._check_instance(p, budget, failures, "special")
+        assert (failures, len(censuses)) == ([], walked)
+    assert censuses[0] == egrl.construction.min_weight_census(p)
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--q", "1024", "--k", "700", "--b", "1", "--M", "1,1,1,2", "--special",
      "--verify"],

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import power, random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix, vandermonde_skip_det
-from egrl.linear import LinearCode, macwilliams, nmds_distribution
+from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, macwilliams,
+                         nmds_distribution)
 from egrl import subsetsum
 from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset
 from egrl.construction import (
@@ -795,6 +796,31 @@ def test_census_forbidden_patterns_empty(gf7):
         for pat in ((False, False, False), (False, False, True),
                     (True, True, False), (True, True, True)):
             assert census[pat] == 0
+
+
+def test_census_refuses_before_any_row_reduction(monkeypatch):
+    # The special [258, 8] code over GF(256): its dual's 256**250 codewords
+    # are over the default budget, known before the code or its dual is
+    # row-reduced (seconds of work at this q).
+    ctx = FieldCtx.from_order(256)
+    p = special_construction(ctx, 8, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
+
+    def never(self):
+        raise AssertionError("row reduction before the census budget check")
+
+    monkeypatch.setattr(FieldMatrix, "_rref_pivots", never)
+    with pytest.raises(BudgetExceeded) as err:
+        dual_support_pattern_census(p)
+    assert (err.value.required, err.value.budget) == (256**250, DEFAULT_BUDGET)
+
+
+def test_census_budget_is_the_dual_size(gf7):
+    # [9, 4] over GF(7): the census walks the dual, 7**5 codewords.
+    p = special_construction(gf7, 4, 1, FieldMatrix.from_flat(gf7, 2, 2, [1, 1, 1, 2]))
+    assert dual_support_pattern_census(p, 7**5) == min_weight_census(p)
+    with pytest.raises(BudgetExceeded) as err:
+        dual_support_pattern_census(p, 7**5 - 1)
+    assert (err.value.required, err.value.budget) == (7**5, 7**5 - 1)
 
 
 # -- monomial scaling ---------------------------------------------------------------

@@ -61,6 +61,12 @@ def test_prime_power_characteristic_rejected(p, s):
         FieldCtx(p, s)
 
 
+@pytest.mark.parametrize("s", [0, -1])
+def test_extension_degree_below_one_rejected(s):
+    with pytest.raises(ValueError, match=rf"^extension degree must be >= 1, got {s}$"):
+        FieldCtx(2, s)
+
+
 @pytest.mark.parametrize("q", [6, 15, 2 * 32749, 65535, 3**9 * 2])
 def test_non_prime_power_order_rejected(q):
     with pytest.raises(CompositeCharacteristic, match=rf"^{q} is not a prime power$"):

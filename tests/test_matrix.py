@@ -9,6 +9,7 @@ from egrl.matrix import (
     DimMismatch,
     DuplicateNodes,
     FieldMatrix,
+    MatrixError,
     NotSquare,
     vandermonde_skip_det,
 )
@@ -176,6 +177,22 @@ def test_negative_shapes_refused(gf5, build):
     # rows * cols can equal the entry count for negative shapes; none is a matrix.
     with pytest.raises(DimMismatch):
         build(gf5)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda ctx: FieldMatrix(ctx, [[1, 2], [3]]), "ragged rows"),
+    (lambda ctx: FieldMatrix.from_flat(ctx, 2, 2, [1, 2, 3]), "need 4 entries, got 3"),
+], ids=["ragged", "flat-count"])
+def test_entry_counts_checked(gf5, build, message):
+    with pytest.raises(DimMismatch, match=f"^{message}$"):
+        build(gf5)
+
+
+def test_inverse_refuses_non_square_and_singular(gf5):
+    with pytest.raises(NotSquare, match=r"^inverse of 2x3 matrix$"):
+        FieldMatrix(gf5, [[1, 2, 3], [4, 0, 1]]).inverse()
+    with pytest.raises(MatrixError, match=r"^matrix is singular$"):
+        FieldMatrix(gf5, [[1, 2], [2, 4]]).inverse()
 
 
 def test_entries_admitted_as_element_codes(gf5):

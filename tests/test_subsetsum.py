@@ -58,6 +58,13 @@ def test_explicit_domain_duplicates_rejected(gf5):
         count_dp(gf5, (1, 1, 2), 2, 0)
 
 
+def test_unknown_domains_rejected(gf5):
+    with pytest.raises(ValueError, match=r"^unknown domain 'units' "):
+        count_dp(gf5, "units", 2, 0)
+    with pytest.raises(ValueError, match=r"^closed forms exist for the 'full' and 'star' "):
+        count_li_wan(gf5, [1, 2, 3], 2, 0)
+
+
 def test_explicit_domain_matches_bruteforce(gf13):
     codes = (1, 2, 7, 8, 9)
     for m in range(len(codes) + 1):
