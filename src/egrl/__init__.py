@@ -69,6 +69,7 @@ from .construction import (
     generator_matrix,
     min_weight_census,
     parity_check_matrix,
+    reduced_generator,
     special_construction,
     special_nmds_distribution,
 )

@@ -8,6 +8,13 @@ scalar ``b``, an exponent ``t`` with 0 <= t <= k-3, and a nonsingular
     ( v_1 f(a_1), ..., v_n f(a_n),  (f_{k-ell}, ..., f_{k-1}) * MIX,  b * f_t )
 
 over all polynomials f of degree < k, giving a [n + ell + 1, k] code.
+``generator_matrix`` is that definition, row i the codeword of x**i;
+``egrl_code`` builds the code on ``reduced_generator``, the same row
+space already in reduced echelon form [I_k | A]: row r is the codeword of
+L_r / v_r for the Lagrange basis polynomial L_r on the first k points, so
+each entry of A is a closed form (a scaled Cauchy matrix on the evaluation
+columns, Roth-Seroussi) and no row reduction is run.  LinearCode keeps its
+row reduction for raw generators and duals.
 
 The ell = 2, t = 0 family carries the closed theory implemented here: an
 explicit parity-check matrix, MDS / dual-AMDS criteria decided by
@@ -272,9 +279,63 @@ def generator_matrix(params: EgrlParams) -> FieldMatrix:
     return FieldMatrix(ctx, rows)
 
 
+def reduced_generator(params: EgrlParams) -> FieldMatrix:
+    """The reduced echelon form [I_k | A] of generator_matrix, without row reduction.
+
+    The first k columns of the evaluation form are v_s * alpha_s**i on k
+    distinct points, an invertible scaled Vandermonde block, so the pivots
+    are 0..k-1 and row r is the codeword of L_r / v_r, where L_r is the
+    Lagrange basis polynomial of alpha_r on the first k points
+    (Roth-Seroussi, 1985).  With P(x) = prod_{j<k} (x - alpha_j), its
+    quotient quo_r = P(x) / (x - alpha_r) by one synthetic division and the
+    barycentric weight w_r = prod_{j != r} (alpha_r - alpha_j) = quo_r(alpha_r)
+    (Berrut-Trefethen, 2004), row r holds
+
+        v_c P(alpha_c) / (w_r v_r (alpha_c - alpha_r))    at evaluation column c >= k,
+        sum_i quo_r[k-ell+i] M_ij / (w_r v_r)              at mixing column j,
+        b quo_r[t] / (w_r v_r)                             at the b column.
+
+    O(k*n + k**2 + k*ell**2) scalar operations, for every (ell, t) and
+    zero evaluation points too.
+    """
+    ctx, k, ell = params.ctx, params.k, params.ell
+    add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
+    nodes, rest = params.alpha[:k], params.alpha[k:]
+    p = [1]  # P(x), leading coefficient first
+    for a in nodes:
+        minus_a = neg(a)
+        p = [add(x, mul(minus_a, y)) for x, y in zip(p + [0], [0] + p)]
+    tops = []  # v_c P(alpha_c) by Horner, for the evaluation columns past the pivots
+    for a, vc in zip(rest, params.v[k:]):
+        value = 1
+        for coef in p[1:]:
+            value = add(mul(value, a), coef)
+        tops.append(mul(vc, value))
+    mix_cols = [params.mix.data[j::ell] for j in range(ell)]
+    rows = []
+    for r, (a, vr) in enumerate(zip(nodes, params.v)):
+        quo = [1]  # quo_r, leading coefficient first: quo[i] multiplies x**(k-1-i)
+        for coef in p[1:k]:
+            quo.append(add(coef, mul(a, quo[-1])))
+        w = 1
+        for coef in quo[1:]:
+            w = add(mul(w, a), coef)
+        scale, minus_a = inv(mul(w, vr)), neg(a)
+        row = [0] * k
+        row[r] = 1
+        row += [mul(mul(top, scale), inv(add(c, minus_a))) for top, c in zip(tops, rest)]
+        high = quo[ell - 1 :: -1]  # the coefficients of x**(k-ell), ..., x**(k-1)
+        row += [mul(scale, ctx.sum(map(mul, high, col))) for col in mix_cols]
+        row.append(mul(scale, mul(params.b, quo[k - 1 - params.t])))
+        rows.append(row)
+    return FieldMatrix(ctx, rows)
+
+
 def egrl_code(params: EgrlParams) -> LinearCode:
-    """The instance as a LinearCode (generator row-reduced internally)."""
-    return LinearCode(generator_matrix(params))
+    """The instance as a LinearCode, built already reduced: row r of reduced_generator is
+    the codeword of L_r / v_r, so the constructor's row reduction only confirms the pivots
+    (O(k**2) zero tests).  It still row-reduces raw generators and duals."""
+    return LinearCode(reduced_generator(params))
 
 
 def compute_u(ctx: FieldCtx, alpha: Sequence[int]) -> tuple[int, ...]:

@@ -70,9 +70,18 @@ class BudgetExceeded(CodeError):
         super().__init__(required, budget)
         self.required, self.budget = required, budget
 
-    def __str__(self) -> str:  # formatted when shown: the size may pass the digit limit
-        return (f"enumeration of a code of {self.required} codewords exceeds "
-                f"the budget of {self.budget}")
+    def __str__(self) -> str:  # formatted when shown, under the caller's digit limit
+        return (f"enumeration of a code of {_count_text(self.required)} codewords exceeds "
+                f"the budget of {_count_text(self.budget)}")
+
+
+def _count_text(count: int) -> str:
+    """The count in decimal, or by its bit length past the int-to-str digit limit, which
+    ``cli.main`` lifts and a library caller may keep."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
 
 
 class InconsistentInput(CodeError):

@@ -284,12 +284,10 @@ def test_c07_nmds_distribution_at_field_scale():
     )
 
 
-def test_c07_top_of_proven_range_by_brute_force():
-    # k = q-1 (q-2 in characteristic 2), the top of the paper's NMDS range:
-    # weights --method both walks the dual's q**3 codewords, the smaller side.
-    started = time.time()
+def _special_weights_agree(cases):
+    """``weights --special --method both`` for each (q, k): (all agree, one detail per case)."""
     details, ok = [], True
-    for q, k in ((25, 24), (27, 26), (32, 30), (49, 48)):
+    for q, k in cases:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = main(["weights", "--q", str(q), "--k", str(k), "--b", "1", "--M", "1,1,1,2",
@@ -302,9 +300,31 @@ def test_c07_top_of_proven_range_by_brute_force():
                      and res["distribution"] == res["brute_distribution"])
         ok &= agree
         details.append(f"[{q + 2},{k}]/GF({q}) rc={rc}")
+    return ok, details
+
+
+def test_c07_top_of_proven_range_by_brute_force():
+    # k = q-1 (q-2 in characteristic 2), the top of the paper's NMDS range:
+    # weights --method both walks the dual's q**3 codewords, the smaller side.
+    started = time.time()
+    ok, details = _special_weights_agree(((25, 24), (27, 26), (32, 30), (49, 48)))
     elapsed = time.time() - started
     _report(
         "C7 closed form equals brute force at the top of the proven range, under 2 s",
+        ok and elapsed < 2.0,
+        f"{'; '.join(details)} in {elapsed:.2f}s",
+    )
+
+
+def test_c07_high_rate_brute_force_without_row_reduction():
+    # k = q-1 at q = 128 and 256: the code is built on the closed-form reduced
+    # generator, so the [258, 255] code costs its dual's 256**3 walk and no
+    # O(k**2 n) row reduction (over 4 s for the pair when row-reduced).
+    started = time.time()
+    ok, details = _special_weights_agree(((128, 127), (256, 255)))
+    elapsed = time.time() - started
+    _report(
+        "C7 closed form equals brute force at k = q-1 for q = 128 and 256, under 2 s",
         ok and elapsed < 2.0,
         f"{'; '.join(details)} in {elapsed:.2f}s",
     )

@@ -32,6 +32,7 @@ from egrl.construction import (
     min_weight_census,
     params_from_text,
     parity_check_matrix,
+    reduced_generator,
     special_construction,
     special_nmds_distribution,
 )
@@ -403,6 +404,47 @@ def test_parity_check_shape_refusals(gf13):
     h = parity_check_matrix(p3)
     assert (h.rows, h.cols) == (3, 8)
     assert generator_matrix(p3).matmul(h.transpose()).is_zero() and h.rank() == 3
+
+
+# -- reduced generator ------------------------------------------------------------------
+
+
+@st.composite
+def shaped_instances(draw):
+    # Any (ell, t): 1 <= ell <= k, 0 <= t <= k-3, a zero point allowed.
+    q = draw(st.sampled_from(sorted(_H_FIELDS)))
+    ctx = _H_FIELDS[q]
+    alpha = draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=q, unique=True))
+    n = len(alpha)
+    k = draw(st.integers(3, n))
+    ell = draw(st.integers(1, k))
+    # The ell x ell mix (up to 32**2 entries) from a drawn seed, redrawn while singular:
+    # a redraw loop on hypothesis data trips the large_base_example health check.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while (mix := FieldMatrix.from_flat(
+            ctx, ell, ell, [rng.randrange(q) for _ in range(ell * ell)])).det() == 0:
+        pass
+    return EgrlParams(
+        ctx=ctx, n=n, k=k, ell=ell, t=draw(st.integers(0, k - 3)), alpha=tuple(alpha),
+        v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
+        b=draw(st.integers(1, q - 1)), mix=mix,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_instances())
+@example(make_params(FieldCtx.from_order(32), (0, 5, 17, 30), 3, [[0, 3], [7, 1]],
+                     b=9, v=(2, 31, 1, 6)))  # k = 3, a zero pivot point, characteristic 2
+@example(make_params(FieldCtx(29), (3, 11, 28, 7, 19, 0), 6, [[4, 1], [1, 3]],
+                     b=2, v=(5, 1, 9, 27, 2, 14), t=3))  # k = n, t = k-3
+@example(make_params(FieldCtx(13), (1, 2, 3, 4, 5, 6, 0), 4, [[1, 2, 0, 0], [0, 1, 0, 0],
+                                                             [0, 0, 1, 5], [3, 0, 0, 1]],
+                     ell=4, t=1))  # ell = k, a zero point past the pivots
+@example(make_params(FieldCtx(7), (1, 2, 3, 4, 5, 6), 5, [[3]], ell=1, t=2))  # ell = 1
+def test_reduced_generator_equals_row_reduction(p):
+    # The closed form against Gauss-Jordan elimination of the evaluation form,
+    # which shares none of its code.
+    assert reduced_generator(p) == LinearCode(generator_matrix(p)).gen
 
 
 # -- MDS / dual-AMDS criteria ---------------------------------------------------------

@@ -214,6 +214,22 @@ def test_budget_refusal_past_the_digit_limit():
     assert err.value.budget == 1
 
 
+def test_budget_refusal_text_under_the_caller_digit_limit():
+    # A library caller keeps the default limit: a size past it is named by its
+    # bit length (256**2000 = 2**16000), a size within it in decimal.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = str(BudgetExceeded(256**2000, 1 << 26))
+        small = str(BudgetExceeded(3**20, 10**9000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == ("enumeration of a code of at least 2^16000 codewords exceeds "
+                    "the budget of 67108864")
+    assert small == ("enumeration of a code of 3486784401 codewords exceeds "
+                     "the budget of at least 2^29897")
+
+
 def test_budget_admits_a_code_of_exactly_its_size(gf3):
     code = LinearCode(FieldMatrix(gf3, [[1, 0, 1, 1], [0, 1, 1, 2]]))
     assert code.weight_distribution(budget=9).counts == (1, 0, 0, 8, 0)
