@@ -334,7 +334,8 @@ def reduced_generator(params: EgrlParams) -> FieldMatrix:
 def egrl_code(params: EgrlParams) -> LinearCode:
     """The instance as a LinearCode, built already reduced: row r of reduced_generator is
     the codeword of L_r / v_r, so the constructor's row reduction only confirms the pivots
-    (O(k**2) zero tests).  It still row-reduces raw generators and duals."""
+    (O(k**2) zero tests) and keeps the matrix, whose entries are admitted once.  It still
+    row-reduces raw generators and duals."""
     return LinearCode(reduced_generator(params))
 
 

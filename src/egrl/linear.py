@@ -27,6 +27,13 @@ The q-by-q addition table, built only for k >= 3, is refused alone above
 the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
 scalar classes in 0.01 s (2-vCPU Xeon).
 
+The tail span is built by halves, span(rows) = span(first half) +
+span(second half): by one gather while a column of the sum holds fewer
+than ``_COLUMN_CELLS`` = 768 cells, else column by column, a row pick of
+the addition table (at most 128 KiB) and one take.  While it is built, its
+halves, 2*n*(|hi| + |lo|) bytes, sit in the mask's share: within n*T from
+T = 16 on, at most 4*n bytes past it below.
+
 Budgets count the side walked, q**min(k, n-k) codewords (q**n for the full
 code), which ``weight_distribution`` picks by ``walk_size`` before building
 a dual; a dual walk gives the code's counts by one MacWilliams transform.
@@ -48,6 +55,10 @@ from .matrix import FieldMatrix
 
 DEFAULT_BUDGET = 1 << 26  # walked side size q**min(k, n-k); overridable per call
 _BLOCK_LIMIT = 1 << 16  # max rows per block
+# Cells a column from which a span is built column by column: there two numpy calls
+# a column (about 3 us) cost less than the gather's 4 ns more a cell (2-vCPU Xeon:
+# 729-cell columns gather faster, 1024-cell ones are faster column by column).
+_COLUMN_CELLS = 768
 
 MDS = "MDS"
 NMDS = "NMDS"
@@ -159,7 +170,9 @@ class LinearCode:
     """A linear code held by a full-row-rank generator in reduced echelon form.
 
     Construction row-reduces the supplied generator and drops zero rows, so
-    equal codes (same row space) compare equal.
+    equal codes (same row space) compare equal.  A generator the reduction
+    leaves as it is (full rank, already reduced, as ``egrl_code`` builds it)
+    is kept, not admitted a second time.
     """
 
     __slots__ = ("ctx", "gen", "n", "k")
@@ -169,7 +182,8 @@ class LinearCode:
         if not pivots:
             raise ZeroCode("generator has rank 0")
         self.ctx = gen.ctx
-        self.gen = FieldMatrix(gen.ctx, reduced[: len(pivots)], cols=gen.cols)
+        unchanged = len(pivots) == gen.rows and tuple(itertools.chain(*reduced)) == gen.data
+        self.gen = gen if unchanged else FieldMatrix(gen.ctx, reduced[: len(pivots)], cols=gen.cols)
         self.n = gen.cols
         self.k = len(pivots)
 
@@ -222,13 +236,13 @@ class LinearCode:
         add_t = ctx.add_table() if tail_len >= 2 or head >= 2 else None
         # span(rows head..k-1), one codeword per column, the symbol of row
         # head most significant: its first q**m columns span the last m
-        # rows.  Column-major keeps the compares and the per-row weight sums
-        # contiguous.
-        tail = np.ascontiguousarray(scaled[k - 1].T) if tail_len else np.zeros((n, 1), np.uint16)
-        for i in range(k - 2, head - 1, -1):
-            tail = add_t[scaled[i].T[:, :, None], tail[:, None, :]].reshape(n, -1)
-        # uint8 sums are the fastest; they would wrap from n = 256 on.
-        wdtype = np.uint8 if n < 256 else np.intp
+        # rows.  Column-major keeps the compares contiguous.
+        tail = (np.ascontiguousarray(_span(add_t, [table.T for table in scaled[head:]]))
+                if tail_len else np.zeros((n, 1), np.uint16))
+        # Weights are the mask's bytes summed down its contiguous columns, in the
+        # smallest type that holds n: half the time of a bool sum along the rows,
+        # a quarter of an intp sum.
+        wdtype = np.min_scalar_type(n)
         walked = 0
         for lead in range(k):
             span = tail[:, : q ** min(tail_len, k - 1 - lead)]
@@ -237,12 +251,12 @@ class LinearCode:
                 minus = negated[lead]
                 for i, f in enumerate(syms, lead + 1):
                     minus = add_t[minus, scaled[i][neg(f)]]
-                mask = (span != minus[:, None]).T
-                weights = mask.sum(axis=1, dtype=wdtype)
+                mask = span != minus[:, None]
+                weights = mask.view(np.uint8).sum(axis=0, dtype=wdtype)
                 if not weights.all():
                     raise InconsistentInput("a nonzero message gave the zero codeword")
                 walked += len(weights)
-                yield mask, weights
+                yield mask.T, weights
         if walked != (q**k - 1) // (q - 1):
             raise InconsistentInput(f"enumeration walked {walked} scalar classes")
 
@@ -261,6 +275,28 @@ class LinearCode:
         """Singleton defects of the code and its dual, with the class label."""
         primal = self.weight_distribution(budget)
         return CodeClass.from_distributions(self.k, primal, macwilliams(primal, self.k, self.ctx))
+
+
+def _span(add_t: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """span(rows) as an (n, q**m) uint16 array from the rows' transposed multiples tables
+    (n, q), one codeword per column, the first row's symbol most significant.
+
+    The halves combine as span[c, a, b] = add_t[hi[c, a], lo[c, b]]: by one 2-index
+    gather (about 6 ns a cell) while a column holds fewer than ``_COLUMN_CELLS`` cells,
+    else column by column, a |hi|-by-q row pick of add_t (|hi| <= 256, so at most
+    128 KiB) and one take along its columns (about 1.5 ns a cell).  Each cell of the
+    span is written once; adding one row at a time would write q/(q-1) spans' worth.
+    """
+    if len(tables) == 1:
+        return tables[0]
+    hi, lo = _span(add_t, tables[: len(tables) // 2]), _span(add_t, tables[len(tables) // 2 :])
+    n, a, b = len(hi), hi.shape[1], lo.shape[1]
+    if a * b < _COLUMN_CELLS:
+        return add_t[hi[:, :, None], lo[:, None, :]].reshape(n, -1)
+    out = np.empty((n, a, b), np.uint16)
+    for x, y, o in zip(hi, lo, out):
+        add_t.take(x, axis=0).take(y, axis=1, out=o)
+    return out.reshape(n, -1)
 
 
 def walk_size(q: int, n: int, k: int, budget: int) -> int:

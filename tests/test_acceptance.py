@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every check is exact (integer equality), with the stated runtime
-ceilings asserted alongside.  The q = 27 brute-force cross-check is marked
-``slow`` but runs in the default suite.
+ceilings asserted alongside.  The q = 27 brute-force cross-check over 27^5
+codewords is marked ``slow`` but runs in the default suite: its walk takes
+about 0.01 s, under a 2 s ceiling.
 """
 
 import contextlib
@@ -131,8 +132,8 @@ def test_c03_q27_bruteforce_crosscheck():
     elapsed = time.time() - started
     _report(
         "C3 (slow) q=27 brute force over 27^5 matches the closed forms",
-        dist == primal and brute_dual == dual and elapsed < 600.0,
-        f"14348907 codewords in {elapsed:.1f}s",
+        dist == primal and brute_dual == dual and elapsed < 2.0,
+        f"14348907 codewords in {elapsed:.3f}s",
     )
 
 

@@ -447,6 +447,14 @@ def test_reduced_generator_equals_row_reduction(p):
     assert reduced_generator(p) == LinearCode(generator_matrix(p)).gen
 
 
+def test_egrl_code_admits_each_entry_once(ex13, monkeypatch):
+    # reduced_generator admits its k x (n+ell+1) entries; the code keeps that matrix.
+    real, admitted = FieldCtx._check, []
+    monkeypatch.setattr(FieldCtx, "_check", lambda self, c: admitted.append(c) or real(self, c))
+    code = egrl_code(ex13)
+    assert len(admitted) == code.k * code.n == 5 * 8
+
+
 # -- MDS / dual-AMDS criteria ---------------------------------------------------------
 
 

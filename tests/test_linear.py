@@ -52,6 +52,16 @@ def test_rank_normalization(gf5):
         LinearCode(FieldMatrix(gf5, [[0, 0, 0], [0, 0, 0]]))
 
 
+def test_a_reduced_generator_is_kept(gf5):
+    # Full rank and already reduced: the code holds the matrix itself.  A raw
+    # generator, or one with a zero row to drop, gets the reduced matrix.
+    reduced = FieldMatrix(gf5, [[1, 0, 2], [0, 1, 3]])
+    assert LinearCode(reduced).gen is reduced
+    for raw in ([[2, 0, 4], [0, 1, 3]], [[1, 0, 2], [0, 1, 3], [0, 0, 0]]):
+        gen = LinearCode(FieldMatrix(gf5, raw)).gen
+        assert gen == reduced and gen.rows == 2
+
+
 def test_dual_of_full_code_is_refused(gf5):
     full = LinearCode(FieldMatrix.identity(gf5, 3))
     assert (full.n, full.k) == (3, 3)
@@ -109,6 +119,37 @@ def small_generators(draw):
     return q, draw(st.lists(entries, min_size=k, max_size=k))
 
 
+def walk_supports(ctx, rows):
+    """Supports of the messages the walk visits, in its order: lead row j (symbol 1
+    there, 0 before), then the symbols of rows j+1..k-1 as a base-q number, the
+    earliest row most significant (head symbols, then the tail's)."""
+    out = []
+    for lead in range(len(rows)):
+        for rest in itertools.product(range(ctx.q), repeat=len(rows) - 1 - lead):
+            cw = list(rows[lead])
+            for f, row in zip(rest, rows[lead + 1:]):
+                cw = [ctx.add(c, ctx.mul(f, g)) for c, g in zip(cw, row)]
+            out.append([c != 0 for c in cw])
+    return np.array(out, dtype=bool)
+
+
+def assert_walk_matches_oracles(code, block_limit):
+    """The blocks, concatenated, hold the supports in walk order row by row and their
+    weights; counted per scalar class they give the plain enumeration's histogram."""
+    with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
+        blocks = list(code.codeword_blocks())
+    masks = np.concatenate([mask for mask, _ in blocks])
+    weights = np.concatenate([w for _, w in blocks])
+    rows = code.gen.to_lists()
+    supports = walk_supports(code.ctx, rows)
+    assert masks.shape == supports.shape and (masks == supports).all()
+    assert (weights == supports.sum(axis=1)).all()
+    if code.ctx.q ** code.k <= 1 << 12:
+        classes = np.bincount(weights, minlength=code.n + 1)
+        expected = tuple(brute_weights(code.ctx, rows))
+        assert (1, *((code.ctx.q - 1) * int(c) for c in classes[1:])) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_generators(), st.sampled_from([1, 8, linear._BLOCK_LIMIT]))
 @example((2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]]), linear._BLOCK_LIMIT)  # q = 2
@@ -117,18 +158,40 @@ def small_generators(draw):
 def test_projective_enumeration_matches_python_oracle(case, block_limit):
     # Small block limits move rows from the shared tail block into the
     # per-block offsets, so every split of head and tail gets exercised.  The
-    # blocks are counted directly: weight_distribution would walk the dual of
+    # blocks are read directly: weight_distribution would walk the dual of
     # a k > n-k code, and dual_support_pattern_census walks such duals.
     q, rows = case
-    ctx = _FIELDS[q]
     try:
-        code = LinearCode(FieldMatrix(ctx, rows))
+        code = LinearCode(FieldMatrix(_FIELDS[q], rows))
     except ZeroCode:
         return
-    expected = tuple(brute_weights(ctx, code.gen.to_lists()))
-    with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
-        classes = sum(np.bincount(w, minlength=code.n + 1) for _, w in code.codeword_blocks())
-    assert (1, *((q - 1) * int(c) for c in classes[1:])) == expected
+    assert_walk_matches_oracles(code, block_limit)
+
+
+@pytest.mark.parametrize("block_limit", [1, 8, linear._BLOCK_LIMIT])
+@pytest.mark.parametrize("q,k", [(27, 3), (32, 3), (16, 4), (27, 4)])
+def test_wide_tail_spans_match_the_walk_order_oracle(q, k, block_limit):
+    # Under the full block limit the tail span's halves meet in 729 cells a
+    # column at (27, 3), below _COLUMN_CELLS, so one gather; in 1024 at (32, 3)
+    # and 19683 at (27, 4), built column by column; at (16, 4) a 256-cell gather
+    # builds the lower half, then 4096 cells column by column.
+    rng = random.Random(q * 10 + k)
+    ctx = FieldCtx.from_order(q)
+    rows = [[int(i == j) for j in range(k)] + [rng.randrange(q) for _ in range(5)]
+            for i in range(k)]
+    assert_walk_matches_oracles(LinearCode(FieldMatrix(ctx, rows)), block_limit)
+
+
+def test_long_binary_code_matches_the_python_oracle():
+    # n >= 256 sums weights past uint8.  The 10 tail rows' span meets in 32 x 32
+    # = 1024 cells a column, built column by column, and each half by gathers.
+    rng = random.Random(300)
+    ctx = _FIELDS[2]
+    rows = [[int(i == j) for j in range(11)] + [rng.randrange(2) for _ in range(289)]
+            for i in range(11)]
+    code = LinearCode(FieldMatrix(ctx, rows))
+    assert (code.n, code.k) == (300, 11)
+    assert code.weight_distribution().counts == tuple(brute_weights(ctx, rows))
 
 
 @st.composite
