@@ -14,7 +14,9 @@ space already in reduced echelon form [I_k | A]: row r is the codeword of
 L_r / v_r for the Lagrange basis polynomial L_r on the first k points, so
 each entry of A is a closed form (a scaled Cauchy matrix on the evaluation
 columns, Roth-Seroussi) and no row reduction is run.  LinearCode keeps its
-row reduction for raw generators and duals.
+row reduction for raw generators and duals.  The reduced generator and the
+parity-check matrix read one barycentric rule: P(x) = prod (x - a) over
+their points, built once, and w_a = P'(a), whose inverse is compute_u's u_a.
 
 The ell = 2, t = 0 family carries the closed theory implemented here: an
 explicit parity-check matrix, MDS / dual-AMDS criteria decided by
@@ -260,6 +262,32 @@ def _power_rows(
     return rows
 
 
+def _vanishing(ctx: FieldCtx, nodes: Sequence[int]) -> list[int]:
+    """The coefficients of P(x) = prod_a (x - a) over the nodes, leading coefficient first."""
+    p = [1]
+    for a in nodes:
+        minus_a = ctx.neg(a)
+        p = [ctx.add(x, ctx.mul(minus_a, y)) for x, y in zip(p + [0], [0] + p)]
+    return p
+
+
+def _horner(ctx: FieldCtx, coeffs: Sequence[int], x: int) -> int:
+    """The polynomial with these coefficients, leading first, evaluated at x."""
+    add, mul, value = ctx.add, ctx.mul, 0
+    for c in coeffs:
+        value = add(mul(value, x), c)
+    return value
+
+
+def _barycentric(ctx: FieldCtx, p: Sequence[int], nodes: Sequence[int]) -> list[int]:
+    """u_a = 1 / P'(a) = prod_{b != a} (a - b)**(-1) at each node a of P = _vanishing(nodes).
+    P' = sum_e e c_e x**(e-1) with e mod p, the prime-subfield element of code e: at p | n
+    the leading term drops out."""
+    deg = len(p) - 1
+    slope = [ctx.mul((deg - i) % ctx.p, c) for i, c in enumerate(p[:-1])]
+    return [ctx.inv(_horner(ctx, slope, a)) for a in nodes]
+
+
 def generator_matrix(params: EgrlParams) -> FieldMatrix:
     """The k x (n + ell + 1) generator in the standard evaluation form.
 
@@ -288,8 +316,8 @@ def reduced_generator(params: EgrlParams) -> FieldMatrix:
     Lagrange basis polynomial of alpha_r on the first k points
     (Roth-Seroussi, 1985).  With P(x) = prod_{j<k} (x - alpha_j), its
     quotient quo_r = P(x) / (x - alpha_r) by one synthetic division and the
-    barycentric weight w_r = prod_{j != r} (alpha_r - alpha_j) = quo_r(alpha_r)
-    (Berrut-Trefethen, 2004), row r holds
+    barycentric weight w_r = P'(alpha_r) = prod_{j != r} (alpha_r - alpha_j)
+    (Berrut-Trefethen, 2004), the rule compute_u inverts, row r holds
 
         v_c P(alpha_c) / (w_r v_r (alpha_c - alpha_r))    at evaluation column c >= k,
         sum_i quo_r[k-ell+i] M_ij / (w_r v_r)              at mixing column j,
@@ -301,26 +329,15 @@ def reduced_generator(params: EgrlParams) -> FieldMatrix:
     ctx, k, ell = params.ctx, params.k, params.ell
     add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
     nodes, rest = params.alpha[:k], params.alpha[k:]
-    p = [1]  # P(x), leading coefficient first
-    for a in nodes:
-        minus_a = neg(a)
-        p = [add(x, mul(minus_a, y)) for x, y in zip(p + [0], [0] + p)]
-    tops = []  # v_c P(alpha_c) by Horner, for the evaluation columns past the pivots
-    for a, vc in zip(rest, params.v[k:]):
-        value = 1
-        for coef in p[1:]:
-            value = add(mul(value, a), coef)
-        tops.append(mul(vc, value))
+    p = _vanishing(ctx, nodes)
+    tops = [mul(vc, _horner(ctx, p, a)) for a, vc in zip(rest, params.v[k:])]
     mix_cols = [params.mix.data[j::ell] for j in range(ell)]
     rows = []
-    for r, (a, vr) in enumerate(zip(nodes, params.v)):
+    for r, (a, u, vr) in enumerate(zip(nodes, _barycentric(ctx, p, nodes), params.v)):
         quo = [1]  # quo_r, leading coefficient first: quo[i] multiplies x**(k-1-i)
         for coef in p[1:k]:
             quo.append(add(coef, mul(a, quo[-1])))
-        w = 1
-        for coef in quo[1:]:
-            w = add(mul(w, a), coef)
-        scale, minus_a = inv(mul(w, vr)), neg(a)
+        scale, minus_a = mul(u, inv(vr)), neg(a)
         row = [0] * k
         row[r] = 1
         row += [mul(mul(top, scale), inv(add(c, minus_a))) for top, c in zip(tops, rest)]
@@ -340,11 +357,12 @@ def egrl_code(params: EgrlParams) -> LinearCode:
 
 
 def compute_u(ctx: FieldCtx, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Inverse products u_i = prod_{j != i} (alpha_i - alpha_j)**(-1).
+    """Inverse products u_i = prod_{j != i} (alpha_i - alpha_j)**(-1) = 1 / P'(alpha_i).
 
-    These satisfy the power-sum identities sum_i u_i alpha_i**j = 0 for
-    0 <= j <= n-2, = 1 for j = n-1, and = sum_i alpha_i for j = n; they are
-    the row scalars of the parity-check construction.
+    The one barycentric rule, with P(x) = prod_j (x - alpha_j).  These satisfy
+    the power-sum identities sum_i u_i alpha_i**j = 0 for 0 <= j <= n-2, = 1
+    for j = n-1, and = sum_i alpha_i for j = n; they are the row scalars of
+    the parity-check construction.
     """
     nodes = list(map(ctx._check, alpha))
     n = len(nodes)
@@ -352,14 +370,7 @@ def compute_u(ctx: FieldCtx, alpha: Sequence[int]) -> tuple[int, ...]:
         raise RangeViolation(f"need at least 3 evaluation points, got {n}")
     if len(set(nodes)) != n:
         raise DuplicateAlpha(f"evaluation points must be pairwise distinct: {nodes}")
-    out = []
-    for i, a in enumerate(nodes):
-        prod = 1
-        for j, c in enumerate(nodes):
-            if j != i:
-                prod = ctx.mul(prod, ctx.sub(a, c))
-        out.append(ctx.inv(prod))
-    return tuple(out)
+    return tuple(_barycentric(ctx, _vanishing(ctx, nodes), nodes))
 
 
 def _require_shape(params: EgrlParams):
@@ -368,34 +379,6 @@ def _require_shape(params: EgrlParams):
             f"closed formulas cover ell=2, t=0 only; got ell={params.ell}, t={params.t} "
             "(general shapes remain brute-force classifiable)"
         )
-
-
-def _completion_row(params: EgrlParams, top: list[int], r_mat: FieldMatrix) -> list[int]:
-    # A parity row for any distinct alpha and nonzero v.  With p_l the
-    # coefficient of x**(n-l) in P(x) = prod_s (x - alpha_s), E(-t) H(t) = 1
-    # gives sum_{l<=j} p_l h_{j-l}(alpha) = 0 for j >= 1, and
-    # sum_s u_s alpha_s**(n-1+j) = h_j(alpha).  So w(x) = sum_{l<=k-3} p_l x**(n-1-l)
-    # makes sum_s u_s w(alpha_s) alpha_s**j 1 at j = 0, 0 at j = 1..k-3, and
-    # -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2, k-1, which the mixing entries
-    # [p_{k-2}, p_{k-1} - p_1 p_{k-2}] (M^T)**(-1) cancel; as p_1 = -sum(alpha),
-    # they are -(p_{k-1} R_0 + p_{k-2} R_1) for the rows R_0, R_1 of R.
-    # Entry s is base_s w(alpha_s) = top_s sum_{l<=k-3} p_l alpha_s**(k-3-l), where
-    # base_s = u_s / v_s and top_s = base_s alpha_s**(n-k+2).
-    ctx, k = params.ctx, params.k
-    p = [1] + [0] * (k - 1)  # top k coefficients of P(x)
-    for a in params.alpha:
-        for l in range(k - 1, 0, -1):
-            p[l] = ctx.sub(p[l], ctx.mul(a, p[l - 1]))
-    row = []
-    for a, ts in zip(params.alpha, top):
-        w = 0
-        for pl in p[: k - 2]:
-            w = ctx.add(ctx.mul(w, a), pl)
-        row.append(ctx.mul(ts, w))
-    row.extend(ctx.neg(ctx.add(ctx.mul(p[k - 1], r0), ctx.mul(p[k - 2], r1)))
-               for r0, r1 in zip(r_mat.row(0), r_mat.row(1)))
-    row.append(ctx.neg(ctx.inv(params.b)))
-    return row
 
 
 def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
@@ -411,16 +394,18 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     vanish for 1 <= i <= k-1 and sum(v) != 0, which covers the all-units
     special construction -- and otherwise a completion row built from the
     u coefficients and the top k coefficients of P(x) = prod_s (x - alpha_s),
-    since the classical row annihilates no general instance.  Either way
+    since the classical row annihilates no general instance.  P is built once:
+    u, sum(alpha) = -p_1 and the completion row all read it.  Either way
     G H^T = 0 and rank(H) = n+3-k; the paper states the form for
     4 <= k <= n-1, and k = 3 and k = n are checked, not proven.
     """
     _require_shape(params)
     ctx, n, k = params.ctx, params.n, params.k
-    base = [ctx.div(us, vs) for us, vs in zip(compute_u(ctx, params.alpha), params.v)]
+    p = _vanishing(ctx, params.alpha)  # p[l] = p_l multiplies x**(n-l); p_1 = -sum(alpha)
+    base = [ctx.div(us, vs) for us, vs in zip(_barycentric(ctx, p, params.alpha), params.v)]
     powers = _power_rows(ctx, base, params.alpha, n - k + 3)
     minus_one = ctx.neg(1)
-    s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, ctx.neg(ctx.sum(params.alpha))]])
+    s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, p[1]]])
     r_mat = s_mat.matmul(params.mix.transpose().inverse())
     sum_v = ctx.sum(params.v)
     classical_row_valid = sum_v != 0 and all(
@@ -429,7 +414,17 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     if classical_row_valid:
         first = [1] * n + [0, 0, ctx.neg(ctx.div(sum_v, params.b))]
     else:
-        first = _completion_row(params, powers[-1], r_mat)
+        # A parity row for any distinct alpha and nonzero v.  E(-t) H(t) = 1 gives
+        # sum_{l<=j} p_l h_{j-l}(alpha) = 0 for j >= 1, and sum_s u_s alpha_s**(n-1+j) =
+        # h_j(alpha).  So w(x) = sum_{l<=k-3} p_l x**(n-1-l) makes sum_s u_s w(alpha_s)
+        # alpha_s**j 1 at j = 0, 0 at j = 1..k-3, and -p_{k-2}, p_1 p_{k-2} - p_{k-1} at k-2,
+        # k-1, which the mixing entries [p_{k-2}, p_{k-1} - p_1 p_{k-2}] (M^T)**(-1), that
+        # is -(p_{k-1} R_0 + p_{k-2} R_1), cancel.  Entry s is base_s w(alpha_s) =
+        # top_s sum_{l<=k-3} p_l alpha_s**(k-3-l), with top_s = base_s alpha_s**(n-k+2).
+        first = [ctx.mul(top, _horner(ctx, p[: k - 2], a))
+                 for a, top in zip(params.alpha, powers[-1])]
+        first += [ctx.neg(ctx.add(ctx.mul(p[k - 1], r0), ctx.mul(p[k - 2], r1)))
+                  for r0, r1 in zip(r_mat.row(0), r_mat.row(1))] + [ctx.neg(ctx.inv(params.b))]
     tails = [(0, 0)] * (n - k) + [r_mat.row(0), r_mat.row(1)]
     return FieldMatrix(ctx, [first] + [row + [*tail, 0] for row, tail in zip(powers, tails)])
 

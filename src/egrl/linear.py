@@ -20,9 +20,10 @@ memory by the field's table cap.  Before building anything the walk adds
 up its tables -- k-1 tables of multiples f * row_i for i >= 1 (2*q*n
 bytes each, plus a 4*q*n int32 index sum while one is built; row 0 only
 leads, so it needs the vector -row_0 alone), the tail span of T <= 2**16
-codewords (2*n*T bytes) and one block mask (n*T) -- and refuses them
-above ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for
-an [8192, 2] code at q = 2**16; an [8192, 1] code there needs no table.
+codewords (2*n*T bytes) and two block masks (n*T each: the consumer holds
+the last while the next is compared) -- and refuses them above
+``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for an [8192, 2] code
+at q = 2**16; an [8192, 1] code there needs no table.
 The q-by-q addition table, built only for k >= 3, is refused alone above
 the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
 scalar classes in 0.01 s (2-vCPU Xeon).
@@ -92,7 +93,7 @@ def _count_text(count: int) -> str:
     try:
         return str(count)
     except ValueError:
-        return f"at least 2^{count.bit_length() - 1}"
+        return f"{'at least ' if count > 0 else 'at most -'}2^{count.bit_length() - 1}"
 
 
 class InconsistentInput(CodeError):
@@ -224,9 +225,9 @@ class LinearCode:
         head = k - tail_len
         neg = ctx.neg
         # Row 0 only ever leads, so it needs -row_0 alone: the k-1 multiples
-        # tables of rows 1..k-1, one int32 index sum, the tail span and one
-        # block mask.
-        require_table_bytes(2 * q * n * (k + 1 if k > 1 else 0) + 3 * n * q**tail_len,
+        # tables of rows 1..k-1, one int32 index sum, the tail span and two
+        # block masks (the one being compared and the consumer's last).
+        require_table_bytes(2 * q * n * (k + 1 if k > 1 else 0) + 4 * n * q**tail_len,
                             "the enumeration tables need")
         scaled = [None, *(ctx.multiples(self.gen.row(i)) for i in range(1, k))]
         negated = [np.array([neg(x) for x in self.gen.row(0)], np.uint16),
@@ -323,7 +324,8 @@ def macwilliams(dist: WeightDistribution, k: int, ctx: FieldCtx) -> WeightDistri
     q, n = ctx.q, dist.n
     size = q**k
     if dist.total() != size:
-        raise InconsistentInput(f"distribution sums to {dist.total()}, expected q^k = {size}")
+        raise InconsistentInput(f"distribution sums to {_count_text(dist.total())}, "
+                                f"expected q^k = {_count_text(size)}")
     acc = [0] * (n + 1)
     for i, a_i in enumerate(dist.counts):
         if a_i == 0:
@@ -361,7 +363,7 @@ def distribution_from_low_counts(n: int, k: int, ctx: FieldCtx, low) -> WeightDi
     if not (k <= n and n - k - 1 <= len(low) < n):
         raise ValueError(f"an [{n},{k}] code needs n-k-1 <= len(low) < n, got {len(low)}")
     if min(low, default=0) < 0:
-        raise NegativeCount(f"low counts must be nonnegative, got {min(low)}")
+        raise NegativeCount(f"low counts must be nonnegative, got {_count_text(min(low))}")
     d, q, counts = n - len(low), ctx.q, [1, *low]
     # Per nonzero A_i: [n-i-d, A_i * -(-1)**(s-1) C(n-i, d-s) C(n-i-d+s-1, s-1)], stepped in s.
     terms = [[n - i - d, -a * comb(n - i, d - 1)] for i, a in enumerate(low, 1) if a]
@@ -373,7 +375,8 @@ def distribution_from_low_counts(n: int, k: int, ctx: FieldCtx, low) -> WeightDi
             val += term[1]
             term[1] = -term[1] * (d - s) * (term[0] + s) // ((term[0] + s + 1) * s)
         if val < 0:
-            raise NegativeCount(f"low counts infeasible: weight {n - d + s} count is {val}")
+            raise NegativeCount(f"low counts infeasible: weight {n - d + s} count is "
+                                f"{_count_text(val)}")
         counts.append(val)
         b, c_n = -b * (n - d + s) // s, c_n * (d - s) // (n - d + s + 1)
     if sum(counts) != q**k:

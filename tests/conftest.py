@@ -94,6 +94,19 @@ def poly_mul(ctx: FieldCtx, a: int, b: int) -> int:
     return _poly_code(ctx, prod[:s])
 
 
+def inverse_products(ctx: FieldCtx, alpha) -> tuple[int, ...]:
+    """u_i = prod_{j != i} (alpha_i - alpha_j)**(-1) by the direct pair product in digit
+    arithmetic, each inverse found by search (oracle)."""
+    out = []
+    for i, a in enumerate(alpha):
+        prod = 1
+        for j, c in enumerate(alpha):
+            if j != i:
+                prod = poly_mul(ctx, prod, poly_add(ctx, a, poly_neg(ctx, c)))
+        out.append(next(y for y in range(1, ctx.q) if poly_mul(ctx, prod, y) == 1))
+    return tuple(out)
+
+
 def poly_is_irreducible(p: int, f) -> bool:
     """Whether monic f (coefficients low-degree first) has no monic factor of
     degree 1..deg(f)/2, by long division by every such polynomial (oracle)."""

@@ -729,7 +729,7 @@ def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
                        "--method", "brute", "--budget", "4294967296")
     assert time.perf_counter() - started < 1.0
     assert (rc, out) == (2, "")
-    assert err == ("TableTooLarge: the enumeration tables need 4831838208 bytes, "
+    assert err == ("TableTooLarge: the enumeration tables need 5368709120 bytes, "
                    "above the cap of 1073741824\n")
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import power, random_nonsingular_2x2, vanishes
+from conftest import inverse_products, poly_neg, power, random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix, vandermonde_skip_det
 from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, macwilliams,
@@ -246,6 +246,33 @@ def test_compute_u_requires_distinct(gf5):
         compute_u(gf5, (1, 1, 2))
     with pytest.raises(RangeViolation):
         compute_u(gf5, (1, 2))
+
+
+_ORDERS_TO_64 = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43,
+                 47, 49, 53, 59, 61, 64)
+
+
+@st.composite
+def point_sets(draw):
+    # 3 <= n <= q distinct points of a field of order at most 64, 0 among them or not.
+    q = draw(st.sampled_from(_ORDERS_TO_64))
+    return q, tuple(draw(st.permutations(range(q)))[: draw(st.integers(3, q))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+@example((4, (0, 1, 2, 3)))  # all of F_4: p | n, so P' loses its leading term
+@example((9, (4, 0, 8, 1, 7, 2, 6, 3, 5)))  # all of F_9: the same at p = 3
+@example((16, tuple(range(1, 16))))  # all of F_q^*: P = x**(q-1) - 1, so u = -alpha
+@example((27, tuple(range(26, 0, -1))))
+@example((64, tuple(range(1, 64))))
+def test_compute_u_equals_the_direct_pair_product(case):
+    q, alpha = case
+    ctx = FieldCtx.from_order(q)
+    u = compute_u(ctx, alpha)
+    assert u == inverse_products(ctx, alpha)
+    if sorted(alpha) == list(range(1, q)):
+        assert u == tuple(poly_neg(ctx, a) for a in alpha)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -293,6 +293,26 @@ def test_budget_refusal_text_under_the_caller_digit_limit():
                      "the budget of at least 2^29897")
 
 
+def test_count_refusals_under_the_caller_digit_limit(gf9):
+    # Under the default limit, the counts in these refusals are named by their bit
+    # length, as in BudgetExceeded, where str() would raise ValueError instead.
+    gf4096 = FieldCtx.from_order(4096)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(NegativeCount, match=r"^low counts infeasible: weight 4091 count is "
+                                                r"at most -2\^16612$"):
+            nmds_distribution(4098, 8, gf4096, 10**5000)
+        with pytest.raises(InconsistentInput, match=r"^distribution sums to 6, "
+                                                    r"expected q\^k = at least 2\^24000$"):
+            macwilliams(WeightDistribution(3, (1, 0, 0, 5)), 2000, gf4096)
+        with pytest.raises(NegativeCount, match=r"^low counts must be nonnegative, "
+                                                r"got at most -2\^16609$"):
+            distribution_from_low_counts(11, 5, gf9, (0,) * 4 + (-10**5000,))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_budget_admits_a_code_of_exactly_its_size(gf3):
     code = LinearCode(FieldMatrix(gf3, [[1, 0, 1, 1], [0, 1, 1, 2]]))
     assert code.weight_distribution(budget=9).counts == (1, 0, 0, 8, 0)
@@ -337,14 +357,15 @@ def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
 
 def test_walk_counts_its_tables_against_the_cap(monkeypatch):
     # A table-bound walk (two rows, q*n large): the multiples table of row 1,
-    # one int32 index sum, the tail span and one block mask are counted before
-    # any is built (row 0 only leads, so it needs no table), the cap is
-    # inclusive, and the peak allocation stays within the count up to 1 MiB of
-    # O(n) vectors and numpy's gather buffers.
+    # one int32 index sum, the tail span and two block masks are counted before
+    # any is built (row 0 only leads, so it needs no table), and the cap is
+    # inclusive.  Its second block is one column wide, so the peak allocation
+    # stays within the count of one mask up to 1 MiB of O(n) vectors and numpy's
+    # gather buffers.
     q, n = 4096, 1024
     ctx = FieldCtx.from_order(q)
     code = LinearCode(FieldMatrix(ctx, [[1] * n, list(range(n))]))
-    need = 2 * q * n * 3 + 3 * n * q
+    need = 2 * q * n * 3 + 4 * n * q
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
     tracemalloc.start()
     try:
@@ -353,11 +374,35 @@ def test_walk_counts_its_tables_against_the_cap(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= need + (1 << 20)
+    assert peak <= 2 * q * n * 3 + 3 * n * q + (1 << 20)
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
     monkeypatch.setattr(FieldCtx, "multiples", lambda self, vec: pytest.fail("table built"))
     with pytest.raises(TableTooLarge, match=f"^the enumeration tables need {need} bytes"):
         code.weight_distribution()
+
+
+def test_walk_counts_both_block_masks_it_holds(monkeypatch):
+    # A walk of many full-width blocks: while the next mask is compared, the
+    # consumer's loop variable still holds the last, so the peak reaches two masks.
+    # A random [64, 6] code over GF(16) walks 17 blocks of 65,536 classes (and a
+    # few narrow ones); its peak stays within the walk's count up to 1 MiB.
+    rng = random.Random(28)
+    ctx = FieldCtx.from_order(16)
+    code = LinearCode(FieldMatrix(ctx, [[rng.randrange(16) for _ in range(64)] for _ in range(6)]))
+    assert code.k == 6
+    assert sum(len(w) == 1 << 16 for _, w in code.codeword_blocks()) >= 17
+    counted = []
+    real = linear.require_table_bytes
+    monkeypatch.setattr(linear, "require_table_bytes",
+                        lambda nbytes, tables: counted.append(nbytes) or real(nbytes, tables))
+    tracemalloc.start()
+    try:
+        code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1 and peak <= counted[0] + (1 << 20)
+    assert counted == [2 * 16 * 64 * 7 + 4 * 64 * (1 << 16)]
 
 
 def test_macwilliams_known_pair(gf2):
