@@ -17,11 +17,9 @@ from .field import (
 )
 from .matrix import (
     DimMismatch,
-    DuplicateNodes,
     FieldMatrix,
     MatrixError,
     NotSquare,
-    vandermonde_skip_det,
 )
 from .subsetsum import (
     FULL,
@@ -63,7 +61,6 @@ from .construction import (
     ZeroV,
     check_mds,
     compute_u,
-    dual_min_weight_count,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import random
 import sys
@@ -344,14 +345,14 @@ def cmd_subsetsum(args) -> Report:
 
 # -- sweep -----------------------------------------------------------------------
 
+# One special mix per class of the column ratios {a_21/a_11, a_22/a_12} in P^1(F_q):
+# swapping M's columns swaps two coordinates of every codeword, a monomial
+# equivalence that keeps the weights and the MDS class.
 _SWEEP_MIX_PATTERNS = [
-    ("all-nonzero", [1, 1, 1, 2]),
-    ("a22-zero", [1, 1, 1, 0]),
-    ("a21-zero", [1, 1, 0, 1]),
-    ("a12-zero", [1, 0, 1, 1]),
-    ("a11-zero", [0, 1, 1, 1]),
-    ("diagonal", [1, 0, 0, 1]),
-    ("antidiagonal", [0, 1, 1, 0]),
+    ("all-nonzero", [1, 1, 1, 2]),  # {1, 2}
+    ("a22-zero", [1, 1, 1, 0]),  # {0, 1}
+    ("a12-zero", [1, 0, 1, 1]),  # {1, inf}
+    ("diagonal", [1, 0, 0, 1]),  # {0, inf}
 ]
 
 def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
@@ -416,15 +417,14 @@ def cmd_sweep(args) -> Report:
                 continue
             rng = random.Random(args.seed * 1_000_003 + q * 1_009 + k)
             before = len(failures)
-            for trial in range(args.trials):
-                params = _random_instance(ctx, k, rng)
-                _check_instance(params, args.budget, failures, f"q={q} k={k} trial={trial}")
-            specials = [(name, 1, vals, "ascending") for name, vals in _SWEEP_MIX_PATTERNS]
-            if (q, k) == (9, 5):
-                specials.append(("golden", 2, [1, 1, 2, 1], "generator"))
-            for name, b, vals, order in specials:
-                sp = special_construction(ctx, k, b, FieldMatrix.from_flat(ctx, 2, 2, vals), order)
-                _check_instance(sp, args.budget, failures, f"q={q} k={k} special[{name}]")
+            instances = itertools.chain(
+                ((f"trial={trial}", _random_instance(ctx, k, rng))
+                 for trial in range(args.trials)),
+                ((f"special[{name}]",
+                  special_construction(ctx, k, 1, FieldMatrix.from_flat(ctx, 2, 2, vals)))
+                 for name, vals in _SWEEP_MIX_PATTERNS))
+            for tag, params in instances:
+                _check_instance(params, args.budget, failures, f"q={q} k={k} {tag}")
             records.append({"q": q, "k": k, "new_failures": len(failures) - before})
     instance = {"q_list": qs, "k_list": ks, "trials": args.trials, "seed": args.seed}
     results = {"records": records, "failures": failures,

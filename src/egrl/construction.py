@@ -520,26 +520,20 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
     return census
 
 
-def dual_min_weight_count(params: EgrlParams) -> int:
-    """Number of minimum-weight (weight-k) codewords of the dual code."""
-    return sum(min_weight_census(params).values())
-
-
 def special_nmds_distribution(
     params: EgrlParams,
 ) -> tuple[WeightDistribution, WeightDistribution]:
     """Full primal and dual weight distributions of an ell = 2, t = 0 instance
     with nonzero evaluation points.
 
-    The closed NMDS expansion of an [n+3, k] code, seeded with
-    dual_min_weight_count: a special instance is NMDS [q+2, k, q+2-k], an
-    MDS instance has A_min = 0 and gets the MDS distribution, and any other
-    instance is checked against brute force, not proven.  min_weight_census
-    refuses the other instances.
+    The closed NMDS expansion of an [n+3, k] code, seeded with A_min, the
+    dual's weight-k count summed over min_weight_census: a special instance
+    is NMDS [q+2, k, q+2-k], an MDS instance has A_min = 0 and gets the MDS
+    distribution, and any other instance is checked against brute force, not
+    proven.  min_weight_census refuses the other instances.
     """
-    return nmds_distribution(
-        params.length, params.k, params.ctx, dual_min_weight_count(params)
-    )
+    amin = sum(min_weight_census(params).values())
+    return nmds_distribution(params.length, params.k, params.ctx, amin)
 
 
 def dual_support_pattern_census(

@@ -28,10 +28,6 @@ class DimMismatch(MatrixError):
     pass
 
 
-class DuplicateNodes(MatrixError):
-    pass
-
-
 class FieldMatrix:
     """A rows-by-cols matrix of element codes over a fixed FieldCtx."""
 
@@ -40,9 +36,12 @@ class FieldMatrix:
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[int]], *, cols: int | None = None):
         row_tuples = [tuple(r) for r in rows]
         if row_tuples:
-            cols = len(row_tuples[0])
-            if any(len(r) != cols for r in row_tuples):
+            width = len(row_tuples[0])
+            if any(len(r) != width for r in row_tuples):
                 raise DimMismatch("ragged rows")
+            if cols not in (None, width):
+                raise DimMismatch(f"rows of length {width} disagree with cols={cols}")
+            cols = width
         elif cols is None or cols < 0:
             raise DimMismatch(f"empty matrix needs a column count >= 0, got {cols}")
         self.ctx = ctx
@@ -186,23 +185,3 @@ class FieldMatrix:
         if any(len(r) != cols for r in data):
             raise DimMismatch("row length differs from header")
         return cls(ctx, data, cols=cols)
-
-
-def vandermonde_skip_det(ctx: FieldCtx, xs: Sequence[int]) -> int:
-    """(sum xs) * prod_{i<j} (xs[j] - xs[i]) for pairwise-distinct nodes.
-
-    Equals the determinant of the modified Vandermonde matrix whose rows are
-    the power rows 1, x, ..., x**(n-2) followed by x**n (the x**(n-1) row is
-    skipped).
-    """
-    nodes = list(map(ctx._check, xs))
-    if len(nodes) < 2:
-        raise ValueError("need at least two nodes")
-    if len(set(nodes)) != len(nodes):
-        raise DuplicateNodes(f"nodes must be pairwise distinct: {nodes}")
-    total = ctx.sum(nodes)
-    prod = 1
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            prod = ctx.mul(prod, ctx.sub(nodes[j], nodes[i]))
-    return ctx.mul(total, prod)

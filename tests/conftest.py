@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: subset
 counting enumerates combinations, the vanishing rules of the subset counts
 are stated in closed form, determinants expand by cofactors,
-polynomial arithmetic is re-derived from digit vectors, and the MacWilliams
+polynomial arithmetic is re-derived from digit vectors, the skip-one-row
+Vandermonde determinant is a closed product, and the MacWilliams
 transform and the NMDS expansion are summed term by term.  They exist to
 cross-check the production implementations, so keep them dumb.
 """
@@ -250,6 +251,28 @@ def power(ctx: FieldCtx, a: int, e: int) -> int:
     for _ in range(e):
         acc = ctx.mul(acc, a)
     return acc
+
+
+class DuplicateNodes(ValueError):
+    """Nodes of the skip-one-row Vandermonde determinant must be pairwise distinct."""
+
+
+def vandermonde_skip_det(ctx: FieldCtx, xs) -> int:
+    """(sum xs) * prod_{i<j} (xs[j] - xs[i]) for pairwise-distinct nodes (oracle).
+
+    Equals the determinant of ``modified_vandermonde(ctx, xs)``, the power rows
+    1, x, ..., x**(n-2) followed by x**n: the Jacobi-Trudi identity for the
+    Schur function of the partition (1), which is e_1 = sum xs.
+    """
+    nodes = list(map(ctx._check, xs))
+    if len(nodes) < 2:
+        raise ValueError("need at least two nodes")
+    if len(set(nodes)) != len(nodes):
+        raise DuplicateNodes(f"nodes must be pairwise distinct: {nodes}")
+    prod = 1
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        prod = ctx.mul(prod, ctx.sub(nodes[j], nodes[i]))
+    return ctx.mul(ctx.sum(nodes), prod)
 
 
 def modified_vandermonde(ctx: FieldCtx, xs) -> FieldMatrix:

@@ -26,10 +26,10 @@ from egrl.construction import (
     EgrlParams,
     check_mds,
     compute_u,
-    dual_min_weight_count,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
+    min_weight_census,
     parity_check_matrix,
     special_construction,
     special_nmds_distribution,
@@ -109,7 +109,7 @@ def test_c03_char3_closed_forms():
     for q in (9, 27):
         ctx = FieldCtx.from_order(q)
         p = special_construction(ctx, 5, 1, FieldMatrix(ctx, [[1, 1], [1, 2]]))
-        amin = dual_min_weight_count(p)
+        amin = sum(min_weight_census(p).values())
         lead = (q - 1) ** 2 * (q - 2) * (q - 3) // 12
         expected = char3_k5_enumerator_counts(q)
         primal, _ = special_nmds_distribution(p)
@@ -273,7 +273,7 @@ def test_c07_nmds_distribution_at_field_scale():
     # the dual side from the MacWilliams transform needs seconds here.
     ctx = FieldCtx.from_order(1024)
     p = special_construction(ctx, 512, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
-    amin = dual_min_weight_count(p)
+    amin = sum(min_weight_census(p).values())
     started = time.time()
     primal, dual = nmds_distribution(p.length, p.k, ctx, amin)
     elapsed = time.time() - started
@@ -355,7 +355,7 @@ def test_c08_support_pattern_census():
                 ratio = ctx.div(p.mix.at(1, s), a1)
                 ok &= census[pat1] == (q - 1) * count_li_wan(ctx, STAR, k - 1, ratio)
                 ok &= census[pat2] == (q - 1) * count_li_wan(ctx, STAR, k - 2, ratio)
-            ok &= sum(census.values()) == dual_min_weight_count(p)
+            ok &= sum(census.values()) == sum(min_weight_census(p).values())
             cases += 1
     elapsed = time.time() - started
     _report(

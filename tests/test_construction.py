@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import inverse_products, poly_neg, power, random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
-from egrl.matrix import FieldMatrix, vandermonde_skip_det
+from egrl.matrix import FieldMatrix
 from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, macwilliams,
                          nmds_distribution)
 from egrl import subsetsum
@@ -25,7 +26,6 @@ from egrl.construction import (
     ZeroV,
     check_mds,
     compute_u,
-    dual_min_weight_count,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
@@ -178,7 +178,6 @@ _FLOAT_PROBES = {
     "find_subset": lambda ctx, mix: find_subset(ctx, [1.2, 2, 3], 2, 3),
     "vanishes": lambda ctx, mix: vanishes(ctx, STAR, 2.5, 1),
     "compute_u": lambda ctx, mix: compute_u(ctx, [1.5, 2, 3]),
-    "vandermonde": lambda ctx, mix: vandermonde_skip_det(ctx, [1.5, 2]),
     "modulus": lambda ctx, mix: FieldCtx(3, 2, (2.5, 1, 1)),
 }
 
@@ -675,12 +674,12 @@ def test_closed_form_beyond_special_instances(gf9, ex9):
     for p in (not_all_units, scaled):
         brute = egrl_code(p).weight_distribution()
         assert special_nmds_distribution(p) == (brute, macwilliams(brute, 5, gf9))
-    assert dual_min_weight_count(scaled) == dual_min_weight_count(ex9) == 224
+    assert sum(min_weight_census(scaled).values()) == sum(min_weight_census(ex9).values()) == 224
 
 
 def test_closed_form_refusals(gf13):
     with pytest.raises(InvalidParams, match=r"nonzero evaluation points, got alpha\[2\] = 0"):
-        dual_min_weight_count(make_params(gf13, (1, 2, 0, 7, 9), 5, EX13_MIX))
+        min_weight_census(make_params(gf13, (1, 2, 0, 7, 9), 5, EX13_MIX))
     for p in (make_params(gf13, (1, 2, 3, 4, 5, 6), 5, EX13_MIX, t=1),
               make_params(gf13, (1, 2, 3, 4, 5, 6), 5, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], ell=3)):
         with pytest.raises(UnsupportedShape):
@@ -723,15 +722,15 @@ def test_dual_min_weight_count_matches_case_formulas(q, k):
     for case, vals in MIX_CASES:
         mix = FieldMatrix.from_flat(ctx, 2, 2, vals)
         p = special_construction(ctx, k, 1, mix)
-        assert dual_min_weight_count(p) == branch_minimum_weight_value(q, ctx.p, k, case)
+        assert sum(min_weight_census(p).values()) == branch_minimum_weight_value(q, ctx.p, k, case)
 
 
 def test_dual_min_weight_count_gf9_goldens(gf9, ex9):
-    assert dual_min_weight_count(ex9) == 224
+    assert sum(min_weight_census(ex9).values()) == 224
     assert 224 == 8 * 8 * 7 * 6 // 12  # (q-1)^2 (q-2)(q-3) / 12 at q = 9
     ident = special_construction(gf9, 5, 1, FieldMatrix(gf9, [[1, 0], [0, 1]]))
     brute_dual = macwilliams(egrl_code(ident).weight_distribution(), 5, gf9)
-    assert dual_min_weight_count(ident) == brute_dual.counts[5]
+    assert sum(min_weight_census(ident).values()) == brute_dual.counts[5]
 
 
 def test_dual_min_weight_count_gf7_term_form(gf7):
@@ -739,7 +738,7 @@ def test_dual_min_weight_count_gf7_term_form(gf7):
     terms = sum(
         count_li_wan(gf7, STAR, m, b) for m in (3, 2) for b in (1, 2)
     )
-    assert dual_min_weight_count(p) == 6 * terms == 60
+    assert sum(min_weight_census(p).values()) == 6 * terms == 60
     brute_dual = egrl_code(p).dual().weight_distribution()
     assert brute_dual.counts[4] == 60
 
@@ -790,10 +789,12 @@ _W_FIELDS = {q: FieldCtx.from_order(q) for q in (4, 5, 7, 8, 9, 11, 13, 16)}
 
 
 @st.composite
-def nonzero_point_instances(draw):
+def walkable_instances(draw, lowest_point):
+    # Points from lowest_point up: 1 keeps them nonzero, 0 lets 0 be a point.
     ctx = _W_FIELDS[draw(st.sampled_from(sorted(_W_FIELDS)))]
     q = ctx.q
-    alpha = draw(st.lists(st.integers(1, q - 1), min_size=3, max_size=q - 1, unique=True))
+    alpha = draw(st.lists(st.integers(lowest_point, q - 1), min_size=3,
+                          max_size=q - lowest_point, unique=True))
     n = len(alpha)
     # Brute force walks the smaller side; k = 3 and k = n always qualify.
     k = draw(st.sampled_from([k for k in range(3, n + 1)
@@ -809,7 +810,7 @@ def nonzero_point_instances(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(nonzero_point_instances())
+@given(walkable_instances(1))
 @example(make_params(FieldCtx(13), EX13_ALPHA, 5, EX13_MIX))  # MDS, k = n
 @example(make_params(FieldCtx(7), (1, 2, 4, 5), 3, [[1, 0], [2, 1]], b=3))  # k = 3
 def test_closed_form_property(p):
@@ -863,7 +864,7 @@ def test_census_zero_top_entry_kills_column(gf7):
     assert census[(True, False, False)] == 0
     assert census[(True, False, True)] == 0
     assert census == expected_census(p)
-    assert sum(census.values()) == dual_min_weight_count(p)
+    assert sum(census.values()) == sum(min_weight_census(p).values())
 
 
 def test_census_forbidden_patterns_empty(gf7):
@@ -900,7 +901,35 @@ def test_census_budget_is_the_dual_size(gf7):
     assert (err.value.required, err.value.budget) == (7**5, 7**5 - 1)
 
 
-# -- monomial scaling ---------------------------------------------------------------
+# -- monomial equivalences ------------------------------------------------------------
+
+
+def _swap_keys(census):
+    return {(j1, j0, tail): count for (j0, j1, tail), count in census.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(walkable_instances(0))
+@example(make_params(FieldCtx(7), (0, 1, 2, 3), 3, [[1, 1], [1, 0]]))  # a zero point
+@example(special_construction(FieldCtx(7), 4, 1, FieldMatrix(FieldCtx(7), [[1, 0], [0, 1]])))
+def test_swapping_mix_columns_swaps_two_coordinates(p):
+    # Swapping M's columns swaps coordinates n and n+1 of every codeword: the
+    # weights, both verdicts and H (up to those two columns) stay, and the
+    # censuses trade their j = 0 and j = 1 keys.
+    (a, b), (c, d) = p.mix.to_lists()
+    swapped = replace(p, mix=FieldMatrix(p.ctx, [[b, a], [d, c]]))
+    assert egrl_code(swapped).weight_distribution() == egrl_code(p).weight_distribution()
+    report, swapped_report = check_mds(p), check_mds(swapped)
+    assert (report.is_mds, report.dual_amds) == (swapped_report.is_mds, swapped_report.dual_amds)
+    n = p.n
+    assert parity_check_matrix(swapped).to_lists() == [
+        row[:n] + [row[n + 1], row[n]] + row[n + 2:] for row in parity_check_matrix(p).to_lists()]
+    if 0 in p.alpha:
+        return
+    assert min_weight_census(swapped) == _swap_keys(min_weight_census(p))
+    if p.q ** (p.length - p.k) <= 1 << 16:
+        assert (dual_support_pattern_census(swapped)
+                == _swap_keys(dual_support_pattern_census(p)))
 
 
 @pytest.mark.parametrize("seed", range(6))

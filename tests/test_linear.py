@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import brute_weights, krawtchouk_transform, mds_formula, nmds_formula
 from egrl import field, linear
 from egrl.construction import (
-    dual_min_weight_count,
     dual_support_pattern_census,
+    min_weight_census,
     special_construction,
 )
 from egrl.field import FieldCtx, TableTooLarge
@@ -60,6 +60,16 @@ def test_a_reduced_generator_is_kept(gf5):
     for raw in ([[2, 0, 4], [0, 1, 3]], [[1, 0, 2], [0, 1, 3], [0, 0, 0]]):
         gen = LinearCode(FieldMatrix(gf5, raw)).gen
         assert gen == reduced and gen.rows == 2
+
+
+def test_equal_codes_hash_equal(gf5):
+    # Codes compare by their reduced generator, so generators of one row space
+    # give equal codes with equal hashes, and a set holds one of them.
+    codes = [LinearCode(FieldMatrix(gf5, raw))
+             for raw in ([[1, 0, 2], [0, 1, 3]], [[2, 0, 4], [1, 1, 0]], [[0, 1, 3], [1, 1, 0]])]
+    assert codes[0] == codes[1] == codes[2]
+    assert len({hash(c) for c in codes}) == 1 and len(set(codes)) == 1
+    assert LinearCode(FieldMatrix(gf5, [[1, 0, 2]])) not in set(codes)
 
 
 def test_dual_of_full_code_is_refused(gf5):
@@ -531,6 +541,8 @@ def test_distribution_validation():
         WeightDistribution(2, (0, 1, 1))
     with pytest.raises(InconsistentInput):
         WeightDistribution(2, (1, 1))
+    with pytest.raises(InconsistentInput, match="^negative codeword count$"):
+        WeightDistribution(2, (1, -1, 2))
 
 
 # -- closed NMDS distributions -------------------------------------------------------
@@ -575,7 +587,7 @@ def test_nmds_distribution_matches_literal_formula(q):
             if mix.det():
                 break
         sp = special_construction(ctx, k, rng.randrange(1, q), mix)
-        a_min = dual_min_weight_count(sp)
+        a_min = sum(min_weight_census(sp).values())
         primal, dual = nmds_distribution(sp.length, k, ctx, a_min)
         assert (primal.counts, dual.counts) == nmds_formula(sp.length, k, q, a_min)
 

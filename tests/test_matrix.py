@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from conftest import cofactor_det, modified_vandermonde
+from conftest import DuplicateNodes, cofactor_det, modified_vandermonde, vandermonde_skip_det
 from egrl.field import CtxMismatch, FieldCtx
 from egrl.linear import LinearCode
-from egrl.matrix import (
-    DimMismatch,
-    DuplicateNodes,
-    FieldMatrix,
-    MatrixError,
-    NotSquare,
-    vandermonde_skip_det,
-)
+from egrl.matrix import DimMismatch, FieldMatrix, MatrixError, NotSquare
 
 
 def test_identity_det(gf5):
@@ -182,7 +175,9 @@ def test_negative_shapes_refused(gf5, build):
 @pytest.mark.parametrize("build,message", [
     (lambda ctx: FieldMatrix(ctx, [[1, 2], [3]]), "ragged rows"),
     (lambda ctx: FieldMatrix.from_flat(ctx, 2, 2, [1, 2, 3]), "need 4 entries, got 3"),
-], ids=["ragged", "flat-count"])
+    # A column count that disagrees with nonempty rows is refused, not ignored.
+    (lambda ctx: FieldMatrix(ctx, [[1, 2]], cols=3), "rows of length 2 disagree with cols=3"),
+], ids=["ragged", "flat-count", "init-cols"])
 def test_entry_counts_checked(gf5, build, message):
     with pytest.raises(DimMismatch, match=f"^{message}$"):
         build(gf5)
