@@ -45,9 +45,8 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
-    distribution_from_low_counts,
+    distribution_from_excess,
     macwilliams,
-    nmds_distribution,
 )
 from .construction import (
     DuplicateAlpha,
@@ -60,7 +59,6 @@ from .construction import (
     ZeroB,
     ZeroV,
     check_mds,
-    compute_u,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,

@@ -40,8 +40,8 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
+    distribution_from_excess,
     macwilliams,
-    nmds_distribution,
     walk_size,
 )
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
@@ -393,7 +393,7 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
     if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
         failures.append(f"{tag}: minimum-weight census disagrees with brute force")
         return
-    if nmds_distribution(params.length, k, params.ctx, amin) != (primal, dual_dist):
+    if distribution_from_excess(params.length, k, params.ctx, {k: amin}) != (primal, dual_dist):
         failures.append(f"{tag}: closed-form distribution disagrees with brute force")
     with contextlib.suppress(BudgetExceeded):
         if dual_support_pattern_census(params, budget) != census:
@@ -482,7 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ss.set_defaults(func=cmd_subsetsum, text=lambda report: [str(report.results["count"])])
 
-    p_sw = sub.add_parser("sweep", help="randomized + exhaustive formula-vs-oracle verification")
+    p_sw = sub.add_parser(
+        "sweep",
+        help="formula-vs-oracle checks of random trials and one special instance per mixing class",
+    )
     p_sw.add_argument("--q-list", required=True, help="comma-separated field orders")
     p_sw.add_argument("--k-list", required=True, help="comma-separated dimensions")
     p_sw.add_argument("--trials", type=int, default=20, help="random instances per (q, k)")

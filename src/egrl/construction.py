@@ -16,15 +16,16 @@ each entry of A is a closed form (a scaled Cauchy matrix on the evaluation
 columns, Roth-Seroussi) and no row reduction is run.  LinearCode keeps its
 row reduction for raw generators and duals.  The reduced generator and the
 parity-check matrix read one barycentric rule: P(x) = prod (x - a) over
-their points, built once, and w_a = P'(a), whose inverse is compute_u's u_a.
+their points, built once, and w_a = P'(a), whose inverse u_a scales the
+parity-check rows.
 
 The ell = 2, t = 0 family carries the closed theory implemented here: an
 explicit parity-check matrix, MDS / dual-AMDS criteria decided by
 subset-sum counting (no subset enumeration), and -- for every instance
 with nonzero evaluation points -- exact minimum-weight counts and full
-weight distributions: the NMDS expansion seeded with the counted A_min,
-which at A_min = 0 is the MDS distribution.  EgrlParams holds the one range
-rule, 3 <= k <= n <= q and 0 <= t <= k-3.  The source paper proves the
+weight distributions: the code's one binomial-moment excess is the counted
+A_min at k, which at A_min = 0 gives the MDS distribution.  EgrlParams
+holds the one range rule, 3 <= k <= n <= q and 0 <= t <= k-3.  The source paper proves the
 special instances (all of F_q^*, unit multipliers) NMDS for 5 <= k <= q-2
 in characteristic 2, else 4 <= k <= q-1; at other k, and for other points
 or multipliers, the closed form is checked against brute force (438,353
@@ -45,7 +46,7 @@ import numpy as np
 from .field import FieldCtx
 from .matrix import FieldMatrix
 from .linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, WeightDistribution,
-                     nmds_distribution)
+                     distribution_from_excess)
 from .subsetsum import STAR, count_li_wan, find_subset, subset_row
 
 
@@ -317,7 +318,7 @@ def reduced_generator(params: EgrlParams) -> FieldMatrix:
     (Roth-Seroussi, 1985).  With P(x) = prod_{j<k} (x - alpha_j), its
     quotient quo_r = P(x) / (x - alpha_r) by one synthetic division and the
     barycentric weight w_r = P'(alpha_r) = prod_{j != r} (alpha_r - alpha_j)
-    (Berrut-Trefethen, 2004), the rule compute_u inverts, row r holds
+    (Berrut-Trefethen, 2004), the inverse of the parity check's u, row r holds
 
         v_c P(alpha_c) / (w_r v_r (alpha_c - alpha_r))    at evaluation column c >= k,
         sum_i quo_r[k-ell+i] M_ij / (w_r v_r)              at mixing column j,
@@ -354,23 +355,6 @@ def egrl_code(params: EgrlParams) -> LinearCode:
     (O(k**2) zero tests) and keeps the matrix, whose entries are admitted once.  It still
     row-reduces raw generators and duals."""
     return LinearCode(reduced_generator(params))
-
-
-def compute_u(ctx: FieldCtx, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Inverse products u_i = prod_{j != i} (alpha_i - alpha_j)**(-1) = 1 / P'(alpha_i).
-
-    The one barycentric rule, with P(x) = prod_j (x - alpha_j).  These satisfy
-    the power-sum identities sum_i u_i alpha_i**j = 0 for 0 <= j <= n-2, = 1
-    for j = n-1, and = sum_i alpha_i for j = n; they are the row scalars of
-    the parity-check construction.
-    """
-    nodes = list(map(ctx._check, alpha))
-    n = len(nodes)
-    if n < 3:
-        raise RangeViolation(f"need at least 3 evaluation points, got {n}")
-    if len(set(nodes)) != n:
-        raise DuplicateAlpha(f"evaluation points must be pairwise distinct: {nodes}")
-    return tuple(_barycentric(ctx, _vanishing(ctx, nodes), nodes))
 
 
 def _require_shape(params: EgrlParams):
@@ -526,14 +510,14 @@ def special_nmds_distribution(
     """Full primal and dual weight distributions of an ell = 2, t = 0 instance
     with nonzero evaluation points.
 
-    The closed NMDS expansion of an [n+3, k] code, seeded with A_min, the
-    dual's weight-k count summed over min_weight_census: a special instance
-    is NMDS [q+2, k, q+2-k], an MDS instance has A_min = 0 and gets the MDS
-    distribution, and any other instance is checked against brute force, not
-    proven.  min_weight_census refuses the other instances.
+    distribution_from_excess of an [n+3, k] code with the one excess
+    {k: A_min}, A_min the dual's weight-k count summed over min_weight_census:
+    a special instance is NMDS [q+2, k, q+2-k], an MDS instance has A_min = 0
+    and gets the MDS distribution, and any other instance is checked against
+    brute force, not proven.  min_weight_census refuses the other instances.
     """
     amin = sum(min_weight_census(params).values())
-    return nmds_distribution(params.length, params.k, params.ctx, amin)
+    return distribution_from_excess(params.length, params.k, params.ctx, {params.k: amin})
 
 
 def dual_support_pattern_census(

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own code paths: subset
 counting enumerates combinations, the vanishing rules of the subset counts
 are stated in closed form, determinants expand by cofactors,
 polynomial arithmetic is re-derived from digit vectors, the skip-one-row
-Vandermonde determinant is a closed product, and the MacWilliams
-transform and the NMDS expansion are summed term by term.  They exist to
+Vandermonde determinant is a closed product, the MacWilliams
+transform and the NMDS expansion are summed term by term, and binomial
+moments are summed codeword by codeword.  They exist to
 cross-check the production implementations, so keep them dumb.
 """
 
@@ -283,18 +284,36 @@ def modified_vandermonde(ctx: FieldCtx, xs) -> FieldMatrix:
     return FieldMatrix(ctx, rows)
 
 
-def brute_weights(ctx: FieldCtx, gen_rows) -> list[int]:
-    """Weight counts by plain message enumeration (oracle for q**k small)."""
-    k = len(gen_rows)
+def brute_codewords(ctx: FieldCtx, gen_rows):
+    """Every codeword, one per message, by plain message enumeration (q**k small)."""
     n = len(gen_rows[0])
-    counts = [0] * (n + 1)
-    for msg in itertools.product(range(ctx.q), repeat=k):
+    for msg in itertools.product(range(ctx.q), repeat=len(gen_rows)):
         cw = [0] * n
         for f, row in zip(msg, gen_rows):
             if f:
                 cw = [ctx.add(c, ctx.mul(f, g)) for c, g in zip(cw, row)]
+        yield cw
+
+
+def brute_weights(ctx: FieldCtx, gen_rows) -> list[int]:
+    """Weight counts by plain message enumeration (oracle for q**k small)."""
+    counts = [0] * (len(gen_rows[0]) + 1)
+    for cw in brute_codewords(ctx, gen_rows):
         counts[sum(1 for c in cw if c)] += 1
     return counts
+
+
+def brute_excess(ctx: FieldCtx, gen_rows) -> dict[int, int]:
+    """Nonzero E_j = sum_c C(#zeros(c), j) - C(n, j) q**max(k-j, 0) of a full-rank
+    generator: each codeword adds C(#zeros(c), j) to binomial moment j (oracle)."""
+    k, n = len(gen_rows), len(gen_rows[0])
+    moments = [0] * (n + 1)
+    for cw in brute_codewords(ctx, gen_rows):
+        zeros = sum(1 for c in cw if not c)
+        for j in range(zeros + 1):
+            moments[j] += comb(zeros, j)
+    excess = {j: m - comb(n, j) * ctx.q ** max(k - j, 0) for j, m in enumerate(moments)}
+    return {j: e for j, e in excess.items() if e}
 
 
 def random_nonsingular_2x2(ctx: FieldCtx, rng) -> FieldMatrix:

@@ -20,12 +20,13 @@ from conftest import OutOfStatedRange, power, random_nonsingular_2x2, vanishes
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
-from egrl.linear import LinearCode, macwilliams, nmds_distribution
+from egrl.linear import LinearCode, distribution_from_excess, macwilliams
 from egrl.subsetsum import FULL, STAR, count_dp, count_li_wan
 from egrl.construction import (
     EgrlParams,
+    _barycentric,
+    _vanishing,
     check_mds,
-    compute_u,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
@@ -257,11 +258,11 @@ def test_c07_nmds_distribution_identity():
         nk = p.length - p.k
         amin = brute.counts[nk]
         ok &= amin == brute_dual.counts[p.k]
-        ok &= nmds_distribution(p.length, p.k, p.ctx, amin) == (brute, brute_dual)
+        ok &= distribution_from_excess(p.length, p.k, p.ctx, {p.k: amin}) == (brute, brute_dual)
         checked += 1
     elapsed = time.time() - started
     _report(
-        "C7 NMDS expansion from brute-forced A_min reproduces both sides",
+        "C7 excess {k: A_min} from brute-forced A_min reproduces both sides",
         ok and checked > 0,
         f"{checked} NMDS instances in {elapsed:.1f}s",
     )
@@ -269,16 +270,16 @@ def test_c07_nmds_distribution_identity():
 
 def test_c07_nmds_distribution_at_field_scale():
     # Both sides of the special [1026, 512] code over GF(1024) by the
-    # low-count solve: O(n) big-integer steps per side.  A route that took
+    # excess solve: O(n) big-integer steps per side.  A route that took
     # the dual side from the MacWilliams transform needs seconds here.
     ctx = FieldCtx.from_order(1024)
     p = special_construction(ctx, 512, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
     amin = sum(min_weight_census(p).values())
     started = time.time()
-    primal, dual = nmds_distribution(p.length, p.k, ctx, amin)
+    primal, dual = distribution_from_excess(p.length, p.k, ctx, {p.k: amin})
     elapsed = time.time() - started
     _report(
-        "C7 NMDS expansion of the special [1026, 512] code over GF(1024) under 1 s",
+        "C7 excess solve of the special [1026, 512] code over GF(1024) under 1 s",
         primal.total() == 1024**512 and dual.total() == 1024**514
         and primal.counts[514] == dual.counts[512] == amin > 0 and elapsed < 1.0,
         f"A_min has {len(str(amin))} digits; both sides in {elapsed * 1e3:.1f} ms",
@@ -374,7 +375,7 @@ def test_c09_u_coefficient_identities():
         ctx = FieldCtx.from_order(q)
         n = rng.randint(3, min(10, q))
         alpha = tuple(rng.sample(range(q), n))
-        u = compute_u(ctx, alpha)
+        u = _barycentric(ctx, _vanishing(ctx, alpha), alpha)
         sum_alpha = 0
         for a in alpha:
             sum_alpha = ctx.add(sum_alpha, a)

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import inverse_products, poly_neg, power, random_nonsingular_2x2, vanishes
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
-from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, macwilliams,
-                         nmds_distribution)
+from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, distribution_from_excess,
+                         macwilliams)
 from egrl import subsetsum
 from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset
 from egrl.construction import (
@@ -24,8 +24,9 @@ from egrl.construction import (
     UnsupportedShape,
     ZeroB,
     ZeroV,
+    _barycentric,
+    _vanishing,
     check_mds,
-    compute_u,
     dual_support_pattern_census,
     egrl_code,
     generator_matrix,
@@ -177,7 +178,6 @@ _FLOAT_PROBES = {
     "count_dp": lambda ctx, mix: count_dp(ctx, [1.2, 2, 3], 2, 3),
     "find_subset": lambda ctx, mix: find_subset(ctx, [1.2, 2, 3], 2, 3),
     "vanishes": lambda ctx, mix: vanishes(ctx, STAR, 2.5, 1),
-    "compute_u": lambda ctx, mix: compute_u(ctx, [1.5, 2, 3]),
     "modulus": lambda ctx, mix: FieldCtx(3, 2, (2.5, 1, 1)),
 }
 
@@ -200,7 +200,6 @@ def test_numpy_and_bool_integers_admitted(gf7):
     # bool is an int: a target of True is code 1, not a numpy mask.
     assert count_dp(gf7, STAR, np.int8(2), True) == count_li_wan(gf7, STAR, 2, True) == 2
     assert find_subset(gf7, STAR, True, True) == (1,)
-    assert compute_u(gf7, np.arange(1, 4)) == compute_u(gf7, [1, 2, 3])
 
 
 def test_mixing_matrix_shape_and_field_checked():
@@ -222,13 +221,19 @@ def test_instance_serialization_roundtrip(ex13, ex9):
 # -- u coefficients ---------------------------------------------------------------
 
 
-def test_compute_u_golden(gf5):
+def u_coefficients(ctx, alpha) -> tuple[int, ...]:
+    """u_i = 1 / P'(alpha_i) by the barycentric rule the parity check and the reduced
+    generator read, P = prod (x - alpha_j)."""
+    return tuple(_barycentric(ctx, _vanishing(ctx, alpha), alpha))
+
+
+def test_u_golden(gf5):
     # ((0-1)(0-2))^-1, ((1-0)(1-2))^-1, ((2-0)(2-1))^-1 = (3, 4, 3)
-    assert compute_u(gf5, (0, 1, 2)) == (3, 4, 3)
+    assert u_coefficients(gf5, (0, 1, 2)) == (3, 4, 3)
 
 
-def test_compute_u_power_sums(gf5):
-    u = compute_u(gf5, (0, 1, 2))
+def test_u_power_sums(gf5):
+    u = u_coefficients(gf5, (0, 1, 2))
     alpha = (0, 1, 2)
     total = 0
     for ui in u:
@@ -238,13 +243,6 @@ def test_compute_u_power_sums(gf5):
     for ui, a in zip(u, alpha):
         s2 = gf5.add(s2, gf5.mul(ui, gf5.mul(a, a)))
     assert s2 == 1  # j = n-1
-
-
-def test_compute_u_requires_distinct(gf5):
-    with pytest.raises(DuplicateAlpha):
-        compute_u(gf5, (1, 1, 2))
-    with pytest.raises(RangeViolation):
-        compute_u(gf5, (1, 2))
 
 
 _ORDERS_TO_64 = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43,
@@ -265,13 +263,20 @@ def point_sets(draw):
 @example((16, tuple(range(1, 16))))  # all of F_q^*: P = x**(q-1) - 1, so u = -alpha
 @example((27, tuple(range(26, 0, -1))))
 @example((64, tuple(range(1, 64))))
-def test_compute_u_equals_the_direct_pair_product(case):
+def test_u_equals_the_direct_pair_product(case):
     q, alpha = case
     ctx = FieldCtx.from_order(q)
-    u = compute_u(ctx, alpha)
+    u = u_coefficients(ctx, alpha)
     assert u == inverse_products(ctx, alpha)
     if sorted(alpha) == list(range(1, q)):
         assert u == tuple(poly_neg(ctx, a) for a in alpha)
+
+
+def test_u_on_all_units_of_gf1024():
+    # P = x**1023 - 1 on GF(1024)^*, so u = 1 / P'(a) = a = -a in characteristic 2.
+    ctx = FieldCtx.from_order(1024)
+    units = ctx.units()
+    assert u_coefficients(ctx, units) == tuple(map(ctx.neg, units))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -281,7 +286,7 @@ def test_u_power_sum_identities_random(seed):
     ctx = FieldCtx.from_order(q)
     n = rng.randint(3, min(10, q))
     alpha = tuple(rng.sample(range(q), n))
-    u = compute_u(ctx, alpha)
+    u = u_coefficients(ctx, alpha)
     sum_alpha = 0
     for a in alpha:
         sum_alpha = ctx.add(sum_alpha, a)
@@ -758,9 +763,9 @@ def test_special_nmds_distribution_matches_bruteforce(q, k):
     # and these really are NMDS codes
     cls = code.classify()
     assert cls.label == "NMDS"
-    # seeding the generic expansion with the brute-forced minimum count agrees
+    # the excess {k: A_min} with the brute-forced minimum count agrees
     nk = p.length - k
-    assert nmds_distribution(p.length, k, ctx, brute.counts[nk]) == (brute, brute_dual)
+    assert distribution_from_excess(p.length, k, ctx, {k: brute.counts[nk]}) == (brute, brute_dual)
     assert brute.counts[nk] == brute_dual.counts[k]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_weights, krawtchouk_transform, mds_formula, nmds_formula
+from conftest import brute_excess, brute_weights, krawtchouk_transform, mds_formula, nmds_formula
 from egrl import field, linear
 from egrl.construction import (
     dual_support_pattern_census,
@@ -26,9 +27,8 @@ from egrl.linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
-    distribution_from_low_counts,
+    distribution_from_excess,
     macwilliams,
-    nmds_distribution,
     walk_size,
 )
 
@@ -310,15 +310,15 @@ def test_count_refusals_under_the_caller_digit_limit(gf9):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        with pytest.raises(NegativeCount, match=r"^low counts infeasible: weight 4091 count is "
+        with pytest.raises(NegativeCount, match=r"^excess infeasible: weight 4091 count is "
                                                 r"at most -2\^16612$"):
-            nmds_distribution(4098, 8, gf4096, 10**5000)
+            distribution_from_excess(4098, 8, gf4096, {8: 10**5000})
         with pytest.raises(InconsistentInput, match=r"^distribution sums to 6, "
                                                     r"expected q\^k = at least 2\^24000$"):
             macwilliams(WeightDistribution(3, (1, 0, 0, 5)), 2000, gf4096)
-        with pytest.raises(NegativeCount, match=r"^low counts must be nonnegative, "
+        with pytest.raises(NegativeCount, match=r"^excess must be nonnegative, "
                                                 r"got at most -2\^16609$"):
-            distribution_from_low_counts(11, 5, gf9, (0,) * 4 + (-10**5000,))
+            distribution_from_excess(11, 5, gf9, {5: -10**5000})
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -545,39 +545,39 @@ def test_distribution_validation():
         WeightDistribution(2, (1, -1, 2))
 
 
-# -- closed NMDS distributions -------------------------------------------------------
+# -- weight distributions from the excess ------------------------------------------
 
 
-def test_nmds_distribution_golden_gf9(gf9):
-    primal, dual = nmds_distribution(11, 5, gf9, 224)
+def test_nmds_excess_golden_gf9(gf9):
+    primal, dual = distribution_from_excess(11, 5, gf9, {5: 224})
     assert primal.counts == (1, 0, 0, 0, 0, 0, 224, 1520, 4880, 14040, 22240, 16144)
     assert dual.counts[5] == 224
     assert primal.total() == 9**5
     assert dual.total() == 9**6
 
 
-def test_nmds_distribution_first_step_formula(gf9):
-    # with a_min = 0 the first nonzero slot is C(n, k-1) * (q-1)
-    import math
-
+def test_mds_excess_first_step_formula(gf9):
+    # with no excess the first nonzero slot is C(n, k-1) * (q-1)
     n, k = 11, 5
-    primal, _ = nmds_distribution(n, k, gf9, 0)
+    primal, _ = distribution_from_excess(n, k, gf9, {})
     assert primal.counts[n - k + 1] == math.comb(n, k - 1) * (9 - 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 64, 243])
-def test_nmds_distribution_at_zero_amin_is_mds(q):
-    # A_min = 0 turns the NMDS expansion into the MDS distribution on both sides,
+def test_zero_amin_is_mds(q):
+    # A_min = 0 turns the NMDS excess into the MDS distribution on both sides,
     # wherever an [n, k] MDS code can exist (n <= q+1 unless k or n-k is 1).
     ctx = FieldCtx.from_order(q)
     for n in (3, 4, 7, 12):
         for k in [k for k in range(1, n) if n <= q + 1 or k in (1, n - 1)]:
-            primal, dual = nmds_distribution(n, k, ctx, 0)
-            assert (primal.counts, dual.counts) == (mds_formula(n, k, q), mds_formula(n, n - k, q))
+            expected = (mds_formula(n, k, q), mds_formula(n, n - k, q))
+            for excess in ({k: 0}, {}):
+                primal, dual = distribution_from_excess(n, k, ctx, excess)
+                assert (primal.counts, dual.counts) == expected
 
 
 @pytest.mark.parametrize("q", [64, 128, 243, 256])
-def test_nmds_distribution_matches_literal_formula(q):
+def test_nmds_excess_matches_literal_formula(q):
     # Seeded with the Li-Wan minimum-weight count of a special instance.
     ctx = FieldCtx.from_order(q)
     rng = random.Random(q)
@@ -588,42 +588,60 @@ def test_nmds_distribution_matches_literal_formula(q):
                 break
         sp = special_construction(ctx, k, rng.randrange(1, q), mix)
         a_min = sum(min_weight_census(sp).values())
-        primal, dual = nmds_distribution(sp.length, k, ctx, a_min)
+        primal, dual = distribution_from_excess(sp.length, k, ctx, {k: a_min})
         assert (primal.counts, dual.counts) == nmds_formula(sp.length, k, q, a_min)
 
 
-def test_nmds_distribution_infeasible_amin(gf9):
-    with pytest.raises(NegativeCount):
-        nmds_distribution(11, 5, gf9, 10**6)
-    with pytest.raises(NegativeCount):
-        nmds_distribution(11, 5, gf9, -1)
+def test_infeasible_amin(gf9):
+    with pytest.raises(NegativeCount, match="^excess infeasible: weight 7 count is "):
+        distribution_from_excess(11, 5, gf9, {5: 10**6})
+    with pytest.raises(NegativeCount, match="^excess must be nonnegative, got -1$"):
+        distribution_from_excess(11, 5, gf9, {5: -1})
 
 
-def test_nmds_distribution_bad_dims(gf9):
-    with pytest.raises(ValueError):
-        nmds_distribution(5, 5, gf9, 1)
+def test_excess_refusals(gf9):
+    # E_0 = 0 for every code, so {0: 1} passes every count and reaches the sum check;
+    # E_4 = 1 is no multiple of q**(5-4), so the dual excess q**-1 is no integer.
+    with pytest.raises(InconsistentInput, match=r"^solved distribution does not sum to q\^k$"):
+        distribution_from_excess(11, 5, gf9, {0: 1})
+    with pytest.raises(InconsistentInput, match="^dual excess at 7 is not an integer$"):
+        distribution_from_excess(11, 5, gf9, {4: 1})
+    with pytest.raises(InconsistentInput, match="^A_0 must be 1$"):
+        distribution_from_excess(5, 5, gf9, {5: 1})  # E_n = 0: only 0 is zero everywhere
+
+
+def test_excess_bad_dims(gf9):
+    for n, k, excess in ((5, 6, {}), (5, -1, {}), (5, 2, {6: 1}), (5, 2, {-1: 1}), (0, 0, {})):
+        with pytest.raises(ValueError, match=r"^an \[-?\d+,-?\d+\] code needs 0 <= k <= n"):
+            distribution_from_excess(n, k, gf9, excess)
+
+
+def test_excess_of_the_full_and_zero_codes(gf3):
+    full = tuple(math.comb(4, w) * 2**w for w in range(5))
+    zero = (1, 0, 0, 0, 0)
+    assert tuple(d.counts for d in distribution_from_excess(4, 4, gf3, {})) == (full, zero)
+    assert tuple(d.counts for d in distribution_from_excess(4, 0, gf3, {})) == (zero, full)
 
 
 @st.composite
 def any_defect_generators(draw):
-    # Any defect pair: random rows, q**k <= 2**12, n <= 10; `fewer` moves the
-    # solve below the dual distance, where the moments still hold.
+    # Any defect pair: random rows, q**k <= 2**12, n <= 10.
     q = draw(st.sampled_from(sorted(_FIELDS)))
     k = draw(st.integers(1, max(kk for kk in range(1, 11) if q**kk <= 1 << 12)))
     n = draw(st.integers(k, 10))
     entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    return q, draw(st.lists(entries, min_size=k, max_size=k)), draw(st.integers(0, 3))
+    return q, draw(st.lists(entries, min_size=k, max_size=k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(any_defect_generators())
-@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0))  # k = n: no dual, no low counts
-# Defects (3, 2), so the solve starts from A_1..A_6, four of them nonzero.
-@example((3, [[1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 2, 0, 1, 1]], 0))
-def test_distribution_from_low_counts_matches_brute_force(case):
-    # Oracles share no code with the solver: the counts by plain message
-    # enumeration, the dual distance from the literal Krawtchouk sum.
-    q, rows, fewer = case
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # k = n: the dual is the zero code
+# Defects (3, 2): four nonzero E_j.
+@example((3, [[1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 2, 0, 1, 1]]))
+def test_distribution_from_excess_matches_brute_force(case):
+    # Oracles share no code with the solver: the excess and the counts by plain
+    # message enumeration, the dual counts from the literal Krawtchouk sum.
+    q, rows = case
     ctx = _FIELDS[q]
     try:
         code = LinearCode(FieldMatrix(ctx, rows))
@@ -631,15 +649,10 @@ def test_distribution_from_low_counts_matches_brute_force(case):
         return
     n, k = code.n, code.k
     counts = tuple(brute_weights(ctx, code.gen.to_lists()))
-    dual = krawtchouk_transform(counts, k, q)
-    d = max(next((j for j in range(1, n + 1) if dual[j]), n) - fewer, 1)
-    low = counts[1 : n - d + 1]
-    assert distribution_from_low_counts(n, k, ctx, low).counts == counts
-    if low:
+    excess = brute_excess(ctx, code.gen.to_lists())
+    primal, dual = distribution_from_excess(n, k, ctx, excess)
+    assert (primal.counts, dual.counts) == (counts, krawtchouk_transform(counts, k, q))
+    if excess:
+        j = max(excess)
         with pytest.raises(NegativeCount):
-            distribution_from_low_counts(n, k, ctx, low[:-1] + (-1,))
-    with pytest.raises(ValueError):
-        distribution_from_low_counts(n, k, ctx, counts[1:])  # n low counts: d = 0
-    if n - k - 2 >= 0:
-        with pytest.raises(ValueError):
-            distribution_from_low_counts(n, k, ctx, (0,) * (n - k - 2))  # d = k + 2
+            distribution_from_excess(n, k, ctx, {**excess, j: -excess[j]})
