@@ -47,6 +47,7 @@ from .linear import (
     ZeroCode,
     distribution_from_excess,
     macwilliams,
+    nmds_distribution,
 )
 from .construction import (
     DuplicateAlpha,

@@ -40,8 +40,8 @@ from .linear import (
     NegativeCount,
     WeightDistribution,
     ZeroCode,
-    distribution_from_excess,
     macwilliams,
+    nmds_distribution,
     walk_size,
 )
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
@@ -393,7 +393,7 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
     if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
         failures.append(f"{tag}: minimum-weight census disagrees with brute force")
         return
-    if distribution_from_excess(params.length, k, params.ctx, {k: amin}) != (primal, dual_dist):
+    if nmds_distribution(params.length, k, params.ctx, amin) != (primal, dual_dist):
         failures.append(f"{tag}: closed-form distribution disagrees with brute force")
     with contextlib.suppress(BudgetExceeded):
         if dual_support_pattern_census(params, budget) != census:

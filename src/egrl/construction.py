@@ -25,12 +25,12 @@ subset-sum counting (no subset enumeration), and -- for every instance
 with nonzero evaluation points -- exact minimum-weight counts and full
 weight distributions: the code's one binomial-moment excess is the counted
 A_min at k, which at A_min = 0 gives the MDS distribution.  EgrlParams
-holds the one range rule, 3 <= k <= n <= q and 0 <= t <= k-3.  The source paper proves the
-special instances (all of F_q^*, unit multipliers) NMDS for 5 <= k <= q-2
-in characteristic 2, else 4 <= k <= q-1; at other k, and for other points
-or multipliers, the closed form is checked against brute force (438,353
-instances, q <= 27, when introduced), not proven.  Other (ell, t) shapes are
-constructible and brute-force classifiable; the criteria refuse them.
+holds the one range rule, 3 <= k <= n <= q and 0 <= t <= k-3.  The source
+paper proves the special instances (all of F_q^*, unit multipliers) NMDS
+for 5 <= k <= q-2 in characteristic 2, else 4 <= k <= q-1; at other k, and
+for other points or multipliers, the closed form is checked against brute
+force (438,353 instances, q <= 27, when introduced), not proven.  Other
+(ell, t) shapes are built and brute-force classified; criteria refuse them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from .field import FieldCtx
 from .matrix import FieldMatrix
 from .linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, WeightDistribution,
-                     distribution_from_excess)
+                     nmds_distribution)
 from .subsetsum import STAR, count_li_wan, find_subset, subset_row
 
 
@@ -510,14 +510,13 @@ def special_nmds_distribution(
     """Full primal and dual weight distributions of an ell = 2, t = 0 instance
     with nonzero evaluation points.
 
-    distribution_from_excess of an [n+3, k] code with the one excess
-    {k: A_min}, A_min the dual's weight-k count summed over min_weight_census:
-    a special instance is NMDS [q+2, k, q+2-k], an MDS instance has A_min = 0
-    and gets the MDS distribution, and any other instance is checked against
+    nmds_distribution of an [n+3, k] code, A_min the dual's weight-k count
+    summed over min_weight_census: a special instance is NMDS [q+2, k,
+    q+2-k], an MDS instance has A_min = 0, and any other is checked against
     brute force, not proven.  min_weight_census refuses the other instances.
     """
     amin = sum(min_weight_census(params).values())
-    return distribution_from_excess(params.length, params.k, params.ctx, {params.k: amin})
+    return nmds_distribution(params.length, params.k, params.ctx, amin)
 
 
 def dual_support_pattern_census(

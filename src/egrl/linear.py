@@ -1,8 +1,8 @@
 """Generic linear-code machinery: duals, exhaustive weight enumerators,
 Singleton-defect classification, the MacWilliams transform, and one exact
 solver for both weight distributions from their excess, the binomial
-moments less an MDS code's (``distribution_from_excess``): no excess for an
-MDS code, the minimum-weight count alone for an NMDS code.
+moments less an MDS code's (``distribution_from_excess``): none for an
+MDS code, the minimum-weight count for an NMDS one (``nmds_distribution``).
 
 Exhaustive enumeration is projective: every nonzero codeword has q-1
 nonzero scalar multiples with the same weight and support, so only the
@@ -360,13 +360,12 @@ def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, in
 
         A_w = C(n, d-s) (T(s) - b_s),   T(s) = (q-1) T(s-1) + q**(k-d+1) b_s,   T(0) = 0,
 
-    for 1 <= s <= d.  Complements swap the sides, dim K-dual(J^c) = dim K(J) + j - k, so
-    the dual's excess is q**(j-k) E_j at n-j.  An MDS code is {}, an [n, k, n-k] NMDS
-    code {k: A_{n-k}}.  Cost: d steps of O(1) big-integer operations per side plus j+1
-    per nonzero E_j; both sides of the special [1026, 512] code over GF(1024) take 4 to
-    7 ms (2-vCPU Xeon).  ValueError unless 0 <= k <= n, n >= 1 and every j is in 0..n;
-    NegativeCount on a negative excess or count; InconsistentInput when a side does not
-    sum to q**k or has A_0 != 1, or a dual excess is not an integer.
+    for 1 <= s <= d.  Complements swap the sides, dim K-dual(J^c) = dim K(J) + j - k, so the
+    dual's excess is q**(j-k) E_j at n-j.  An MDS code is {}, an [n, k, n-k] NMDS code
+    {k: A_{n-k}}.  Cost: d O(1) big-integer steps per side plus j+1 per nonzero E_j; both
+    sides of the special [1026, 512] code over GF(1024) take 4 to 7 ms (2-vCPU Xeon).
+    ValueError unless 0 <= k <= n, n >= 1 and every j is in 0..n; NegativeCount on a negative
+    excess or count; InconsistentInput on a side sum != q**k, A_0 != 1 or a fractional dual excess.
     """
     if not (0 <= k <= n and n >= 1 and all(0 <= j <= n for j in excess)):
         raise ValueError(f"an [{n},{k}] code needs 0 <= k <= n, n >= 1 and excess at "
@@ -381,6 +380,14 @@ def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, in
             raise InconsistentInput(f"dual excess at {n - j} is not an integer")
         dual[n - j] = val
     return primal, _from_excess(n, n - k, q, dual)
+
+
+def nmds_distribution(n: int, k: int, ctx: FieldCtx,
+                      a_min: int) -> tuple[WeightDistribution, WeightDistribution]:
+    """The [n, k, n-k] NMDS case {k: a_min} of distribution_from_excess (a_min = 0: MDS)."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    return distribution_from_excess(n, k, ctx, {k: a_min})
 
 
 def _from_excess(n: int, k: int, q: int, excess: dict[int, int]) -> WeightDistribution:

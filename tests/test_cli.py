@@ -1061,7 +1061,7 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per
      "parity-check identity failed"),
     ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
      "minimum-weight census disagrees with brute force"),
-    ("distribution_from_excess", lambda real: lambda *a: real(*a)[::-1],
+    ("nmds_distribution", lambda real: lambda *a: real(*a)[::-1],
      "closed-form distribution disagrees with brute force"),
     ("dual_support_pattern_census",
      lambda real: lambda p, budget: {**real(p, budget), (True, True, True): 1},

@@ -29,6 +29,7 @@ from egrl.linear import (
     ZeroCode,
     distribution_from_excess,
     macwilliams,
+    nmds_distribution,
     walk_size,
 )
 
@@ -554,6 +555,13 @@ def test_nmds_excess_golden_gf9(gf9):
     assert dual.counts[5] == 224
     assert primal.total() == 9**5
     assert dual.total() == 9**6
+    assert nmds_distribution(11, 5, gf9, 224) == (primal, dual)
+
+
+def test_nmds_distribution_needs_a_proper_code(gf9):
+    for n, k in ((5, 5), (5, 0), (5, 6)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k < n, got k={k}, n={n}$"):
+            nmds_distribution(n, k, gf9, 0)
 
 
 def test_mds_excess_first_step_formula(gf9):
@@ -652,7 +660,10 @@ def test_distribution_from_excess_matches_brute_force(case):
     excess = brute_excess(ctx, code.gen.to_lists())
     primal, dual = distribution_from_excess(n, k, ctx, excess)
     assert (primal.counts, dual.counts) == (counts, krawtchouk_transform(counts, k, q))
+    j = max(excess, default=k)
     if excess:
-        j = max(excess)
-        with pytest.raises(NegativeCount):
+        with pytest.raises(NegativeCount, match="^excess must be nonnegative"):
             distribution_from_excess(n, k, ctx, {**excess, j: -excess[j]})
+    # E_j past q**k takes j * (that much) off weight n-j+1, whose count is at most q**k.
+    with pytest.raises(NegativeCount, match=r"^excess infeasible: weight \d+ count is -"):
+        distribution_from_excess(n, k, ctx, {**excess, j: excess.get(j, 0) + q**k + 1})
