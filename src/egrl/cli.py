@@ -41,7 +41,6 @@ from .linear import (
     WeightDistribution,
     ZeroCode,
     macwilliams,
-    nmds_distribution,
     walk_size,
 )
 from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
@@ -393,7 +392,7 @@ def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
     if amin != primal.counts[params.length - k] or amin != dual_dist.counts[k]:
         failures.append(f"{tag}: minimum-weight census disagrees with brute force")
         return
-    if nmds_distribution(params.length, k, params.ctx, amin) != (primal, dual_dist):
+    if special_nmds_distribution(params) != (primal, dual_dist):
         failures.append(f"{tag}: closed-form distribution disagrees with brute force")
     with contextlib.suppress(BudgetExceeded):
         if dual_support_pattern_census(params, budget) != census:

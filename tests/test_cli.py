@@ -45,18 +45,32 @@ def test_construct_special_golden(capsys):
 
 
 def test_construct_with_h_satisfies_identity(capsys):
-    rc, out, _ = run(
-        capsys, "construct", "--q", "13", "--k", "4", "--n", "6",
-        "--alpha", "1,2,3,4,5,6", "--b", "1", "--M", "1,1,1,2", "--with-h",
-    )
-    assert rc == 0
+    # k < n, and the two ends of the range rule, k = 3 and k = n.
     ctx = FieldCtx(13)
-    g_text, h_text = out.split("H\n")
-    g = FieldMatrix.from_text(ctx, g_text.split("G\n")[1])
-    h = FieldMatrix.from_text(ctx, h_text)
-    assert (g.rows, g.cols) == (4, 9)
-    assert (h.rows, h.cols) == (5, 9)
-    assert g.matmul(h.transpose()).is_zero()
+    for k, n, flags in ((4, 6, ["--n", "6", "--alpha", "1,2,3,4,5,6"]),
+                        (3, 3, ["--alpha", "1,2,3"]), (6, 6, ["--alpha", "1,2,3,4,5,6"])):
+        rc, out, _ = run(capsys, "construct", "--q", "13", "--k", str(k), *flags, "--b", "1",
+                         "--M", "1,1,1,2", "--with-h")
+        assert rc == 0
+        g_text, h_text = out.split("H\n")
+        g = FieldMatrix.from_text(ctx, g_text.split("G\n")[1])
+        h = FieldMatrix.from_text(ctx, h_text)
+        assert (g.rows, g.cols) == (k, n + 3)
+        assert (h.rows, h.cols) == (n + 3 - k, n + 3)
+        assert g.matmul(h.transpose()).is_zero()
+
+
+def test_construct_with_h_at_field_scale(capsys):
+    # The special [1026, 8] code over GF(1024): u and H's top row read one P.
+    # On all of F_q^* the top row is the classical (1, ..., 1, 0, 0, -sum(v)/b),
+    # and sum(v) = 1023 = 1 = -1 in characteristic 2.
+    rc, out, err = run(capsys, "construct", "--q", "1024", "--k", "8", "--b", "1",
+                       "--M", "1,1,1,2", "--special", "--with-h")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[:2], lines[10:12]) == (["G", "8 1026"], ["H", "1018 1026"])
+    assert lines[12] == " ".join(["1"] * 1023 + ["0", "0", "1"])
+    assert len(lines) == 12 + 1018
 
 
 def test_construct_duplicate_alpha_exit2(capsys):
@@ -302,6 +316,19 @@ def test_weights_budget_guidance(capsys):
 TOP_OF_RANGE = [(25, 24), (27, 26), (32, 30), (49, 48)]
 
 
+@pytest.mark.parametrize("q,k", [
+    (8, 4),  # below the paper's NMDS range in characteristic 2 (5 <= k <= q-2)
+    # The bench's enumerate sizes, 6.4M-14.3M messages: characteristic 2, a prime
+    # field and odd extensions, their tail spans built column by column.
+    (16, 6), (23, 5), (25, 5), (27, 5),
+])
+def test_weights_special_both_agree(capsys, q, k):
+    rc, out, err = run(capsys, "weights", "--q", str(q), "--k", str(k), "--b", "1",
+                       "--M", "1,1,1,2", "--special", "--method", "both")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "agreement: true"
+
+
 @pytest.mark.parametrize("q,k", TOP_OF_RANGE)
 def test_weights_top_of_range_walks_the_dual(capsys, q, k):
     special = ["weights", "--q", str(q), "--k", str(k), "--b", "1", "--M", "1,1,1,2",
@@ -315,6 +342,20 @@ def test_weights_top_of_range_walks_the_dual(capsys, q, k):
     assert rc == 0
     assert (json.loads(brute)["results"]["distribution"]
             == json.loads(formula)["results"]["distribution"])
+
+
+def test_weights_formula_at_field_scale(capsys):
+    # The special [1026, 512] code over GF(1024) by the excess solve: each side
+    # renders whole and sums to its size.
+    rc, out, err = run(capsys, "weights", "--q", "1024", "--k", "512", "--b", "1",
+                       "--M", "1,1,1,2", "--special", "--method", "formula")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["enumerator", "distribution",
+                                                      "dual distribution"]
+    primal, dual = (list(map(int, json.loads(line.split(": ")[1]))) for line in lines[1:])
+    assert (sum(primal), sum(dual)) == (1024**512, 1024**514)
+    assert primal[:514] == [1] + [0] * 513 and primal[514] == dual[512] > 0
 
 
 def test_weights_inline_high_rate_instance(capsys):
@@ -397,7 +438,8 @@ def test_check_instance_census_takes_the_budget(monkeypatch):
     ["weights", "--q", "1024", "--k", "700", "--b", "1", "--M", "1,1,1,2", "--special",
      "--method", "brute"],
     ["sweep", "--q-list", "1024", "--k-list", "700", "--trials", "1"],
-], ids=["classify", "weights", "sweep"])
+    ["sweep", "--q-list", "65536", "--k-list", "4", "--trials", "1"],  # q**3 > budget at any n
+], ids=["classify", "weights", "sweep", "sweep-65536"])
 def test_budget_refuses_before_any_row_reduction(capsys, monkeypatch, argv):
     # An instance's generator has rank k, so its walk size is known before
     # the O(k**2 n) row reduction that building the code starts with.
@@ -412,17 +454,20 @@ def test_budget_refuses_before_any_row_reduction(capsys, monkeypatch, argv):
                         r"67108864; raise --budget to allow it\n", err)
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (5, 3)])
-def test_weights_full_code_walks_itself(capsys, tmp_path, q, n):
+@pytest.mark.parametrize("q,n,enumerator", [(3, 2, "1+4x+4x^2"), (5, 3, "1+12x+48x^2+64x^3")],
+                         ids=["3-2", "5-3"])
+def test_weights_full_code_walks_itself(capsys, tmp_path, q, n, enumerator):
     # The dual of the full [n, n] code is the zero code, so there is no smaller side.
     gen = tmp_path / "id.txt"
     gen.write_text(f"{n} {n}\n" + "".join(" ".join(str(int(i == j)) for j in range(n)) + "\n"
                                          for i in range(n)))
-    rc, out, err = run(capsys, "weights", "--generator", str(gen), "--q", str(q),
-                       "--method", "brute", "--json")
+    argv = ["weights", "--generator", str(gen), "--q", str(q), "--method", "brute"]
+    rc, out, err = run(capsys, *argv, "--json")
     assert (rc, err) == (0, "")
     assert json.loads(out)["results"]["distribution"] == [
         str(comb(n, w) * (q - 1) ** w) for w in range(n + 1)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out.splitlines()[0], err) == (0, f"enumerator: {enumerator}", "")
 
 
 @pytest.mark.parametrize(
@@ -431,6 +476,10 @@ def test_weights_full_code_walks_itself(capsys, tmp_path, q, n):
         (("--q", "5", "--domain", "star", "--m", "2", "--b", "1", "--method", "both"), "1"),
         (("--q", "4", "--domain", "full", "--m", "2", "--b", "0"), "0"),
         (("--q", "9", "--domain", "star", "--m", "0", "--b", "0"), "1"),
+        # m = 4090 of the 4095 units: the DP runs at size 5 on the complements,
+        # N(m, b) = N(n-m, sum - b), and must equal the closed form.
+        (("--q", "4096", "--domain", "star", "--m", "4090", "--b", "1", "--method", "both"),
+         "2337046748025"),
     ],
 )
 def test_subsetsum_examples(capsys, args, expected):
@@ -472,6 +521,15 @@ def test_sweep_small_clean(capsys):
     assert "0 disagreements" in out
 
 
+def test_sweep_broad_grid_clean(capsys):
+    # Every field order from 5 to 16 and k = 3 to 6: random trials and the special
+    # instance of each mixing class, each through every check.
+    rc, out, err = run(capsys, "sweep", "--q-list", "5,7,8,9,11,13,16", "--k-list", "3,4,5,6",
+                       "--trials", "10", "--seed", "1")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "0 disagreements"
+
+
 def test_sweep_deterministic_output(capsys):
     argv = ["sweep", "--q-list", "5", "--k-list", "4", "--trials", "3",
             "--seed", "3", "--json"]
@@ -492,9 +550,8 @@ def test_sweep_records_small_k_as_skipped(capsys):
 
 
 def test_sweep_empty_lists_usage_error(capsys):
-    rc, _, err = run(capsys, "sweep", "--q-list", "", "--k-list", "4")
-    assert rc == 2
-    assert "nonempty" in err
+    assert run(capsys, "sweep", "--q-list", "", "--k-list", "4") == (
+        2, "", "InvalidParams: sweep needs nonempty --q-list and --k-list\n")
 
 
 def test_instance_file_roundtrip(capsys, tmp_path):
@@ -617,7 +674,11 @@ def test_missing_instance_flags_exit2(capsys):
     (["weights", "--generator", "rep.txt", "--q", "3", "--method", "brute", "--special",
       "--t", "5", "--k", "9", "--order", "gen"],
      "InvalidParams: --generator takes no instance flags but --q and --mod, got --k"),
+    (["weights", "--generator", "rep.txt", "--q", "3", "--method", "brute", "--special"],
+     "InvalidParams: --generator takes no instance flags but --q and --mod, got --special"),
     (["construct", "--instance", "inst.txt", "--k", "3", "--alpha", "1,2,3", "--ell", "7"],
+     "InvalidParams: --instance takes no inline instance flags, got --k"),
+    (["construct", "--instance", "inst.txt", "--k", "3"],
      "InvalidParams: --instance takes no inline instance flags, got --k"),
     (["classify", "--instance", "inst.txt", "--q", "7"],
      "InvalidParams: --instance takes no inline instance flags, got --q"),
@@ -626,7 +687,8 @@ def test_missing_instance_flags_exit2(capsys):
 ], ids=["no-q", "short-M", "short-M-file", "special-no-k", "special-and-alpha", "n-mismatch",
         "generator-both", "ell-zero", "ell-negative", "ell-above-k", "prime-field-modulus",
         "empty-v", "empty-mod", "empty-instance", "empty-generator", "empty-out",
-        "order-without-special", "generator-and-flags", "instance-and-flags",
+        "order-without-special", "generator-and-flags", "generator-and-special",
+        "instance-and-flags", "instance-and-k",
         "instance-and-q", "instance-and-generator"])
 def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -894,6 +956,24 @@ def test_subsetsum_modulus_text_exits(case):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    # x^2 + 1 is irreducible over GF(3) but not primitive; (x + 1)^2 is refused.
+    (["--q", "9", "--mod", "1,0,1", "--domain", "star", "--m", "2", "--b", "1"], (0, "3\n", "")),
+    (["--q", "9", "--mod", "1,2,1", "--domain", "star", "--m", "2", "--b", "1"],
+     (2, "", "ReducibleModulus: modulus (1, 2, 1) factors over GF(3)\n")),
+    # GF(2^16) by its default modulus; the default GF(2^8) modulus times its reciprocal
+    # is refused.
+    (["--q", "65536", "--domain", "full", "--m", "0", "--b", "0", "--method", "both"],
+     (0, "1\n", "")),
+    (["--q", "65536", "--mod", "1,0,1,1,0,1,0,0,1,0,0,1,0,1,1,0,1", "--domain", "full",
+      "--m", "0", "--b", "0", "--method", "lw"],
+     (2, "", "ReducibleModulus: modulus (1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1) "
+             "factors over GF(2)\n")),
+], ids=["gf9-accepted", "gf9-reducible", "gf65536-default", "gf65536-reducible"])
+def test_subsetsum_supplied_moduli(capsys, argv, expected):
+    assert run(capsys, "subsetsum", *argv) == expected
+
+
 def _is_prime_power(q: int) -> bool:
     # Trial division: strip the smallest divisor above 1 and see what is left.
     if q < 2:
@@ -1061,7 +1141,7 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per
      "parity-check identity failed"),
     ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
      "minimum-weight census disagrees with brute force"),
-    ("nmds_distribution", lambda real: lambda *a: real(*a)[::-1],
+    ("special_nmds_distribution", lambda real: lambda p: real(p)[::-1],
      "closed-form distribution disagrees with brute force"),
     ("dual_support_pattern_census",
      lambda real: lambda p, budget: {**real(p, budget), (True, True, True): 1},

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -832,6 +833,40 @@ def test_closed_form_property(p):
         assert dual_support_pattern_census(p) == min_weight_census(p)
 
 
+_LEMMA_FIELDS = {q: FieldCtx.from_order(q) for q in (4, 5, 7, 8, 9, 11)}
+
+
+@st.composite
+def lemma_instances(draw):
+    # Nonzero points, q <= 11 and n <= 8, so that every column subset can be ranked.
+    ctx = _LEMMA_FIELDS[draw(st.sampled_from(sorted(_LEMMA_FIELDS)))]
+    q = ctx.q
+    alpha = draw(st.lists(st.integers(1, q - 1), min_size=3, max_size=min(q - 1, 8),
+                          unique=True))
+    n = len(alpha)
+    mix = draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4)
+               .map(lambda vals: FieldMatrix.from_flat(ctx, 2, 2, vals))
+               .filter(lambda m: m.det() != 0))
+    return EgrlParams(
+        ctx=ctx, n=n, k=draw(st.integers(3, n)), ell=2, t=0, alpha=tuple(alpha),
+        v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
+        b=draw(st.integers(1, q - 1)), mix=mix,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(lemma_instances())
+@example(special_construction(FieldCtx(7), 4, 1, FieldMatrix(FieldCtx(7), [[1, 1], [1, 2]])))
+@example(make_params(FieldCtx(11), (1, 2, 3), 3, [[0, 1], [1, 0]], b=5))  # k = n = 3
+def test_column_lemmas(p):
+    # The proof in the construction docstring: any k-1 columns of G are
+    # independent and any k+1 columns have rank k, so the code is MDS or NMDS.
+    g = generator_matrix(p).to_lists()
+    for size, rank in ((p.k - 1, p.k - 1), (p.k + 1, p.k)):
+        for cols in itertools.combinations(range(p.length), size):
+            assert FieldMatrix(p.ctx, [[row[c] for c in cols] for row in g]).rank() == rank, cols
+
+
 # -- support-pattern census -------------------------------------------------------------
 
 
@@ -882,19 +917,20 @@ def test_census_forbidden_patterns_empty(gf7):
 
 
 def test_census_refuses_before_any_row_reduction(monkeypatch):
-    # The special [258, 8] code over GF(256): its dual's 256**250 codewords
-    # are over the default budget, known before the code or its dual is
-    # row-reduced (seconds of work at this q).
-    ctx = FieldCtx.from_order(256)
-    p = special_construction(ctx, 8, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
+    # The special [q+2, 8] codes over GF(256) and GF(4096): their duals'
+    # q**(q-6) codewords are over the default budget, known before the code or
+    # its dual is row-reduced (seconds of work at these q).
+    instances = [special_construction(ctx, 8, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
+                 for ctx in map(FieldCtx.from_order, (256, 4096))]
 
     def never(self):
         raise AssertionError("row reduction before the census budget check")
 
     monkeypatch.setattr(FieldMatrix, "_rref_pivots", never)
-    with pytest.raises(BudgetExceeded) as err:
-        dual_support_pattern_census(p)
-    assert (err.value.required, err.value.budget) == (256**250, DEFAULT_BUDGET)
+    for p in instances:
+        with pytest.raises(BudgetExceeded) as err:
+            dual_support_pattern_census(p)
+        assert (err.value.required, err.value.budget) == (p.q ** (p.q - 6), DEFAULT_BUDGET)
 
 
 def test_census_budget_is_the_dual_size(gf7):
@@ -917,6 +953,10 @@ def _swap_keys(census):
 @given(walkable_instances(0))
 @example(make_params(FieldCtx(7), (0, 1, 2, 3), 3, [[1, 1], [1, 0]]))  # a zero point
 @example(special_construction(FieldCtx(7), 4, 1, FieldMatrix(FieldCtx(7), [[1, 0], [0, 1]])))
+# The special [15, 5] code over GF(13) in the a22-zero, a12-zero and diagonal classes.
+@example(special_construction(FieldCtx(13), 5, 1, FieldMatrix(FieldCtx(13), [[1, 1], [1, 0]])))
+@example(special_construction(FieldCtx(13), 5, 1, FieldMatrix(FieldCtx(13), [[1, 0], [1, 1]])))
+@example(special_construction(FieldCtx(13), 5, 1, FieldMatrix(FieldCtx(13), [[1, 0], [0, 1]])))
 def test_swapping_mix_columns_swaps_two_coordinates(p):
     # Swapping M's columns swaps coordinates n and n+1 of every codeword: the
     # weights, both verdicts and H (up to those two columns) stay, and the
