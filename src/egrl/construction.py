@@ -451,10 +451,11 @@ def check_mds(params: EgrlParams) -> MdsReport:
     The code is MDS iff (1) no evaluation point is zero and (2) for each
     mixing column j with top entry a_1j != 0, no subset of the evaluation
     points of size k-1 or k-2 sums to a_2j / a_1j.  Columns with a_1j = 0
-    pass (2) automatically (a_2j != 0 by nonsingularity).  One boolean
-    reachability DP per size s, run at min(s, n-s), decides every column,
-    size k-1 first and columns in order; a witness subset is recovered
-    only when one exists, and its sum names its column.
+    pass (2) automatically (a_2j != 0 by nonsingularity).  One find_subset
+    per size decides every column, size k-1 first and columns in order: on
+    all of F_q^* Li-Wan's count per column and a depth-first search, else
+    one boolean reachability DP at min(s, n-s).  A witness subset is
+    recovered only when one exists, and its sum names its column.
     """
     _require_shape(params)
     for idx, a in enumerate(params.alpha):

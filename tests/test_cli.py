@@ -795,6 +795,33 @@ def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
                    "above the cap of 1073741824\n")
 
 
+SPECIAL_MIX = ["--b", "1", "--M", "1,1,1,2", "--special"]
+
+
+def test_special_classify_at_q_65536_promptly(capsys):
+    # Li-Wan decides both sizes and the search finds {1, 2, 4, 6} in about
+    # 0.3 s; the two DP passes over the 65,535 units took about 18 s.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--q", "65536", "--k", "5", *SPECIAL_MIX)
+    assert time.perf_counter() - started < 3.0
+    assert (rc, out, err) == (0, "MDS: false; witness I_1={1,2,4,6} j=1\ndual AMDS: true\n", "")
+
+
+@pytest.mark.parametrize("q, k", [(65536, 100), (8192, 1000)])
+def test_special_classify_witness_at_field_scale(capsys, q, k):
+    # The DP's checkpoints would need 3.4 GB (q = 2**16) and 1.5 GB (q = 2**13);
+    # the search needs a few hundred kB and well under a second.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--q", str(q), "--k", str(k), *SPECIAL_MIX)
+    assert time.perf_counter() - started < 3.0
+    assert (rc, err) == (0, "")
+    found = re.fullmatch(r"MDS: false; witness I_1=\{([\d,]+)\} j=([12])\ndual AMDS: true\n", out)
+    assert found is not None
+    ctx, subset, j = FieldCtx.from_order(q), [int(x) for x in found[1].split(",")], int(found[2])
+    assert len(set(subset)) == len(subset) == k - 1 and 0 not in subset
+    assert ctx.sum(subset) == j  # the ratio a_2j / a_1j of the mix [[1, 1], [1, 2]]
+
+
 def test_one_row_walk_needs_no_table(capsys, tmp_path):
     # A [8192, 1] code at q = 2**16 walks its one row from -row_0 alone.
     gen = tmp_path / "g.txt"

@@ -555,11 +555,14 @@ def test_one_pass_per_size(gf13, ex13, fresh_passes):
     special = special_construction(gf13, 5, 1, FieldMatrix(gf13, EX13_MIX))
     min_weight_census(special)
     assert fresh_passes == []  # Li-Wan on F_q^*
+    assert check_mds(special).witness is not None
+    assert fresh_passes == []  # Li-Wan and the search on F_q^*
 
 
 def test_check_mds_witness_beyond_half():
-    # k = 4090 on the 4095 units: the size-4089 witness comes from a pass at
-    # size 6 on the complement; the direct pass would need 2 GB of tables.
+    # k = 4090 on the 4095 units: Li-Wan finds size 4089 reachable, and past
+    # n/2 the witness comes from a DP pass at size 6 on the complement; the
+    # direct pass would need 2 GB of tables.
     ctx = FieldCtx.from_order(4096)
     mix = FieldMatrix(ctx, [[1, 1], [1, 2]])
     m, j, subset = check_mds(special_construction(ctx, 4090, 1, mix)).witness

@@ -169,6 +169,7 @@ def explicit_instances(draw):
 @given(explicit_instances())
 @example((5, (), 0, 0))
 @example((16, tuple(range(15, -1, -1)), 8, 0))
+@example((13, (6, 4, 7, 5, 3, 2), 3, 10))  # the only witness is the last 3 codes
 def test_dp_and_witness_match_enumeration(case):
     q, codes, m, b = case
     ctx = _FIELDS[q]
@@ -182,6 +183,9 @@ def test_dp_and_witness_match_enumeration(case):
             first = combo
             break
     assert find_subset(ctx, codes, m, b) == first
+    if first is not None and 2 * m <= len(codes):
+        # The search backtracks far more on a sparse domain than on a whole field.
+        assert subsetsum._search(ctx, codes, m, b) == first
 
 
 def _first_combo(ctx, codes, m, b):
@@ -303,9 +307,60 @@ def test_shift_table_is_field_subtraction(q):
 
 def test_oversized_tables_refused_before_allocation():
     # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 129 bool
-    # tables of 2048*4096 bytes for the witness search: both above 1 GiB.
+    # tables of 2048*4096 bytes for the witness DP on 4,094 of the units:
+    # both above 1 GiB.
     ctx = FieldCtx.from_order(4096)
     with pytest.raises(TableTooLarge):
         count_dp(ctx, STAR, 2000, 1)
     with pytest.raises(TableTooLarge):
-        find_subset(ctx, STAR, 2047, 1)
+        find_subset(ctx, range(1, 4095), 2047, 1)
+
+
+def test_unit_domain_witness_needs_no_table():
+    # On all 4,095 units the same size takes the search, not the refused DP.
+    ctx = FieldCtx.from_order(4096)
+    got = find_subset(ctx, STAR, 2047, 1)
+    assert len(set(got)) == len(got) == 2047 and 0 not in got and ctx.sum(got) == 1
+
+
+_WHOLE_FIELDS = {q: FieldCtx.from_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 64, 243, 256)}
+
+
+@st.composite
+def whole_field_instances(draw):
+    q = draw(st.sampled_from(sorted(_WHOLE_FIELDS)))
+    codes = draw(st.permutations(range(draw(st.sampled_from((0, 1))), q)))
+    n = len(codes)
+    m = draw(st.one_of(st.sampled_from((0, 1, n // 2, n - 1, n)), st.integers(0, n)))
+    return q, tuple(codes), m, draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(whole_field_instances())
+@example((256, tuple(range(1, 256)), 7, [1, 2]))
+@example((243, tuple(range(242, -1, -1)), 121, [0, 5]))
+@example((8, (0, 3, 5, 6, 1, 2, 4, 7), 3, [5, 5, 6]))
+def test_whole_field_witness_is_the_dp_witness(case):
+    # On F_q or F_q^* in any order, Li-Wan and the search give the DP's tuple,
+    # and None exactly when Li-Wan counts no subset at any target.  Up to n/2
+    # the search finds it itself, within its budget, not through the DP.
+    q, codes, m, targets = case
+    ctx = _WHOLE_FIELDS[q]
+    domain = FULL if 0 in codes else STAR
+    got = find_subset(ctx, codes, m, *targets)
+    assert got == subsetsum._dp_witness(ctx, codes, m, targets)
+    reached = [b for b in targets if count_li_wan(ctx, domain, m, b)]
+    assert (got is None) == (reached == [])
+    if reached and 2 * m <= len(codes):
+        assert subsetsum._search(ctx, codes, m, reached[0]) == got
+
+
+def test_spent_node_budget_falls_back_to_the_dp(monkeypatch):
+    ctx, calls = FieldCtx.from_order(256), []
+    expect = find_subset(ctx, STAR, 7, 1)
+    dp = subsetsum._dp_witness
+    monkeypatch.setattr(subsetsum, "_dp_witness", lambda *args: calls.append(args) or dp(*args))
+    assert calls == [] and find_subset(ctx, STAR, 7, 1) == expect
+    monkeypatch.setattr(subsetsum, "_NODE_BUDGET", 3)
+    assert find_subset(ctx, STAR, 7, 1) == expect
+    assert len(calls) == 1
