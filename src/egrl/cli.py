@@ -43,7 +43,7 @@ from .linear import (
     macwilliams,
     walk_size,
 )
-from .subsetsum import FULL, STAR, SubsetSumError, count_dp, count_li_wan
+from .subsetsum import SubsetSumError, count_dp, count_li_wan
 from .construction import (
     EgrlParams,
     InvalidParams,
@@ -327,8 +327,7 @@ def cmd_weights(args) -> Report:
 
 
 def cmd_subsetsum(args) -> Report:
-    ctx = _build_ctx(args)
-    domain = {"star": STAR, "full": FULL}[args.domain]
+    ctx, domain = _build_ctx(args), args.domain
     instance = {"field": str(ctx)}
     results: dict = {"domain": args.domain, "m": args.m, "b": args.b}
     if args.method != "both":

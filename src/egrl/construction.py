@@ -453,8 +453,9 @@ def check_mds(params: EgrlParams) -> MdsReport:
     points of size k-1 or k-2 sums to a_2j / a_1j.  Columns with a_1j = 0
     pass (2) automatically (a_2j != 0 by nonsingularity).  One find_subset
     per size decides every column, size k-1 first and columns in order: on
-    all of F_q^* Li-Wan's count per column and a depth-first search, else
-    one boolean reachability DP at min(s, n-s).  A witness subset is
+    all of F_q^* Li-Wan's count per column and, up to half the points, a
+    witness in closed form, else one boolean reachability DP at
+    min(s, n-s).  A witness subset is
     recovered only when one exists, and its sum names its column.
     """
     _require_shape(params)

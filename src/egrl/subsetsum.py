@@ -9,15 +9,15 @@ Two independent routes:
   domain.  Always equals ``count_dp`` on those domains.
 
 :func:`find_subset` returns the greedy witness.  On all of F_q or F_q^*,
-in any order, Li-Wan decides each target and, for m <= n/2, ``_search``
-finds the witness with no table: an iterative depth-first search in
-domain order, include first, holding a q-entry position list and at most
-m frames, stopped after ``_NODE_BUDGET`` = 2**20 nodes (at most about
-1.5 s on a 2-vCPU Xeon).  Past n/2, on other domains and when the budget
-runs out, the DP below finds it, so the result never depends on the
-budget.  Past n/2 a search would exclude first, and on sorted units it
-can spend its budget proving that no subset of a short suffix works
-(GF(4096), m = 4088: 0.75 s without a hit, the DP 0.46 s).
+in any order, Li-Wan decides each target and, for m <= n/2,
+``_whole_field_witness`` writes the witness down: the first m-2 elements
+and the first pair after them that completes the sum, as a set A of
+n-m+2 >= (q+3)/2 elements shares at least 3 with t - A (its docstring has
+the proof and the one characteristic-2 exception).  At most two scans, O(n + m)
+field operations, no table.  Past n/2 that count fails, and an
+exclude-first search on sorted units must exhaust whole subtrees with no
+witness (GF(4096), m = 4088: no hit in 0.75 s, the DP 0.46 s); there and on
+other domains the DP below finds the witness.
 
 One numpy DP serves counting, existence and the other witnesses.  It
 walks the n domain elements in reverse and updates all subset sizes at
@@ -165,9 +165,9 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
     right builds by including an element whenever a completion still
     exists, so for a sorted domain it is the lexicographically smallest.
     On all of F_q or F_q^*, in any order, count_li_wan decides each target
-    and, for m <= n/2, _search finds the witness.  Otherwise, or when the
-    search runs out of nodes, one existence DP pass answers the targets and
-    the witness is recovered from its checkpoints (_dp_witness).
+    and, for m <= n/2, _whole_field_witness writes the witness down.
+    Otherwise one existence DP pass answers the targets and the witness is
+    recovered from its checkpoints (_dp_witness).
     """
     codes, m, targets = _domain_codes(ctx, domain, m, targets)
     whole = (FULL if len(codes) == ctx.q else
@@ -177,9 +177,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
         if not targets:
             return None
         if 2 * m <= len(codes):
-            found = _search(ctx, codes, m, targets[0])
-            if found is not None:
-                return found
+            return _whole_field_witness(ctx, codes, m, targets[0])
     return _dp_witness(ctx, codes, m, targets)
 
 
@@ -219,51 +217,45 @@ def _dp_witness(ctx: FieldCtx, codes: Sequence[int], m: int, targets: Sequence[i
     return tuple(picked)
 
 
-# Nodes _search may visit: one per subtree entered and one per position a
-# last-pair scan reads.  A failed scan reads the rest of the domain, so at
-# q = 2**16 one search can need 65,536 nodes (m = 99, ascending units);
-# 2**20 leaves room for 16 such scans, 2**16 would not.
-_NODE_BUDGET = 1 << 20
+def _whole_field_witness(ctx: FieldCtx, codes: Sequence[int], m: int, b: int
+                         ) -> tuple[int, ...]:
+    """find_subset's witness on all of F_q or F_q^*, in any order, for
+    m <= n/2 and a target b that some m-subset reaches (count_li_wan > 0).
 
+    m = 0 gives () and m = 1 gives (b,).  For m >= 2 the witness is the
+    head codes[:m-2] and the first pair codes[j], codes[k], m-2 <= j < k,
+    summing to t = b - sum(head).  The exception: if p = 2, m >= 3 and
+    t = 0, the head is codes[:m-3] + (codes[m-2],) and the pair comes from
+    codes[m-1:].  At most two scans with a q-entry position list: O(n + m)
+    field operations and no table.
 
-def _search(ctx: FieldCtx, codes: Sequence[int], m: int, b: int) -> tuple[int, ...] | None:
-    """find_subset's witness, for m <= n/2 and a target b that some m-subset
-    reaches, by a depth-first search; None when _NODE_BUDGET runs out first.
-
-    The search picks the witness one element at a time, the next one from
-    the rest of the domain in ascending position (include first), so its
-    first hit is the greedy witness.  The last element is a position lookup
-    and the last pair one scan over the rest.
+    Proof that the pair exists.  For a set A of field elements,
+    |A & (t - A)| >= 2|A| - q.  First scan: A = codes[m-2:] has
+    n - m + 2 >= (q+3)/2 elements (n >= q-1, m <= n/2), so at least three
+    x in A have t - x in A.  In odd characteristic only x = t/2 is its own
+    partner; in characteristic 2 none is unless t = 0, when every x is.
+    So the scan fails only for p = 2, t = 0, and then codes[m-3] cannot
+    join the head either (the pair after it would sum to 0).  Second scan:
+    A = codes[m-1:] has n - m + 1 >= q/2 + 1 elements and the target moves
+    to t + codes[m-3] - codes[m-2] != 0, so some x in A has a partner
+    t - x != x in A.  Each head is a prefix of a completable choice, so the
+    greedy walk of find_subset takes it, and then the first pair.
     """
-    n = len(codes)
+    if m < 2:
+        return () if m == 0 else (b,)
     pos = [-1] * ctx.q
     for i, x in enumerate(codes):
         pos[x] = i
-    budget, path, stack = _NODE_BUDGET, [], []
-    i, r, t = 0, m, b  # pick r more of codes[i:], summing to t
-    while budget > 0:
-        if r > 2:
-            stack.append((r, t, iter(range(i, n - r + 1))))
-            path.append(None)
-        elif r == 2:
-            for j in range(i, n - 1):
-                budget -= 1
-                k = pos[ctx.sub(t, codes[j])]
-                if k > j:
-                    return tuple(codes[x] for x in path + [j, k])
-        elif r == 1 and pos[t] >= i:
-            return tuple(codes[x] for x in path) + (t,)
-        elif r == 0 and t == 0:  # m = 0
-            return ()
-        while stack and (c := next(stack[-1][2], None)) is None:
-            stack.pop()
-            path.pop()
-        if not stack:
-            return None
-        path[-1] = c
-        i, r, t = c + 1, stack[-1][0] - 1, ctx.sub(stack[-1][1], codes[c])
-        budget -= 1
-    return None
+    start, head = m - 2, list(codes[: m - 2])
+    t = ctx.sub(b, ctx.sum(head))
+    if ctx.p == 2 and m >= 3 and t == 0:
+        start, head[-1] = m - 1, codes[m - 2]
+        t = ctx.sub(b, ctx.sum(head))
+    for j in range(start, len(codes) - 1):
+        k = pos[ctx.sub(t, codes[j])]
+        if k > j:
+            return (*head, codes[j], codes[k])
+    raise InconsistentInput(f"no whole-field witness at q={ctx.q}, n={len(codes)}, m={m}, b={b}")
 
 
 def count_li_wan(ctx: FieldCtx, domain: str, m: int, b: int) -> int:

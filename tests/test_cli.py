@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -703,6 +704,30 @@ def test_inline_flag_refusals_exit2(capsys, tmp_path, monkeypatch, argv, line):
     assert (rc, out, err) == (2, "", line + "\n")
 
 
+def _inline_instance_actions():
+    """The instance flags that construct, classify and weights share and sweep lacks."""
+    subs = next(a for a in egrl.cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    common = set.intersection(*({a.dest for a in subs[c]._actions}
+                                for c in ("construct", "classify", "weights")))
+    common -= {a.dest for a in subs["sweep"]._actions} | {"instance"}
+    return [a for a in subs["construct"]._actions if a.dest in common]
+
+
+@pytest.mark.parametrize("action", _inline_instance_actions(), ids=lambda a: a.dest)
+def test_instance_refuses_every_inline_flag(capsys, tmp_path, monkeypatch, action):
+    # _one_source keeps its own list of the flags _add_instance_flags defines;
+    # a flag added to one and not the other fails here.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
+                                       "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
+    value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "3"]
+    rc, out, err = run(capsys, "construct", "--instance", "inst.txt",
+                       action.option_strings[0], *value)
+    assert (rc, out, err) == (
+        2, "", f"InvalidParams: --instance takes no inline instance flags, got --{action.dest}\n")
+
+
 @pytest.mark.parametrize("mix", [["--M", "1,1,1,2"], ["--ell", "1", "--M", "1"],
                                  ["--t", "1", "--M", "1,1,1,2"],
                                  ["--v", ",".join(["2"] * 12), "--n", "12", "--M", "1,0,5,1"]],
@@ -799,8 +824,8 @@ SPECIAL_MIX = ["--b", "1", "--M", "1,1,1,2", "--special"]
 
 
 def test_special_classify_at_q_65536_promptly(capsys):
-    # Li-Wan decides both sizes and the search finds {1, 2, 4, 6} in about
-    # 0.3 s; the two DP passes over the 65,535 units took about 18 s.
+    # Li-Wan decides both sizes and the whole-field witness is {1, 2, 4, 6},
+    # in about 0.3 s; the two DP passes over the 65,535 units took about 18 s.
     started = time.perf_counter()
     rc, out, err = run(capsys, "classify", "--q", "65536", "--k", "5", *SPECIAL_MIX)
     assert time.perf_counter() - started < 3.0
@@ -810,7 +835,7 @@ def test_special_classify_at_q_65536_promptly(capsys):
 @pytest.mark.parametrize("q, k", [(65536, 100), (8192, 1000)])
 def test_special_classify_witness_at_field_scale(capsys, q, k):
     # The DP's checkpoints would need 3.4 GB (q = 2**16) and 1.5 GB (q = 2**13);
-    # the search needs a few hundred kB and well under a second.
+    # the whole-field witness needs a few hundred kB and well under a second.
     started = time.perf_counter()
     rc, out, err = run(capsys, "classify", "--q", str(q), "--k", str(k), *SPECIAL_MIX)
     assert time.perf_counter() - started < 3.0

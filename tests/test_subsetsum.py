@@ -183,9 +183,6 @@ def test_dp_and_witness_match_enumeration(case):
             first = combo
             break
     assert find_subset(ctx, codes, m, b) == first
-    if first is not None and 2 * m <= len(codes):
-        # The search backtracks far more on a sparse domain than on a whole field.
-        assert subsetsum._search(ctx, codes, m, b) == first
 
 
 def _first_combo(ctx, codes, m, b):
@@ -341,9 +338,9 @@ def whole_field_instances(draw):
 @example((243, tuple(range(242, -1, -1)), 121, [0, 5]))
 @example((8, (0, 3, 5, 6, 1, 2, 4, 7), 3, [5, 5, 6]))
 def test_whole_field_witness_is_the_dp_witness(case):
-    # On F_q or F_q^* in any order, Li-Wan and the search give the DP's tuple,
-    # and None exactly when Li-Wan counts no subset at any target.  Up to n/2
-    # the search finds it itself, within its budget, not through the DP.
+    # On F_q or F_q^* in any order, Li-Wan and the construction give the DP's
+    # tuple, and None exactly when Li-Wan counts no subset at any target.  Up
+    # to n/2 the construction finds it itself, not through the DP.
     q, codes, m, targets = case
     ctx = _WHOLE_FIELDS[q]
     domain = FULL if 0 in codes else STAR
@@ -352,15 +349,35 @@ def test_whole_field_witness_is_the_dp_witness(case):
     reached = [b for b in targets if count_li_wan(ctx, domain, m, b)]
     assert (got is None) == (reached == [])
     if reached and 2 * m <= len(codes):
-        assert subsetsum._search(ctx, codes, m, reached[0]) == got
+        assert subsetsum._whole_field_witness(ctx, codes, m, reached[0]) == got
 
 
-def test_spent_node_budget_falls_back_to_the_dp(monkeypatch):
+def test_unit_domain_witness_never_calls_the_dp(monkeypatch):
     ctx, calls = FieldCtx.from_order(256), []
-    expect = find_subset(ctx, STAR, 7, 1)
+    expect = subsetsum._dp_witness(ctx, ctx.units(), 7, [1])
     dp = subsetsum._dp_witness
     monkeypatch.setattr(subsetsum, "_dp_witness", lambda *args: calls.append(args) or dp(*args))
-    assert calls == [] and find_subset(ctx, STAR, 7, 1) == expect
-    monkeypatch.setattr(subsetsum, "_NODE_BUDGET", 3)
     assert find_subset(ctx, STAR, 7, 1) == expect
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_whole_field_witness_is_the_stated_construction(q):
+    # Every m <= n/2 and every target Li-Wan reaches, on F_q and F_q^* in
+    # ascending and generator-power order: the DP's tuple, whose first m-2
+    # elements are the domain's first m-2, except exactly when p = 2 and
+    # those already sum to b (then the (m-2)-th gives way to the (m-1)-th).
+    ctx = _FIELDS[q]
+    powers = tuple(ctx.generator_powers())
+    for codes in (tuple(range(q)), (0, *powers), tuple(range(1, q)), powers):
+        domain = FULL if 0 in codes else STAR
+        for m in range(len(codes) // 2 + 1):
+            for b in range(q):
+                if not count_li_wan(ctx, domain, m, b):
+                    continue
+                got = subsetsum._whole_field_witness(ctx, codes, m, b)
+                assert got == subsetsum._dp_witness(ctx, codes, m, [b])
+                if m >= 2:
+                    swapped = ctx.p == 2 and m >= 3 and ctx.sum(codes[: m - 2]) == b
+                    head = codes[: m - 3] + (codes[m - 2],) if swapped else codes[: m - 2]
+                    assert got[: m - 2] == head
