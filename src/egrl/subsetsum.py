@@ -9,7 +9,7 @@ Two independent routes:
   domain.  Always equals ``count_dp`` on those domains.
 
 :func:`find_subset` returns the greedy witness.  On all of F_q or F_q^*,
-in any order, Li-Wan decides each target and, for m <= n/2,
+in any order, Li-Wan picks the first target reached and, for m <= n/2,
 ``_whole_field_witness`` writes the witness down: the first m-2 elements
 and the first pair after them that completes the sum, as a set A of
 n-m+2 >= (q+3)/2 elements shares at least 3 with t - A (its docstring has
@@ -164,8 +164,8 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
     Deterministic: the witness is the subset a walk over the domain left to
     right builds by including an element whenever a completion still
     exists, so for a sorted domain it is the lexicographically smallest.
-    On all of F_q or F_q^*, in any order, count_li_wan decides each target
-    and, for m <= n/2, _whole_field_witness writes the witness down.
+    On all of F_q or F_q^*, in any order, count_li_wan stops at the first target
+    reached, and for m <= n/2 _whole_field_witness writes the witness down.
     Otherwise one existence DP pass answers the targets and the witness is
     recovered from its checkpoints (_dp_witness).
     """
@@ -173,7 +173,7 @@ def find_subset(ctx: FieldCtx, domain: Domain, m: int, *targets: int
     whole = (FULL if len(codes) == ctx.q else
              STAR if len(codes) == ctx.q - 1 and 0 not in codes else None)
     if whole is not None:
-        targets = [b for b in targets if count_li_wan(ctx, whole, m, b)][:1]
+        targets = next(([b] for b in targets if count_li_wan(ctx, whole, m, b)), [])
         if not targets:
             return None
         if 2 * m <= len(codes):

@@ -3,8 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every check is exact (integer equality), with the stated runtime
 ceilings asserted alongside.  The q = 27 brute-force cross-check over 27^5
-codewords is marked ``slow`` but runs in the default suite: its walk takes
-about 0.01 s, under a 2 s ceiling.
+codewords walks them in about 0.01 s, under a 2 s ceiling.
 """
 
 import contextlib
@@ -13,8 +12,6 @@ import json
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from conftest import OutOfStatedRange, power, random_nonsingular_2x2, vanishes
 from egrl.cli import main
@@ -122,7 +119,6 @@ def test_c03_char3_closed_forms():
     _report("C3 closed-form char-3 enumerators at q in {9, 27}", ok, "; ".join(details))
 
 
-@pytest.mark.slow
 def test_c03_q27_bruteforce_crosscheck():
     started = time.time()
     ctx = FieldCtx(3, 3)
@@ -132,7 +128,7 @@ def test_c03_q27_bruteforce_crosscheck():
     brute_dual = macwilliams(dist, 5, ctx)
     elapsed = time.time() - started
     _report(
-        "C3 (slow) q=27 brute force over 27^5 matches the closed forms",
+        "C3 q=27 brute force over 27^5 matches the closed forms",
         dist == primal and brute_dual == dual and elapsed < 2.0,
         f"14348907 codewords in {elapsed:.3f}s",
     )

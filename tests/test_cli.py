@@ -905,6 +905,13 @@ def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
     assert in_process == fresh
 
 
+def test_commands_run_on_an_interpreter_without_a_digit_limit(capsys, monkeypatch):
+    # CPython 3.10.0-3.10.6 has no int-to-str limit, so there is none to lift.
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, "subsetsum", "--q", "5", "--domain", "star", "--m", "2",
+               "--b", "1") == (0, "1\n", "")
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 def test_counts_render_under_caller_digit_limit(capsys):
     # Dual counts at q = 512 reach about 1,370 digits and the subset count at

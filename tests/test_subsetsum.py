@@ -361,6 +361,16 @@ def test_unit_domain_witness_never_calls_the_dp(monkeypatch):
     assert calls == []
 
 
+def test_whole_field_targets_stop_at_the_first_reached(monkeypatch):
+    # Li-Wan counts the targets in turn: once 1 is reached, 2 is never counted.
+    ctx, calls = _FIELDS[16], []
+    expect = find_subset(ctx, STAR, 3, 1)
+    monkeypatch.setattr(subsetsum, "count_li_wan",
+                        lambda *args: calls.append(args) or count_li_wan(*args))
+    assert find_subset(ctx, STAR, 3, 1, 2) == expect
+    assert calls == [(ctx, STAR, 3, 1)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_whole_field_witness_is_the_stated_construction(q):
     # Every m <= n/2 and every target Li-Wan reaches, on F_q and F_q^* in
