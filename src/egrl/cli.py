@@ -223,6 +223,19 @@ def _load_instance(args) -> EgrlParams:
     )
 
 
+def _choices(*names: str) -> dict:
+    """``add_argument`` keywords for a flag taking one of ``names``: a ``type`` that words
+    the invalid-choice error itself, so it reads alike on every interpreter (argparse's own
+    quotes the choices on CPython 3.10-3.13.0, not on 3.13.13), and the ``{a,b}`` metavar
+    that ``choices=`` would show."""
+    def choice(value: str) -> str:
+        if value not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, names))})")
+        return value
+    return {"type": choice, "metavar": "{" + ",".join(names) + "}"}
+
+
 def _add_instance_flags(sub):
     sub.add_argument("--instance", help="instance file (canonical text or JSON form)")
     sub.add_argument("--q", type=int, help="field order (prime power)")
@@ -237,7 +250,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--t", type=int, help="carried coefficient index (default 0)")
     sub.add_argument("--special", action="store_true", help="evaluate on all of F_q^*")
     sub.add_argument(
-        "--order", choices=("asc", "gen"),
+        "--order", **_choices("asc", "gen"),
         help="evaluation-point order for --special: ascending codes or generator powers",
     )
 
@@ -463,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_wts)
     p_wts.add_argument("--generator", help="raw generator-matrix file (matrix text format)")
     p_wts.add_argument(
-        "--method", choices=("formula", "brute", "both"), default="both",
+        "--method", **_choices("formula", "brute", "both"), default="both",
         help="closed form, exhaustive enumeration, or both with an equality check",
     )
     p_wts.set_defaults(func=cmd_weights, text=_weights_text)
@@ -471,11 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss = sub.add_parser("subsetsum", help="count subsets of F_q or F_q^* with a given sum")
     p_ss.add_argument("--q", type=int, required=True)
     p_ss.add_argument("--mod", help="modulus coefficients c_0,...,c_s")
-    p_ss.add_argument("--domain", choices=("star", "full"), required=True)
+    p_ss.add_argument("--domain", **_choices("star", "full"), required=True)
     p_ss.add_argument("--m", type=int, required=True, help="subset size")
     p_ss.add_argument("--b", type=int, required=True, help="target sum (element code)")
     p_ss.add_argument(
-        "--method", choices=("lw", "dp", "both"), default="both",
+        "--method", **_choices("lw", "dp", "both"), default="both",
         help="closed form, dynamic programming, or both with a cross-check",
     )
     p_ss.set_defaults(func=cmd_subsetsum, text=lambda report: [str(report.results["count"])])

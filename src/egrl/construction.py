@@ -391,17 +391,17 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
 
     The last n-k+2 rows are (u_i/v_i) * alpha_i**j for j = 0..n-k+1, with
 
-        R = [[0, -1], [-1, -sum(alpha)]] * (MIX^T)**(-1)
+        R = [[0, -1], [-1, -sigma]] (M^T)**(-1)
+          = [[a12, -a11], [sigma a12 - a22, a21 - sigma a11]] / det(M),   sigma = sum(alpha),
 
-    filling the two mixing columns of the final two of them.  The top row
-    is the classical (1, ..., 1, 0, 0, -sum(v)/b) whenever that is actually
-    a parity row -- i.e. the weighted power sums sum_s v_s alpha_s**i
-    vanish for 1 <= i <= k-1 and sum(v) != 0, which covers the all-units
-    special construction -- and otherwise a completion row built from the
-    u coefficients and the top k coefficients of P(x) = prod_s (x - alpha_s),
-    since the classical row annihilates no general instance.  P is built once:
-    u, sum(alpha) = -p_1 and the completion row all read it.  Either way
-    G H^T = 0 and rank(H) = n+3-k; the paper states the form for
+    for M = [[a11, a12], [a21, a22]], filling the two mixing columns of the final two
+    of them.  The top row is the classical (1, ..., 1, 0, 0, -sum(v)/b) whenever that
+    is actually a parity row -- i.e. the weighted power sums sum_s v_s alpha_s**i vanish
+    for 1 <= i <= k-1 and sum(v) != 0, which covers the all-units special construction
+    -- and otherwise a completion row built from the u coefficients and the top k
+    coefficients of P(x) = prod_s (x - alpha_s), since the classical row annihilates no
+    general instance.  P is built once: u, sigma = -p_1 and the completion row all read
+    it.  Either way G H^T = 0 and rank(H) = n+3-k; the paper states the form for
     4 <= k <= n-1, and k = 3 and k = n are checked, not proven.
     """
     _require_shape(params)
@@ -409,9 +409,11 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     p = _vanishing(ctx, params.alpha)  # p[l] = p_l multiplies x**(n-l); p_1 = -sum(alpha)
     base = [ctx.div(us, vs) for us, vs in zip(_barycentric(ctx, p, params.alpha), params.v)]
     powers = _power_rows(ctx, base, params.alpha, n - k + 3)
-    minus_one = ctx.neg(1)
-    s_mat = FieldMatrix(ctx, [[0, minus_one], [minus_one, p[1]]])
-    r_mat = s_mat.matmul(params.mix.transpose().inverse())
+    mul, sub, sigma = ctx.mul, ctx.sub, ctx.neg(p[1])
+    (a11, a12), (a21, a22) = params.mix.row(0), params.mix.row(1)
+    det_inv = ctx.inv(sub(mul(a11, a22), mul(a12, a21)))
+    r0 = (mul(det_inv, a12), ctx.neg(mul(det_inv, a11)))
+    r1 = (mul(det_inv, sub(mul(sigma, a12), a22)), mul(det_inv, sub(a21, mul(sigma, a11))))
     sum_v = ctx.sum(params.v)
     classical_row_valid = sum_v != 0 and all(
         ctx.sum(row) == 0 for row in _power_rows(ctx, params.v, params.alpha, k)[1:]
@@ -428,9 +430,9 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
         # top_s sum_{l<=k-3} p_l alpha_s**(k-3-l), with top_s = base_s alpha_s**(n-k+2).
         first = [ctx.mul(top, _horner(ctx, p[: k - 2], a))
                  for a, top in zip(params.alpha, powers[-1])]
-        first += [ctx.neg(ctx.add(ctx.mul(p[k - 1], r0), ctx.mul(p[k - 2], r1)))
-                  for r0, r1 in zip(r_mat.row(0), r_mat.row(1))] + [ctx.neg(ctx.inv(params.b))]
-    tails = [(0, 0)] * (n - k) + [r_mat.row(0), r_mat.row(1)]
+        first += [ctx.neg(ctx.add(ctx.mul(p[k - 1], x0), ctx.mul(p[k - 2], x1)))
+                  for x0, x1 in zip(r0, r1)] + [ctx.neg(ctx.inv(params.b))]
+    tails = [(0, 0)] * (n - k) + [r0, r1]
     return FieldMatrix(ctx, [first] + [row + [*tail, 0] for row, tail in zip(powers, tails)])
 
 

@@ -25,7 +25,8 @@ subset-sum DP and code enumeration): ``translate`` adds a row of the low
 digits' translation table to one of the high digits' (``_digit_table``, at
 most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  Field
 orders are capped at q <= 2**16 (``MAX_ORDER``), and one numpy table build,
-the DP's or ``add_table``'s, at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``).
+the DP's or ``add_table``'s, at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``),
+and a closed-form solve's two weight distributions at ``MAX_COUNT_BYTES`` = 128 MiB.
 
 The antilog table also judges the modulus: f is accepted exactly when g's
 q-1 powers are the q-1 nonzero codes, so that every nonzero residue is a
@@ -60,6 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ORDER = 1 << 16  # largest supported field order q
 MAX_TABLE_BYTES = 1 << 30  # largest numpy table built at once (subset-sum DP, add_table)
+MAX_COUNT_BYTES = 1 << 27  # largest bound on both weight distributions' bytes (closed forms)
 _MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
 _MEMO_BYTES = 64 << 20  # table bytes the field memo keeps across fields
 _LIST_ENTRY_BYTES = 40  # a list slot (8) and its int object (32), as the memo counts them
@@ -90,13 +92,16 @@ class CtxMismatch(FieldError):
 
 
 class TableTooLarge(FieldError):
-    """A numpy table would take more than MAX_TABLE_BYTES."""
+    """A numpy table would take more than MAX_TABLE_BYTES, or both exact weight
+    distributions more than MAX_COUNT_BYTES."""
 
 
-def require_table_bytes(nbytes: int, tables: str):
-    """Refuse a table build above the cap before allocating; ``tables`` reads "DP tables need"."""
-    if nbytes > MAX_TABLE_BYTES:
-        raise TableTooLarge(f"{tables} {nbytes} bytes, above the cap of {MAX_TABLE_BYTES}")
+def require_table_bytes(nbytes: int, tables: str, cap: int | None = None):
+    """Refuse a build above ``cap`` (MAX_TABLE_BYTES by default) before allocating;
+    ``tables`` reads "DP tables need"."""
+    cap = MAX_TABLE_BYTES if cap is None else cap
+    if nbytes > cap:
+        raise TableTooLarge(f"{tables} {nbytes} bytes, above the cap of {cap}")
 
 
 def _prime_factors(n: int) -> list[int]:

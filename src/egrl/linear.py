@@ -53,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldCtx, require_table_bytes
+from .field import MAX_COUNT_BYTES, FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
 
 DEFAULT_BUDGET = 1 << 26  # walked side size q**min(k, n-k); overridable per call
@@ -364,12 +364,18 @@ def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, in
     dual's excess is q**(j-k) E_j at n-j.  An MDS code is {}, an [n, k, n-k] NMDS code
     {k: A_{n-k}}.  Cost: d O(1) big-integer steps per side plus j+1 per nonzero E_j; both
     sides of the special [1026, 512] code over GF(1024) take 4 to 7 ms (2-vCPU Xeon).
+    Memory: a count is at most q**k and a dual count at most q**(n-k), so both sides take at
+    most (n+1)*n*ceil(log2 q) bits.  Above ``MAX_COUNT_BYTES`` = 128 MiB, TableTooLarge refuses
+    before any big-integer work: the special code at q = 2**16 (8 GiB) refuses, and at
+    q = 8192 (104 MiB) ``weights --method formula --json`` takes 57 s at 546 MiB peak RSS.
     ValueError unless 0 <= k <= n, n >= 1 and every j is in 0..n; NegativeCount on a negative
     excess or count; InconsistentInput on a side sum != q**k, A_0 != 1 or a fractional dual excess.
     """
     if not (0 <= k <= n and n >= 1 and all(0 <= j <= n for j in excess)):
         raise ValueError(f"an [{n},{k}] code needs 0 <= k <= n, n >= 1 and excess at "
                          f"0..n, got {sorted(excess)}")
+    require_table_bytes((n + 1) * n * (ctx.q - 1).bit_length() // 8, "the weight counts need",
+                        MAX_COUNT_BYTES)
     if min(excess.values(), default=0) < 0:
         raise NegativeCount(f"excess must be nonnegative, got {_count_text(min(excess.values()))}")
     q, dual = ctx.q, {}

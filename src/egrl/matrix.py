@@ -155,16 +155,6 @@ class FieldMatrix:
         _, pivots, det = self._rref_pivots()
         return det if len(pivots) == self.rows else 0
 
-    def inverse(self) -> "FieldMatrix":
-        if self.rows != self.cols:
-            raise NotSquare(f"inverse of {self.rows}x{self.cols} matrix")
-        n, eye = self.rows, FieldMatrix.identity(self.ctx, self.rows)
-        aug = FieldMatrix(self.ctx, [self.row(i) + eye.row(i) for i in range(n)])
-        red, pivots, _ = aug._rref_pivots()
-        if pivots != list(range(n)):
-            raise MatrixError("matrix is singular")
-        return FieldMatrix(self.ctx, [r[n:] for r in red], cols=n)
-
     # -- text format ------------------------------------------------------------
 
     def to_text(self) -> str:

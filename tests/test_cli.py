@@ -721,7 +721,8 @@ def test_instance_refuses_every_inline_flag(capsys, tmp_path, monkeypatch, actio
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inst.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
                                        "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
-    value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "3"]
+    choices = action.metavar.strip("{}").split(",") if action.metavar else ["3"]  # {a,b}
+    value = [] if action.nargs == 0 else choices[:1]
     rc, out, err = run(capsys, "construct", "--instance", "inst.txt",
                        action.option_strings[0], *value)
     assert (rc, out, err) == (
@@ -821,6 +822,17 @@ def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
 
 
 SPECIAL_MIX = ["--b", "1", "--M", "1,1,1,2", "--special"]
+
+
+def test_formula_weights_at_q_65536_exit2_promptly(capsys):
+    # Both distributions of the special [65538, 5] code could take 8 GiB of digits;
+    # the solver refuses them before any big-integer work.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "weights", "--q", "65536", "--k", "5", *SPECIAL_MIX,
+                       "--method", "formula", "--json")
+    assert time.perf_counter() - started < 1.0
+    assert (rc, out, err) == (2, "", "TableTooLarge: the weight counts need 8590589964 bytes, "
+                                     "above the cap of 134217728\n")
 
 
 def test_special_classify_at_q_65536_promptly(capsys):

@@ -12,8 +12,8 @@ regenerate them only for a deliberate output change:
 texts are formatted by argparse and are compared on every interpreter: at
 ``COLUMNS=80`` argparse prints them byte for byte alike on CPython 3.10.13,
 3.11.7, 3.12.1 and 3.13.0, so a difference there is a change of egrl's parser.
-(CPython 3.13.13 lists invalid choices unquoted, and the ``--domain
-nowhere`` case fails under it.)
+Invalid choices are worded by egrl itself, as CPython 3.13.13's argparse lists
+them unquoted; a test replays them under that wording.
 
 The same cases replay with the process-wide field memo keeping no field and
 starting empty: output never depends on what the memo holds.
@@ -21,6 +21,7 @@ starting empty: output never depends on what the memo holds.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -183,6 +184,31 @@ def test_golden_transcripts_do_not_depend_on_the_field_memo(budget, monkeypatch)
         case = expected["argv"], expected["patch"]
         got = transcript(*case)
         assert got == {key: expected[key] for key in got}, _case_id(case)
+
+
+def _unquoted_check_value(self, action, value):
+    # CPython 3.13.13's argparse: the invalid value quoted, the choices not.
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)"
+                                     % (value, ", ".join(map(str, action.choices))))
+
+
+def test_invalid_choices_read_alike_under_other_argparse_wording(monkeypatch):
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _unquoted_check_value)
+    stand_in = argparse.ArgumentParser(exit_on_error=False)
+    stand_in.add_argument("--x", choices=("a", "b"))
+    with pytest.raises(argparse.ArgumentError, match=r"\(choose from a, b\)$"):
+        stand_in.parse_args(["--x", "c"])  # the patch is live
+    golden = next(c for c in _load()["cases"]
+                  if c["argv"] == ["subsetsum", "--q", "5", "--domain", "nowhere"])
+    assert transcript(golden["argv"], None) == {
+        key: golden[key] for key in ("rc", "stdout", "stderr", "written")}
+    for argv, choices in [(["construct", "--order", "desc"], "'asc', 'gen'"),
+                          (["weights", "--method", "desc"], "'formula', 'brute', 'both'"),
+                          (["subsetsum", "--method", "desc"], "'lw', 'dp', 'both'")]:
+        line = (f"egrl {argv[0]}: error: argument {argv[1]}: invalid choice: 'desc' "
+                f"(choose from {choices})\n")
+        assert transcript(argv, None) == {"rc": 2, "stdout": "", "stderr": line, "written": {}}
 
 
 if __name__ == "__main__":

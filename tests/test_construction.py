@@ -425,6 +425,36 @@ def test_parity_check_property(p):
     assert h.rank() == p.n + 3 - p.k
 
 
+@st.composite
+def small_h_instances(draw):
+    # q <= 16 and any nonsingular mix, zero entries included.
+    q = draw(st.sampled_from([q for q in sorted(_H_FIELDS) if q <= 16]))
+    ctx = _H_FIELDS[q]
+    alpha = draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=q, unique=True))
+    n = len(alpha)
+    return EgrlParams(
+        ctx=ctx, n=n, k=draw(st.integers(3, n)), ell=2, t=0, alpha=tuple(alpha),
+        v=tuple(draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))),
+        b=draw(st.integers(1, q - 1)),
+        mix=random_nonsingular_2x2(ctx, random.Random(draw(st.integers(0, 2**32 - 1)))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_h_instances())
+@example(make_params(FieldCtx(5), (0, 1, 3), 3, [[0, 3], [2, 0]], v=(2, 1, 4)))  # anti-diagonal
+@example(make_params(FieldCtx.from_order(16), (0, 5, 9, 12), 4, [[7, 0], [3, 1]]))  # a12 = 0
+def test_parity_check_mixing_block_times_mix_transpose(p):
+    # R's entries are written in closed form; R M^T, by matmul, gives back
+    # [[0, -1], [-1, -sum(alpha)]].
+    ctx, n = p.ctx, p.n
+    h = parity_check_matrix(p)
+    r = FieldMatrix(ctx, [h.row(i)[n : n + 2] for i in (h.rows - 2, h.rows - 1)])
+    minus_one = ctx.neg(1)
+    assert r.matmul(p.mix.transpose()).to_lists() == [[0, minus_one],
+                                                      [minus_one, ctx.neg(ctx.sum(p.alpha))]]
+
+
 def test_parity_check_shape_refusals(gf13):
     p = make_params(gf13, (1, 2, 3, 4, 5, 6), 5, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], ell=3)
     with pytest.raises(UnsupportedShape):

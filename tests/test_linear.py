@@ -392,6 +392,22 @@ def test_walk_counts_its_tables_against_the_cap(monkeypatch):
         code.weight_distribution()
 
 
+def test_excess_solver_refuses_counts_above_the_cap(monkeypatch):
+    # Both sides hold at most (n+1)*n*ceil(log2 q) bits; the cap is inclusive, and
+    # the refusal comes before any big-integer work.
+    ctx, n, k = FieldCtx.from_order(16), 10, 4
+    need = (n + 1) * n * 4 // 8
+    monkeypatch.setattr(linear, "MAX_COUNT_BYTES", need)
+    mds = distribution_from_excess(n, k, ctx, {})
+    assert mds == (WeightDistribution(n, mds_formula(n, k, 16)),
+                   WeightDistribution(n, mds_formula(n, n - k, 16)))
+    monkeypatch.setattr(linear, "MAX_COUNT_BYTES", need - 1)
+    monkeypatch.setattr(linear, "_from_excess", lambda *args: pytest.fail("solved"))
+    with pytest.raises(TableTooLarge, match=f"^the weight counts need {need} bytes, "
+                                            f"above the cap of {need - 1}$"):
+        distribution_from_excess(n, k, ctx, {})
+
+
 def test_walk_counts_both_block_masks_it_holds(monkeypatch):
     # A walk of many full-width blocks: while the next mask is compared, the
     # consumer's loop variable still holds the last, so the peak reaches two masks.
