@@ -102,9 +102,6 @@ def _jsonable(value):
 @contextlib.contextmanager
 def _all_digits():
     """Lift the process-wide int-to-str digit limit only while an egrl command runs."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # older interpreters have no limit
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -184,9 +181,9 @@ def _emit_report(args, report: Report, started: float) -> int:
     return report.exit_code
 
 
-def _build_ctx(args) -> FieldCtx:
+def _build_ctx(args, missing_q: str = "an instance needs --q (or --instance FILE)") -> FieldCtx:
     if args.q is None:
-        raise InvalidParams("an instance needs --q (or --instance FILE)")
+        raise InvalidParams(missing_q)
     modulus = None if args.mod is None else _int_list(args.mod)
     return FieldCtx.from_order(args.q, modulus)
 
@@ -223,19 +220,6 @@ def _load_instance(args) -> EgrlParams:
     )
 
 
-def _choices(*names: str) -> dict:
-    """``add_argument`` keywords for a flag taking one of ``names``: a ``type`` that words
-    the invalid-choice error itself, so it reads alike on every interpreter (argparse's own
-    quotes the choices on CPython 3.10-3.13.0, not on 3.13.13), and the ``{a,b}`` metavar
-    that ``choices=`` would show."""
-    def choice(value: str) -> str:
-        if value not in names:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {value!r} (choose from {', '.join(map(repr, names))})")
-        return value
-    return {"type": choice, "metavar": "{" + ",".join(names) + "}"}
-
-
 def _add_instance_flags(sub):
     sub.add_argument("--instance", help="instance file (canonical text or JSON form)")
     sub.add_argument("--q", type=int, help="field order (prime power)")
@@ -250,7 +234,7 @@ def _add_instance_flags(sub):
     sub.add_argument("--t", type=int, help="carried coefficient index (default 0)")
     sub.add_argument("--special", action="store_true", help="evaluate on all of F_q^*")
     sub.add_argument(
-        "--order", **_choices("asc", "gen"),
+        "--order", choices=("asc", "gen"),
         help="evaluation-point order for --special: ascending codes or generator powers",
     )
 
@@ -314,7 +298,7 @@ def cmd_weights(args) -> Report:
             raise InvalidParams("give --instance or --generator, not both")
         if args.method != "brute":
             raise InvalidParams("a raw generator file supports --method brute only")
-        ctx = _build_ctx(args)
+        ctx = _build_ctx(args, "--generator needs --q")
         with open(args.generator, "r", encoding="utf-8") as fh:
             _one_source(args, "--generator takes no instance flags but --q and --mod", 2)
             code = LinearCode(FieldMatrix.from_text(ctx, fh.read()))
@@ -450,6 +434,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # one stderr line, ``egrl <cmd>: error: ...``, no usage
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _check_value(self, action, value):
+        # One invalid-choice line for every flag and the subcommand name on every interpreter:
+        # argparse's own quotes the choices on CPython 3.10-3.13.0, not on 3.13.13.
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} "
+                                         f"(choose from {', '.join(map(repr, action.choices))})")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -476,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_wts)
     p_wts.add_argument("--generator", help="raw generator-matrix file (matrix text format)")
     p_wts.add_argument(
-        "--method", **_choices("formula", "brute", "both"), default="both",
+        "--method", choices=("formula", "brute", "both"), default="both",
         help="closed form, exhaustive enumeration, or both with an equality check",
     )
     p_wts.set_defaults(func=cmd_weights, text=_weights_text)
@@ -484,11 +475,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss = sub.add_parser("subsetsum", help="count subsets of F_q or F_q^* with a given sum")
     p_ss.add_argument("--q", type=int, required=True)
     p_ss.add_argument("--mod", help="modulus coefficients c_0,...,c_s")
-    p_ss.add_argument("--domain", **_choices("star", "full"), required=True)
+    p_ss.add_argument("--domain", choices=("star", "full"), required=True)
     p_ss.add_argument("--m", type=int, required=True, help="subset size")
     p_ss.add_argument("--b", type=int, required=True, help="target sum (element code)")
     p_ss.add_argument(
-        "--method", **_choices("lw", "dp", "both"), default="both",
+        "--method", choices=("lw", "dp", "both"), default="both",
         help="closed form, dynamic programming, or both with a cross-check",
     )
     p_ss.set_defaults(func=cmd_subsetsum, text=lambda report: [str(report.results["count"])])

@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import LIST_ENTRY_BYTES, FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
 from .linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, WeightDistribution,
                      nmds_distribution)
@@ -315,10 +315,12 @@ def generator_matrix(params: EgrlParams) -> FieldMatrix:
 
     Row i holds v_j * alpha_j**i on the evaluation block; rows k-ell..k-1
     carry the mixing matrix in the next ell columns; the last column is b
-    at row t.
+    at row t.  Refused above MAX_TABLE_BYTES at LIST_ENTRY_BYTES per entry
+    (TableTooLarge), before any row is built.
     """
     ctx = params.ctx
     k, ell, t = params.k, params.ell, params.t
+    require_table_bytes(LIST_ENTRY_BYTES * k * params.length, "the generator matrix needs")
     rows = []
     for i, row in enumerate(_power_rows(ctx, params.v, params.alpha, k)):
         block = [0] * ell
@@ -402,10 +404,12 @@ def parity_check_matrix(params: EgrlParams) -> FieldMatrix:
     coefficients of P(x) = prod_s (x - alpha_s), since the classical row annihilates no
     general instance.  P is built once: u, sigma = -p_1 and the completion row all read
     it.  Either way G H^T = 0 and rank(H) = n+3-k; the paper states the form for
-    4 <= k <= n-1, and k = 3 and k = n are checked, not proven.
+    4 <= k <= n-1, and k = 3 and k = n are checked, not proven.  Refused above
+    MAX_TABLE_BYTES at LIST_ENTRY_BYTES per entry (TableTooLarge), before P is built.
     """
     _require_shape(params)
     ctx, n, k = params.ctx, params.n, params.k
+    require_table_bytes(LIST_ENTRY_BYTES * (n - k + 3) * (n + 3), "the parity-check matrix needs")
     p = _vanishing(ctx, params.alpha)  # p[l] = p_l multiplies x**(n-l); p_1 = -sum(alpha)
     base = [ctx.div(us, vs) for us, vs in zip(_barycentric(ctx, p, params.alpha), params.v)]
     powers = _power_rows(ctx, base, params.alpha, n - k + 3)

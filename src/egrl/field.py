@@ -24,8 +24,9 @@ squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
 subset-sum DP and code enumeration): ``translate`` adds a row of the low
 digits' translation table to one of the high digits' (``_digit_table``, at
 most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  Field
-orders are capped at q <= 2**16 (``MAX_ORDER``), and one numpy table build,
-the DP's or ``add_table``'s, at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``),
+orders are capped at q <= 2**16 (``MAX_ORDER``), and one table build, the DP's,
+``add_table``'s or an instance's generator or parity-check matrix (at
+``LIST_ENTRY_BYTES`` per entry), at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``),
 and a closed-form solve's two weight distributions at ``MAX_COUNT_BYTES`` = 128 MiB.
 
 The antilog table also judges the modulus: f is accepted exactly when g's
@@ -60,11 +61,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ORDER = 1 << 16  # largest supported field order q
-MAX_TABLE_BYTES = 1 << 30  # largest numpy table built at once (subset-sum DP, add_table)
+MAX_TABLE_BYTES = 1 << 30  # largest table built at once (subset-sum DP, add_table, G, H)
 MAX_COUNT_BYTES = 1 << 27  # largest bound on both weight distributions' bytes (closed forms)
 _MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
 _MEMO_BYTES = 64 << 20  # table bytes the field memo keeps across fields
-_LIST_ENTRY_BYTES = 40  # a list slot (8) and its int object (32), as the memo counts them
+LIST_ENTRY_BYTES = 40  # a list slot (8) and its int object (32), as the memo counts them
 
 
 class FieldError(Exception):
@@ -92,7 +93,7 @@ class CtxMismatch(FieldError):
 
 
 class TableTooLarge(FieldError):
-    """A numpy table would take more than MAX_TABLE_BYTES, or both exact weight
+    """A table would take more than MAX_TABLE_BYTES, or both exact weight
     distributions more than MAX_COUNT_BYTES."""
 
 
@@ -183,7 +184,7 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
 class _Tables:
     """One field's tables, shared by all its contexts: built whole by
     ``FieldCtx._tabulate`` and never changed; the numpy arrays are read-only.
-    ``nbytes`` counts the numpy bytes plus _LIST_ENTRY_BYTES per list entry.
+    ``nbytes`` counts the numpy bytes plus LIST_ENTRY_BYTES per list entry.
     """
 
     __slots__ = ("exp", "log", "zech", "log_m1", "np_exp", "np_log", "digit", "nbytes")
@@ -198,7 +199,7 @@ class _Tables:
         self.log_m1 = self.log[p - 1]  # -1 has code p-1
         entries = len(self.exp) + len(self.log) + len(self.zech)
         self.nbytes = (np_exp.nbytes + np_log.nbytes + sum(t.nbytes for t in digit)
-                       + _LIST_ENTRY_BYTES * entries)
+                       + LIST_ENTRY_BYTES * entries)
 
 
 class _FieldMemo:

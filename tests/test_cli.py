@@ -647,6 +647,8 @@ def test_missing_instance_flags_exit2(capsys):
       "--M", "1,1,1,2"], "InvalidParams: --n 7 disagrees with 6 evaluation points"),
     (["weights", "--q", "3", "--generator", "rep.txt"],
      "InvalidParams: a raw generator file supports --method brute only"),
+    (["weights", "--generator", "rep.txt", "--method", "brute"],
+     "InvalidParams: --generator needs --q"),
     (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell", "0",
       "--M", ""], "RangeViolation: need 1 <= ell <= k, got ell=0, k=4"),
     (["construct", "--q", "13", "--k", "4", "--alpha", "1,2,3,4,5,6", "--b", "1", "--ell=-1",
@@ -686,7 +688,8 @@ def test_missing_instance_flags_exit2(capsys):
     (["weights", "--instance", "inst.txt", "--generator", "rep.txt", "--q", "3",
       "--method", "brute"], "InvalidParams: give --instance or --generator, not both"),
 ], ids=["no-q", "short-M", "short-M-file", "special-no-k", "special-and-alpha", "n-mismatch",
-        "generator-both", "ell-zero", "ell-negative", "ell-above-k", "prime-field-modulus",
+        "generator-both", "generator-no-q", "ell-zero", "ell-negative", "ell-above-k",
+        "prime-field-modulus",
         "empty-v", "empty-mod", "empty-instance", "empty-generator", "empty-out",
         "order-without-special", "generator-and-flags", "generator-and-special",
         "instance-and-flags", "instance-and-k",
@@ -721,8 +724,7 @@ def test_instance_refuses_every_inline_flag(capsys, tmp_path, monkeypatch, actio
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inst.txt").write_text("field: p=13 s=1 mod=0,1\nn: 5\nk: 5\n"
                                        "alpha: 1,2,7,8,9\nv: 1,1,1,1,1\nb: 1\nM: 1,1,1,2\n")
-    choices = action.metavar.strip("{}").split(",") if action.metavar else ["3"]  # {a,b}
-    value = [] if action.nargs == 0 else choices[:1]
+    value = [] if action.nargs == 0 else [(action.choices or ["3"])[0]]
     rc, out, err = run(capsys, "construct", "--instance", "inst.txt",
                        action.option_strings[0], *value)
     assert (rc, out, err) == (
@@ -835,6 +837,23 @@ def test_formula_weights_at_q_65536_exit2_promptly(capsys):
                                      "above the cap of 134217728\n")
 
 
+def test_construct_matrices_above_the_cap_exit2_promptly(capsys):
+    # H of the special [65538, 5] code would hold 65533 x 65538 entries, about 172 GB
+    # as Python ints; it is refused before P is built.  G alone (5 x 65538) still runs,
+    # and is refused in its turn at k = 30000.
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "construct", "--q", "65536", "--k", "5", *SPECIAL_MIX,
+                       "--with-h")
+    assert time.perf_counter() - started < 1.0
+    assert (rc, out, err) == (2, "", "TableTooLarge: the parity-check matrix needs "
+                                     "171796070160 bytes, above the cap of 1073741824\n")
+    rc, out, err = run(capsys, "construct", "--q", "65536", "--k", "5", *SPECIAL_MIX)
+    assert (rc, err, out.count("\n")) == (0, "", 7)  # "G", its shape and its five rows
+    assert run(capsys, "construct", "--q", "65536", "--k", "30000", *SPECIAL_MIX) == (
+        2, "", "TableTooLarge: the generator matrix needs 78645600000 bytes, "
+               "above the cap of 1073741824\n")
+
+
 def test_special_classify_at_q_65536_promptly(capsys):
     # Li-Wan decides both sizes and the whole-field witness is {1, 2, 4, 6},
     # in about 0.3 s; the two DP passes over the 65,535 units took about 18 s.
@@ -917,14 +936,6 @@ def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
     assert in_process == fresh
 
 
-def test_commands_run_on_an_interpreter_without_a_digit_limit(capsys, monkeypatch):
-    # CPython 3.10.0-3.10.6 has no int-to-str limit, so there is none to lift.
-    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-    assert run(capsys, "subsetsum", "--q", "5", "--domain", "star", "--m", "2",
-               "--b", "1") == (0, "1\n", "")
-
-
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 def test_counts_render_under_caller_digit_limit(capsys):
     # Dual counts at q = 512 reach about 1,370 digits and the subset count at
     # q = 4096 about 1,230: a caller's limit of 640 must neither break the
@@ -950,7 +961,6 @@ def test_counts_render_under_caller_digit_limit(capsys):
     assert len(expected[2][1].strip()) > 640
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 def test_mismatch_line_renders_under_caller_digit_limit(capsys, monkeypatch):
     # The closed form ≠ DP line is written out in full, limit or not.
     real = egrl.cli.count_li_wan

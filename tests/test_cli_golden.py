@@ -12,8 +12,9 @@ regenerate them only for a deliberate output change:
 texts are formatted by argparse and are compared on every interpreter: at
 ``COLUMNS=80`` argparse prints them byte for byte alike on CPython 3.10.13,
 3.11.7, 3.12.1 and 3.13.0, so a difference there is a change of egrl's parser.
-Invalid choices are worded by egrl itself, as CPython 3.13.13's argparse lists
-them unquoted; a test replays them under that wording.
+Invalid choices, of the four choice flags and of the subcommand name, are
+worded by egrl's parser itself, in one ``_check_value`` hook, as CPython
+3.13.13's argparse lists them unquoted; a test replays them under that wording.
 
 The same cases replay with the process-wide field memo keeping no field and
 starting empty: output never depends on what the memo holds.
@@ -105,6 +106,7 @@ PLAIN = [
     *[([command, "--help"], None)
       for command in ("construct", "classify", "weights", "subsetsum", "sweep")],
     (["subsetsum", "--q", "5", "--domain", "nowhere"], None),
+    (["bogus"], None),
 ]
 ALL_CASES = [case for argv, patch in CASES for case in ((argv, patch), (argv + ["--json"], patch))]
 ALL_CASES += PLAIN
@@ -199,10 +201,12 @@ def test_invalid_choices_read_alike_under_other_argparse_wording(monkeypatch):
     stand_in.add_argument("--x", choices=("a", "b"))
     with pytest.raises(argparse.ArgumentError, match=r"\(choose from a, b\)$"):
         stand_in.parse_args(["--x", "c"])  # the patch is live
-    golden = next(c for c in _load()["cases"]
-                  if c["argv"] == ["subsetsum", "--q", "5", "--domain", "nowhere"])
-    assert transcript(golden["argv"], None) == {
-        key: golden[key] for key in ("rc", "stdout", "stderr", "written")}
+    replayed = [c for c in _load()["cases"]
+                if c["argv"] in (["subsetsum", "--q", "5", "--domain", "nowhere"], ["bogus"])]
+    assert len(replayed) == 2
+    for golden in replayed:
+        assert transcript(golden["argv"], None) == {
+            key: golden[key] for key in ("rc", "stdout", "stderr", "written")}
     for argv, choices in [(["construct", "--order", "desc"], "'asc', 'gen'"),
                           (["weights", "--method", "desc"], "'formula', 'brute', 'both'"),
                           (["subsetsum", "--method", "desc"], "'lw', 'dp', 'both'")]:
