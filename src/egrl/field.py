@@ -23,7 +23,8 @@ the default-modulus search and the antilog doubling all read one list of
 squares M_a, M_a**2, M_a**4, ... per candidate.  For numpy addition (the
 subset-sum DP and code enumeration): ``translate`` adds a row of the low
 digits' translation table to one of the high digits' (``_digit_table``, at
-most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  Field
+most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  These,
+``multiples`` and the antilogs hold codes as ``FieldCtx.dtype``.  Field
 orders are capped at q <= 2**16 (``MAX_ORDER``), and one table build, the DP's,
 ``add_table``'s or an instance's generator or parity-check matrix (at
 ``LIST_ENTRY_BYTES`` per entry), at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``),
@@ -236,12 +237,14 @@ class FieldCtx:
         q: field cardinality p**s.
         modulus: monic degree-s modulus as s+1 coefficients (c_0, ..., c_s);
             the placeholder (0, 1) for prime fields.
+        dtype: numpy dtype of codes in every numpy table of codes: uint8 for
+            q <= 256, else uint16 (the log table is int32: log sums pass both).
 
     Scalar operations (``add``, ``mul``, ``inv``, ...) take and return
     integer element codes.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "_tables", "_exp", "_log", "_zech", "_log_m1")
+    __slots__ = ("p", "s", "q", "modulus", "dtype", "_tables", "_exp", "_log", "_zech", "_log_m1")
 
     def __init__(self, p: int, s: int = 1, modulus: Sequence[int] | None = None):
         if s < 1:
@@ -251,6 +254,7 @@ class FieldCtx:
         if _prime_factors(p) != [p]:
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         self.p, self.s, self.q = p, s, p**s
+        self.dtype = np.min_scalar_type(self.q - 1)
         if s == 1:
             if modulus is not None and tuple(modulus) != (0, 1):
                 raise ValueError("prime fields take the placeholder modulus (0, 1)")
@@ -365,8 +369,8 @@ class FieldCtx:
         # 1 + g**d only changes the constant digit of g**d.
         one_plus = exp - exp % p + (exp + 1) % p
         zech = np.where(one_plus == 0, -1, log[one_plus])
-        # exp is stored twice over so that exp[la + lb] needs no modulo, as uint16 for multiples.
-        return _Tables(p, np.tile(exp, 2).astype(np.uint16), log, zech, self._digit_table())
+        # exp is stored twice over so that exp[la + lb] needs no modulo, as codes for multiples.
+        return _Tables(p, np.tile(exp, 2).astype(self.dtype), log, zech, self._digit_table())
 
     # -- scalar arithmetic on codes -------------------------------------------
     # Codes are trusted to lie in [0, q); inputs are admitted by _check.  log[0] is a
@@ -418,7 +422,7 @@ class FieldCtx:
     # -- vectorized tables (internal; used by enumeration and the DP) ---------
 
     def translate(self, y: int) -> np.ndarray:
-        """The uint16 row [t + y for t in range(q)] for a code y: addition carries no
+        """The row [t + y for t in range(q)] of codes for a code y: addition carries no
         digit over, so it is the outer sum of y's high and low digits' table rows."""
         low, high = self._tables.digit
         size = low.shape[-1]
@@ -427,25 +431,26 @@ class FieldCtx:
     def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
         # Rows v -> [c + v for c] over the low k = ceil(s/2) digits' n = p**k codes
         # and over the high s-k digits' (times p**k): the n*n table (at most 37**4
-        # entries), or for one digit [0..n-1] twice over, read as n+1 windows.
+        # entries), or for one digit [0..n-1] twice over, read as n+1 windows.  Built
+        # in uint16, which holds every code, scale and digit sum, then narrowed.
         p, k, out = self.p, -(-self.s // 2), []
         for j, scale in ((k, 1), (self.s - k, p**k)):
-            t = np.arange(p**j, dtype=np.uint16)  # every code and sum is below q
+            t = np.arange(p**j, dtype=np.uint16)
             table = (np.concatenate([t, t]) if j <= 1 else
                      sum((t[:, None] // p**d + t // p**d) % p * p**d for d in range(j)))
-            out.append(table * scale)
+            out.append((table * scale).astype(self.dtype, copy=False))
         return tuple(out)
 
     def add_table(self) -> np.ndarray:
-        """q-by-q uint16 numpy table with ADD[a, b] = a + b, built on each call as the
-        outer sum of both digit groups' tables: 2*q*q bytes, refused above MAX_TABLE_BYTES."""
-        require_table_bytes(2 * self.q**2, "the addition table needs")
+        """q-by-q table of codes, ADD[a, b] = a + b, built on each call as the outer sum
+        of both digit groups' tables: itemsize*q*q bytes, refused above MAX_TABLE_BYTES."""
+        require_table_bytes(self.dtype.itemsize * self.q**2, "the addition table needs")
         low, high = self._tables.digit
         h, l = high.shape[-1], low.shape[-1]
         return (high[:h, None, :h, None] + low[None, :l, None, :l]).reshape(self.q, self.q)
 
     def multiples(self, vec: Sequence[int]) -> np.ndarray:
-        """q-by-len(vec) uint16 array, row f = f * vec, via an int32 index sum twice its size."""
+        """q-by-len(vec) array of codes, row f = f * vec, via a 4*q*len(vec)-byte int32 sum."""
         v = np.asarray(vec, dtype=np.intp)
         exp, log = self._tables.np_exp, self._tables.np_log
         out = exp[log[:, None] + log[v]]

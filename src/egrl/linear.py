@@ -18,12 +18,13 @@ tail + offset != 0 exactly when tail != -offset, so each block is the
 boolean mask of that comparison.
 
 Time is bounded by a budget each caller checks before the walk starts,
-memory by the field's table cap.  Before building anything the walk adds
-up its tables -- k-1 tables of multiples f * row_i for i >= 1 (2*q*n
-bytes each, plus a 4*q*n int32 index sum while one is built; row 0 only
-leads, so it needs the vector -row_0 alone), the tail span of T <= 2**16
-codewords (2*n*T bytes) and two block masks (n*T each: the consumer holds
-the last while the next is compared) -- and refuses them above
+memory by the field's table cap.  Tables hold codes at the field's width,
+c = ``ctx.dtype.itemsize`` bytes (1 for q <= 256, else 2).  Before building
+anything the walk adds up its tables -- k-1 tables of multiples f * row_i
+for i >= 1 (c*q*n bytes each, plus a 4*q*n int32 index sum while one is
+built; row 0 only leads, so it needs the vector -row_0 alone), the tail
+span of T <= 2**16 codewords (c*n*T bytes) and two block masks (n*T each:
+the consumer holds the last while the next is compared) -- and refuses them above
 ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``), as for an [8192, 2] code
 at q = 2**16; an [8192, 1] code there needs no table.
 The q-by-q addition table, built only for k >= 3, is refused alone above
@@ -33,9 +34,9 @@ scalar classes in 0.01 s (2-vCPU Xeon).
 The tail span is built by halves, span(rows) = span(first half) +
 span(second half): by one gather while a column of the sum holds fewer
 than ``_COLUMN_CELLS`` = 768 cells, else column by column, a row pick of
-the addition table (at most 128 KiB) and one take.  While it is built, its
-halves, 2*n*(|hi| + |lo|) bytes, sit in the mask's share: within n*T from
-T = 16 on, at most 4*n bytes past it below.
+the addition table (at most 64 KiB) and one take.  A span of two or more
+rows needs q**2 <= 2**16, so it holds byte codes (c = 1); while it is built,
+its halves, n*(|hi| + |lo|) bytes, sit within the mask's share n*T.
 
 Budgets count the side walked, q**min(k, n-k) codewords (q**n for the full
 code), which ``weight_distribution`` picks by ``walk_size`` before building
@@ -227,12 +228,14 @@ class LinearCode:
         head = k - tail_len
         neg = ctx.neg
         # Row 0 only ever leads, so it needs -row_0 alone: the k-1 multiples
-        # tables of rows 1..k-1, one int32 index sum, the tail span and two
-        # block masks (the one being compared and the consumer's last).
-        require_table_bytes(2 * q * n * (k + 1 if k > 1 else 0) + 4 * n * q**tail_len,
+        # tables of rows 1..k-1 (c bytes a code), one int32 index sum, the tail
+        # span (c bytes a code) and two bool block masks (the one being compared
+        # and the consumer's last).
+        c = ctx.dtype.itemsize
+        require_table_bytes((c * (k - 1) + 4 if k > 1 else 0) * q * n + (c + 2) * n * q**tail_len,
                             "the enumeration tables need")
         scaled = [None, *(ctx.multiples(self.gen.row(i)) for i in range(1, k))]
-        negated = [np.array([neg(x) for x in self.gen.row(0)], np.uint16),
+        negated = [np.array([neg(x) for x in self.gen.row(0)], ctx.dtype),
                    *(table[neg(1)] for table in scaled[1:])]
         # Only a walk that adds two rows needs the q-by-q table, so k >= 3 (or
         # a test's tiny block limit); add_table refuses it above the table cap.
@@ -241,7 +244,7 @@ class LinearCode:
         # head most significant: its first q**m columns span the last m
         # rows.  Column-major keeps the compares contiguous.
         tail = (np.ascontiguousarray(_span(add_t, [table.T for table in scaled[head:]]))
-                if tail_len else np.zeros((n, 1), np.uint16))
+                if tail_len else np.zeros((n, 1), ctx.dtype))
         # Weights are the mask's bytes summed down its contiguous columns, in the
         # smallest type that holds n: half the time of a bool sum along the rows,
         # a quarter of an intp sum.
@@ -281,14 +284,15 @@ class LinearCode:
 
 
 def _span(add_t: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """span(rows) as an (n, q**m) uint16 array from the rows' transposed multiples tables
-    (n, q), one codeword per column, the first row's symbol most significant.
+    """span(rows) as an (n, q**m) array of codes from the rows' transposed multiples
+    tables (n, q), one codeword per column, the first row's symbol most significant.
 
     The halves combine as span[c, a, b] = add_t[hi[c, a], lo[c, b]]: by one 2-index
     gather (about 6 ns a cell) while a column holds fewer than ``_COLUMN_CELLS`` cells,
-    else column by column, a |hi|-by-q row pick of add_t (|hi| <= 256, so at most
-    128 KiB) and one take along its columns (about 1.5 ns a cell).  Each cell of the
-    span is written once; adding one row at a time would write q/(q-1) spans' worth.
+    else column by column, a |hi|-by-q row pick of add_t (|hi|, q <= 256 and byte
+    codes, so at most 64 KiB) and one take along its columns (about 1.5 ns a cell).
+    Each cell of the span is written once; adding one row at a time would write
+    q/(q-1) spans' worth.
     """
     if len(tables) == 1:
         return tables[0]
@@ -296,7 +300,7 @@ def _span(add_t: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     n, a, b = len(hi), hi.shape[1], lo.shape[1]
     if a * b < _COLUMN_CELLS:
         return add_t[hi[:, :, None], lo[:, None, :]].reshape(n, -1)
-    out = np.empty((n, a, b), np.uint16)
+    out = np.empty((n, a, b), add_t.dtype)
     for x, y, o in zip(hi, lo, out):
         add_t.take(x, axis=0).take(y, axis=1, out=o)
     return out.reshape(n, -1)

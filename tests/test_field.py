@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import poly_add, poly_is_irreducible, poly_mul, poly_neg, power
+from conftest import brute_weights, poly_add, poly_is_irreducible, poly_mul, poly_neg, power
 from egrl import field
 from egrl.cli import main
 from egrl.field import (
@@ -25,6 +25,7 @@ from egrl.field import (
     TableTooLarge,
     ZeroInverse,
 )
+from egrl.linear import LinearCode
 from egrl.matrix import FieldMatrix
 
 
@@ -563,12 +564,33 @@ def test_tables_are_built_whole(p, s, monkeypatch):
         assert len(builds) == 1 and (ctx._tables.nbytes, memo._bytes) == (nbytes, kept)
 
 
-def test_addition_table_cap_is_inclusive(monkeypatch):
-    monkeypatch.setattr(field, "MAX_TABLE_BYTES", 2 * 7**2)
-    assert FieldCtx(7).add_table().nbytes == 2 * 7**2
-    monkeypatch.setattr(field, "MAX_TABLE_BYTES", 2 * 7**2 - 1)
-    with pytest.raises(TableTooLarge):
-        FieldCtx(7).add_table()
+@pytest.mark.parametrize("q,nbytes", [(7, 7**2), (257, 2 * 257**2)])
+def test_addition_table_cap_is_inclusive(q, nbytes, monkeypatch):
+    # The table's true bytes: one a code up to q = 256, two above.
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", nbytes)
+    assert FieldCtx(q).add_table().nbytes == nbytes
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", nbytes - 1)
+    with pytest.raises(TableTooLarge, match=f"^the addition table needs {nbytes} bytes"):
+        FieldCtx(q).add_table()
+
+
+@pytest.mark.parametrize("q,dtype", [(251, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_code_width_at_the_byte_boundary(q, dtype):
+    # Codes take one byte up to q = 256 and two above, in every table of codes;
+    # here the log sums that index the antilogs reach 2(q-2) > 255.
+    ctx = FieldCtx.from_order(q)
+    adds = np.array([[ctx.add(a, b) for b in range(q)] for a in range(q)])
+    table, rows = ctx.add_table(), np.stack([ctx.translate(b) for b in range(q)])
+    mults = ctx.multiples(range(q))
+    tables = ctx._tables
+    assert ctx.dtype == dtype and tables.np_log.dtype == np.int32
+    assert {t.dtype for t in (tables.np_exp, *tables.digit, table, rows, mults)} == {ctx.dtype}
+    assert (table == adds).all() and (rows.T == adds).all()
+    assert (mults == np.array([[ctx.mul(f, a) for a in range(q)] for f in range(q)])).all()
+    rng = random.Random(q)
+    gen = [[rng.randrange(q) for _ in range(6)] for _ in range(2)]
+    code = LinearCode(FieldMatrix(ctx, gen))
+    assert code.k == 2 and list(code.weight_distribution().counts) == brute_weights(ctx, gen)
 
 
 def test_entry_larger_than_budget_still_serves_its_context():

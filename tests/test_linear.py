@@ -366,26 +366,33 @@ def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
         code.weight_distribution()
 
 
-def test_walk_counts_its_tables_against_the_cap(monkeypatch):
+@pytest.mark.parametrize("q,n,weights", [
+    # An [n, 2, n-1] MDS code: n(q-1) codewords of weight n-1, the rest weight n.
+    (4096, 1024, {1023: 1024 * 4095, 1024: 4095 * 3073}),
+    # Each column repeated n/q = 32 times: f*row_0 + g*row_1, g != 0, vanishes on the
+    # 32 columns i % q = -f/g, so q(q-1) codewords have weight n-32 and q-1 weight n.
+    (256, 8192, {8160: 256 * 255, 8192: 255}),
+])
+def test_walk_counts_its_tables_against_the_cap(q, n, weights, monkeypatch):
     # A table-bound walk (two rows, q*n large): the multiples table of row 1,
     # one int32 index sum, the tail span and two block masks are counted before
-    # any is built (row 0 only leads, so it needs no table), and the cap is
-    # inclusive.  Its second block is one column wide, so the peak allocation
-    # stays within the count of one mask up to 1 MiB of O(n) vectors and numpy's
-    # gather buffers.
-    q, n = 4096, 1024
+    # any is built (row 0 only leads, so it needs no table), at c bytes a code
+    # (2 at q = 4096, 1 at q = 256), and the cap is inclusive.  Its second block
+    # is one column wide, so the peak allocation stays within the count of one
+    # mask up to 1 MiB of O(n) vectors and numpy's gather buffers.
     ctx = FieldCtx.from_order(q)
-    code = LinearCode(FieldMatrix(ctx, [[1] * n, list(range(n))]))
-    need = 2 * q * n * 3 + 4 * n * q
+    c = ctx.dtype.itemsize
+    code = LinearCode(FieldMatrix(ctx, [[1] * n, [i % q for i in range(n)]]))
+    need = (c + 4) * q * n + (c + 2) * n * q
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
     tracemalloc.start()
     try:
-        # An [n, 2, n-1] MDS code: n(q-1) codewords of weight n-1, the rest weight n.
-        assert code.weight_distribution().counts[-2:] == (n * (q - 1), q**2 - 1 - n * (q - 1))
+        counts = code.weight_distribution().counts
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * q * n * 3 + 3 * n * q + (1 << 20)
+    assert {w: a for w, a in enumerate(counts) if a and w} == weights
+    assert peak <= need - n * q + (1 << 20)
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
     monkeypatch.setattr(FieldCtx, "multiples", lambda self, vec: pytest.fail("table built"))
     with pytest.raises(TableTooLarge, match=f"^the enumeration tables need {need} bytes"):
@@ -429,7 +436,8 @@ def test_walk_counts_both_block_masks_it_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(counted) == 1 and peak <= counted[0] + (1 << 20)
-    assert counted == [2 * 16 * 64 * 7 + 4 * 64 * (1 << 16)]
+    # Byte codes: five multiples tables, the int32 index sum, the span and two masks.
+    assert counted == [(5 + 4) * 16 * 64 + (1 + 2) * 64 * (1 << 16)]
 
 
 def test_macwilliams_known_pair(gf2):
