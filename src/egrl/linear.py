@@ -31,12 +31,13 @@ The q-by-q addition table, built only for k >= 3, is refused alone above
 the cap, so for q > 23170.  An [8, 2] code at q = 2**16 walks its 65537
 scalar classes in 0.01 s (2-vCPU Xeon).
 
-The tail span is built by halves, span(rows) = span(first half) +
-span(second half): by one gather while a column of the sum holds fewer
-than ``_COLUMN_CELLS`` = 768 cells, else column by column, a row pick of
-the addition table (at most 64 KiB) and one take.  A span of two or more
-rows needs q**2 <= 2**16, so it holds byte codes (c = 1); while it is built,
-its halves, n*(|hi| + |lo|) bytes, sit within the mask's share n*T.
+The tail span of m rows is built by halves, span(rows) = span(first
+ceil(m/2) rows) + span(the rest): by one gather while a column of the sum
+holds fewer than ``_COLUMN_CELLS`` = 400 cells, else column by column, a
+pick of the addition table's columns by the lower half (q*|lo| <= q**m codes,
+at most 64 KiB), then a copy of its rows by the upper half.  A span of two or
+more rows needs q**2 <= 2**16, so it holds byte codes (c = 1); while it is
+built, its halves, n*(|hi| + |lo|) bytes, sit within the mask's share n*T.
 
 Budgets count the side walked, q**min(k, n-k) codewords (q**n for the full
 code), which ``weight_distribution`` picks by ``walk_size`` before building
@@ -60,9 +61,15 @@ from .matrix import FieldMatrix
 DEFAULT_BUDGET = 1 << 26  # walked side size q**min(k, n-k); overridable per call
 _BLOCK_LIMIT = 1 << 16  # max rows per block
 # Cells a column from which a span is built column by column: there two numpy calls
-# a column (about 3 us) cost less than the gather's 4 ns more a cell (2-vCPU Xeon:
-# 729-cell columns gather faster, 1024-cell ones are faster column by column).
-_COLUMN_CELLS = 768
+# a column (about 2 us) cost less than the gather's 5 ns a cell (2-vCPU Xeon:
+# 361-cell columns gather faster, 512-cell ones are faster column by column).
+_COLUMN_CELLS = 400
+# Blocks weight_distribution tallies by count_nonzero: this many classes or more, over
+# at most this many weights.  One count_nonzero a weight (1.5 us + 0.15 ns a class) beats
+# one bincount (2.7 ns a class on a walk's clustered weights) up to about 5 weights at
+# 4096 classes, 8 to 10 at 8192 and 16 at 16,384 (2-vCPU Xeon).
+_COUNT_CLASSES = 8192
+_COUNT_WEIGHTS = 8
 
 MDS = "MDS"
 NMDS = "NMDS"
@@ -268,11 +275,22 @@ class LinearCode:
 
     def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> WeightDistribution:
         """Exact counts A_0..A_n by a walk of the side walk_size picks: on the code A_0 = 1,
-        A_w = (q-1) * (scalar classes of weight w); on the dual, by MacWilliams."""
+        A_w = (q-1) * (scalar classes of weight w); on the dual, by MacWilliams.
+
+        A block of at least ``_COUNT_CLASSES`` classes whose weights span at most
+        ``_COUNT_WEIGHTS`` values is tallied by one ``np.count_nonzero`` per weight from
+        its least to its greatest; every other block, so the many small blocks past
+        q = 256 and the wide weight ranges of long codes, by one ``np.bincount``."""
         if walk_size(self.ctx.q, self.n, self.k, budget) != self.ctx.q**self.k:
             return macwilliams(self.dual().weight_distribution(budget), self.n - self.k, self.ctx)
         classes = np.zeros(self.n + 1, dtype=np.int64)
         for _, weights in self.codeword_blocks():
+            if len(weights) >= _COUNT_CLASSES:
+                lo, hi = int(weights.min()), int(weights.max())
+                if hi - lo < _COUNT_WEIGHTS:
+                    for w in range(lo, hi + 1):
+                        classes[w] += np.count_nonzero(weights == w)
+                    continue
             classes += np.bincount(weights, minlength=self.n + 1)
         # codeword_blocks walked exactly (q**k - 1)/(q - 1) classes, so the total is q**k.
         return WeightDistribution(self.n, (1, *((self.ctx.q - 1) * int(c) for c in classes[1:])))
@@ -287,22 +305,25 @@ def _span(add_t: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     """span(rows) as an (n, q**m) array of codes from the rows' transposed multiples
     tables (n, q), one codeword per column, the first row's symbol most significant.
 
-    The halves combine as span[c, a, b] = add_t[hi[c, a], lo[c, b]]: by one 2-index
-    gather (about 6 ns a cell) while a column holds fewer than ``_COLUMN_CELLS`` cells,
-    else column by column, a |hi|-by-q row pick of add_t (|hi|, q <= 256 and byte
-    codes, so at most 64 KiB) and one take along its columns (about 1.5 ns a cell).
-    Each cell of the span is written once; adding one row at a time would write
-    q/(q-1) spans' worth.
+    The upper half hi spans the first ceil(m/2) of the m rows and lo the rest, and they
+    combine as span[c, a, b] = add_t[hi[c, a], lo[c, b]]: by one 2-index gather (about
+    5 ns a cell) while a column holds fewer than ``_COLUMN_CELLS`` cells, else column by
+    column, a q-by-|lo| pick of add_t's columns by lo (q*|lo| <= q**m <= 2**16 byte
+    codes, so at most 64 KiB; lo is the smaller half, so this gather is the smaller
+    part), then one take of its rows by hi, |hi| contiguous copies of |lo| codes (about
+    0.2 ns a cell at 2**16 cells a column).  Each cell of the span is written once;
+    adding one row at a time would write q/(q-1) spans' worth.
     """
     if len(tables) == 1:
         return tables[0]
-    hi, lo = _span(add_t, tables[: len(tables) // 2]), _span(add_t, tables[len(tables) // 2 :])
+    half = (len(tables) + 1) // 2
+    hi, lo = _span(add_t, tables[:half]), _span(add_t, tables[half:])
     n, a, b = len(hi), hi.shape[1], lo.shape[1]
     if a * b < _COLUMN_CELLS:
         return add_t[hi[:, :, None], lo[:, None, :]].reshape(n, -1)
     out = np.empty((n, a, b), add_t.dtype)
     for x, y, o in zip(hi, lo, out):
-        add_t.take(x, axis=0).take(y, axis=1, out=o)
+        add_t.take(y, axis=1).take(x, axis=0, out=o)
     return out.reshape(n, -1)
 
 

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every check is exact (integer equality), with the stated runtime
 ceilings asserted alongside.  The q = 27 brute-force cross-check over 27^5
 codewords (its walk, closed forms and MacWilliams transform together) takes
-0.006-0.008 s on a 2-vCPU Xeon, under a 2 s ceiling.
+about 0.006 s on a 2-vCPU Xeon, under a 2 s ceiling.
 """
 
 import contextlib

@@ -180,12 +180,14 @@ def test_projective_enumeration_matches_python_oracle(case, block_limit):
 
 
 @pytest.mark.parametrize("block_limit", [1, 8, linear._BLOCK_LIMIT])
-@pytest.mark.parametrize("q,k", [(27, 3), (32, 3), (16, 4), (27, 4)])
+@pytest.mark.parametrize("q,k", [(27, 3), (32, 3), (16, 4), (27, 4), (7, 6)])
 def test_wide_tail_spans_match_the_walk_order_oracle(q, k, block_limit):
-    # Under the full block limit the tail span's halves meet in 729 cells a
-    # column at (27, 3), below _COLUMN_CELLS, so one gather; in 1024 at (32, 3)
-    # and 19683 at (27, 4), built column by column; at (16, 4) a 256-cell gather
-    # builds the lower half, then 4096 cells column by column.
+    # Under the full block limit the tail span's halves meet column by column, in
+    # 729 cells a column at (27, 3), 1024 at (32, 3), 4096 at (16, 4), 19,683 at
+    # (27, 4) and 16,807 at (7, 6).  An odd row count leaves the extra row in the upper
+    # half: at (27, 4) its 729 cells are built column by column too, at (16, 4) by a
+    # 256-cell gather, and at (7, 6) the five tail rows split into a 343-column upper
+    # half, gathered from 49 by 7 cells, and a 49-column lower half, from 7 by 7.
     rng = random.Random(q * 10 + k)
     ctx = FieldCtx.from_order(q)
     rows = [[int(i == j) for j in range(k)] + [rng.randrange(q) for _ in range(5)]
@@ -195,7 +197,8 @@ def test_wide_tail_spans_match_the_walk_order_oracle(q, k, block_limit):
 
 def test_long_binary_code_matches_the_python_oracle():
     # n >= 256 sums weights past uint8.  The 10 tail rows' span meets in 32 x 32
-    # = 1024 cells a column, built column by column, and each half by gathers.
+    # = 1024 cells a column, built column by column; each 5-row half is gathered
+    # from 8 by 4 cells, its 3-row upper part from 4 by 2.
     rng = random.Random(300)
     ctx = _FIELDS[2]
     rows = [[int(i == j) for j in range(11)] + [rng.randrange(2) for _ in range(289)]
@@ -203,6 +206,26 @@ def test_long_binary_code_matches_the_python_oracle():
     code = LinearCode(FieldMatrix(ctx, rows))
     assert (code.n, code.k) == (300, 11)
     assert code.weight_distribution().counts == tuple(brute_weights(ctx, rows))
+
+
+@pytest.mark.parametrize("q,n,k,paths", [
+    # Blocks of 65,536 classes over 7 to 9 weights: count_nonzero and bincount.
+    (16, 18, 6, {"count_nonzero", "bincount"}),
+    # One block of 65,536 classes over 21 weights, three small ones: bincount.
+    (16, 120, 5, {"bincount"}),
+    # 259 blocks of at most 257 classes: bincount, without a min or a max.
+    (257, 300, 3, {"bincount"}),
+])
+def test_weight_tally_matches_one_bincount_of_the_walk(q, n, k, paths):
+    rng = random.Random(0)
+    ctx = FieldCtx.from_order(q)
+    code = LinearCode(FieldMatrix(ctx, [[rng.randrange(q) for _ in range(n)] for _ in range(k)]))
+    weights = [w for _, w in code.codeword_blocks()]
+    assert {"count_nonzero" if len(w) >= linear._COUNT_CLASSES
+            and int(w.max()) - int(w.min()) < linear._COUNT_WEIGHTS else "bincount"
+            for w in weights} == paths
+    classes = np.bincount(np.concatenate(weights), minlength=n + 1)
+    assert code.weight_distribution().counts == (1, *((q - 1) * int(c) for c in classes[1:]))
 
 
 @st.composite
