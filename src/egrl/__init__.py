@@ -8,7 +8,6 @@ brute-force enumeration at desk scale.
 
 from .field import (
     CompositeCharacteristic,
-    CtxMismatch,
     FieldCtx,
     FieldError,
     NonMonic,

@@ -366,14 +366,15 @@ def _random_instance(ctx: FieldCtx, k: int, rng: random.Random) -> EgrlParams:
 
 
 def _check_instance(params: EgrlParams, budget: int, failures: list, tag: str):
-    """Check G H^T = 0 (G in the evaluation form, the definition), rank H, both criteria and,
-    with nonzero points, A_min, both distributions and, when the census admits its dual walk,
-    the support patterns."""
+    """Check G H^T = 0 row by row (G in the evaluation form, the definition), rank H, both
+    criteria and, with nonzero points, A_min, both distributions and, when the census admits
+    its dual walk, the support patterns."""
     code = _instance_code(params, budget)
     primal = code.weight_distribution(budget)
     dual_dist = macwilliams(primal, code.k, code.ctx)
-    h = parity_check_matrix(params)
-    if not (generator_matrix(params).matmul(h.transpose()).is_zero()
+    ctx, g, h = params.ctx, generator_matrix(params), parity_check_matrix(params)
+    h_rows = [h.row(j) for j in range(h.rows)]
+    if not (all(ctx.sum(map(ctx.mul, g.row(i), r)) == 0 for i in range(g.rows) for r in h_rows)
             and h.rank() == params.length - params.k):
         failures.append(f"{tag}: parity-check identity failed")
     cls = CodeClass.from_distributions(params.k, primal, dual_dist)

@@ -192,12 +192,6 @@ class EgrlParams:
             "M": [self.mix.at(i, j) for i in range(self.ell) for j in range(self.ell)],
         }
 
-    def to_text(self) -> str:
-        return "\n".join(
-            f"{key}: {','.join(map(str, val)) if isinstance(val, list) else val}"
-            for key, val in self.to_dict().items()
-        )
-
 
 def _int(x) -> int:
     if isinstance(x, (bool, float)):  # int() would truncate a float, read a bool as 0/1
@@ -348,9 +342,11 @@ def reduced_generator(params: EgrlParams) -> FieldMatrix:
         b quo_r[t] / (w_r v_r)                             at the b column.
 
     O(k*n + k**2 + k*ell**2) scalar operations, for every (ell, t) and
-    zero evaluation points too.
+    zero evaluation points too.  Refused above MAX_TABLE_BYTES at
+    LIST_ENTRY_BYTES per entry (TableTooLarge), before P is built.
     """
     ctx, k, ell = params.ctx, params.k, params.ell
+    require_table_bytes(LIST_ENTRY_BYTES * k * params.length, "the reduced generator needs")
     add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
     nodes, rest = params.alpha[:k], params.alpha[k:]
     p = _vanishing(ctx, nodes)

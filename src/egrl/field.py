@@ -26,9 +26,10 @@ digits' translation table to one of the high digits' (``_digit_table``, at
 most 3.6 MiB), and ``add_table`` is the outer sum of both tables.  These,
 ``multiples`` and the antilogs hold codes as ``FieldCtx.dtype``.  Field
 orders are capped at q <= 2**16 (``MAX_ORDER``), and one table build, the DP's,
-``add_table``'s or an instance's generator or parity-check matrix (at
-``LIST_ENTRY_BYTES`` per entry), at ``MAX_TABLE_BYTES`` = 1 GiB (``TableTooLarge``),
-and a closed-form solve's two weight distributions at ``MAX_COUNT_BYTES`` = 128 MiB.
+``add_table``'s, an instance's generator (either form) or parity-check matrix, or a
+dual's basis (at ``LIST_ENTRY_BYTES`` per entry), at ``MAX_TABLE_BYTES`` = 1 GiB
+(``TableTooLarge``), and a closed-form solve's two weight distributions at
+``MAX_COUNT_BYTES`` = 128 MiB.
 
 The antilog table also judges the modulus: f is accepted exactly when g's
 q-1 powers are the q-1 nonzero codes, so that every nonzero residue is a
@@ -62,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_ORDER = 1 << 16  # largest supported field order q
-MAX_TABLE_BYTES = 1 << 30  # largest table built at once (subset-sum DP, add_table, G, H)
+MAX_TABLE_BYTES = 1 << 30  # largest table built at once (subset-sum DP, add_table, G, H, duals)
 MAX_COUNT_BYTES = 1 << 27  # largest bound on both weight distributions' bytes (closed forms)
 _MAX_DEGREE = MAX_ORDER.bit_length() - 1  # |p|**s > MAX_ORDER for every |p| >= 2 beyond it
 _MEMO_BYTES = 64 << 20  # table bytes the field memo keeps across fields
@@ -87,10 +88,6 @@ class ReducibleModulus(FieldError):
 
 class ZeroInverse(FieldError):
     """Multiplicative inversion of the zero element."""
-
-
-class CtxMismatch(FieldError):
-    """Operands belong to different field contexts."""
 
 
 class TableTooLarge(FieldError):

@@ -55,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import MAX_COUNT_BYTES, FieldCtx, require_table_bytes
+from .field import LIST_ENTRY_BYTES, MAX_COUNT_BYTES, FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
 
 DEFAULT_BUDGET = 1 << 26  # walked side size q**min(k, n-k); overridable per call
@@ -208,8 +208,12 @@ class LinearCode:
         return hash(self.gen)
 
     def dual(self) -> "LinearCode":
+        """The dual code, read off the reduced generator.  Refused above MAX_TABLE_BYTES at
+        LIST_ENTRY_BYTES per entry of its (n-k) x n basis (TableTooLarge), before it is built."""
         if self.k == self.n:
             raise ZeroCode(f"dual of the full [{self.n},{self.n}] code is trivial")
+        require_table_bytes(LIST_ENTRY_BYTES * (self.n - self.k) * self.n,
+                            "the dual generator needs")
         # Reduced rows pivot at their first nonzero entry; free column f gives e_f - column f.
         rows = {next(c for c, x in enumerate(r) if x): r for r in map(self.gen.row, range(self.k))}
         basis = [[self.ctx.neg(rows[c][f]) if c in rows else int(c == f) for c in range(self.n)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import CtxMismatch, FieldCtx
+from .field import FieldCtx
 
 
 class MatrixError(Exception):
@@ -84,35 +84,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols} over GF({self.ctx.q}))"
-
-    # -- structural operations ---------------------------------------------------
-
-    def transpose(self) -> "FieldMatrix":
-        cols = [self.data[j :: self.cols] for j in range(self.cols)]
-        return FieldMatrix(self.ctx, cols, cols=self.rows)
-
-    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.ctx != other.ctx:
-            raise CtxMismatch("matrix product across different contexts")
-        if self.cols != other.rows:
-            raise DimMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        add, mul = self.ctx.add, self.ctx.mul
-        out = []
-        bt = [other.row(i) for i in range(other.rows)]
-        for i in range(self.rows):
-            arow = self.row(i)
-            orow = [0] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bt[k]
-                    for j in range(other.cols):
-                        if brow[j]:
-                            orow[j] = add(orow[j], mul(a, brow[j]))
-            out.append(orow)
-        return FieldMatrix(self.ctx, out, cols=other.cols)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.data)
 
     # -- elimination ---------------------------------------------------------------
 

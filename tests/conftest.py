@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: subset
 counting enumerates combinations, the vanishing rules of the subset counts
-are stated in closed form, determinants expand by cofactors,
+are stated in closed form, determinants expand by cofactors, matrix
+products are dot products added term by term,
 polynomial arithmetic is re-derived from digit vectors, the skip-one-row
 Vandermonde determinant is a closed product, the MacWilliams
 transform and the NMDS expansion are summed term by term, and binomial
@@ -244,6 +245,19 @@ def cofactor_det(ctx: FieldCtx, rows) -> int:
             acc = ctx.add(acc, term if sign > 0 else ctx.neg(term))
         sign = -sign
     return acc
+
+
+def dot(ctx: FieldCtx, x, y) -> int:
+    """sum_i x_i y_i, added term by term by ctx.add and ctx.mul (oracle)."""
+    acc = 0
+    for a, b in zip(x, y, strict=True):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def times_transpose(a: FieldMatrix, b: FieldMatrix) -> list[list[int]]:
+    """A B^T as row lists: entry (i, j) is the dot product of row i of A and row j of B."""
+    return [[dot(a.ctx, x, y) for y in b.to_lists()] for x in a.to_lists()]
 
 
 def power(ctx: FieldCtx, a: int, e: int) -> int:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import egrl.cli
 import egrl.construction
 import egrl.subsetsum
-from conftest import poly_is_irreducible
+from conftest import poly_is_irreducible, times_transpose
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.linear import InconsistentInput, NegativeCount
@@ -58,7 +58,7 @@ def test_construct_with_h_satisfies_identity(capsys):
         h = FieldMatrix.from_text(ctx, h_text)
         assert (g.rows, g.cols) == (k, n + 3)
         assert (h.rows, h.cols) == (n + 3 - k, n + 3)
-        assert g.matmul(h.transpose()).is_zero()
+        assert not any(map(any, times_transpose(g, h)))
 
 
 def test_construct_with_h_at_field_scale(capsys):
@@ -1220,6 +1220,9 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per
 @pytest.mark.parametrize("name,fake,line", [
     ("parity_check_matrix", lambda real: lambda p: FieldMatrix.identity(p.ctx, p.n + 3),
      "parity-check identity failed"),
+    # H less its last row: still orthogonal to G, but of rank n+2-k.
+    ("parity_check_matrix", lambda real: lambda p: FieldMatrix(p.ctx, real(p).to_lists()[:-1]),
+     "parity-check identity failed"),
     ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
      "minimum-weight census disagrees with brute force"),
     ("special_nmds_distribution", lambda real: lambda p: real(p)[::-1],
@@ -1227,7 +1230,7 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per
     ("dual_support_pattern_census",
      lambda real: lambda p, budget: {**real(p, budget), (True, True, True): 1},
      "support-pattern census disagrees"),
-], ids=["parity-check", "census", "closed-form", "support-pattern"])
+], ids=["parity-check", "parity-check-rank", "census", "closed-form", "support-pattern"])
 def test_sweep_failure_lines_exit4(capsys, monkeypatch, name, fake, line):
     # Each check's failure line, forced by one broken library function as the CLI
     # sees it.  Every instance takes the one check path; the trial holds the

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -9,12 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import inverse_products, poly_neg, power, random_nonsingular_2x2, vanishes
-from egrl.field import FieldCtx
+from conftest import (
+    inverse_products,
+    poly_neg,
+    power,
+    random_nonsingular_2x2,
+    times_transpose,
+    vanishes,
+)
+from egrl.field import LIST_ENTRY_BYTES, MAX_TABLE_BYTES, FieldCtx, TableTooLarge
 from egrl.matrix import FieldMatrix
 from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, distribution_from_excess,
                          macwilliams)
-from egrl import subsetsum
+from egrl import field, subsetsum
 from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset
 from egrl.construction import (
     DuplicateAlpha,
@@ -215,7 +223,6 @@ def test_mixing_matrix_shape_and_field_checked():
 
 def test_instance_serialization_roundtrip(ex13, ex9):
     for p in (ex13, ex9):
-        assert params_from_text(p.to_text()) == p
         assert params_from_text(json.dumps(p.to_dict())) == p
 
 
@@ -311,7 +318,7 @@ def test_parity_check_f13_example(gf13):
     h = parity_check_matrix(p)
     g = generator_matrix(p)
     assert (h.rows, h.cols) == (5, 9)
-    assert g.matmul(h.transpose()).is_zero()
+    assert not any(map(any, times_transpose(g, h)))
     assert h.rank() == 5
 
 
@@ -328,7 +335,7 @@ def test_parity_check_special_uses_classical_top_row(ex9):
     h = parity_check_matrix(ex9)
     # sum(v) = q-1 = -1, so the tail entry is 1/b = inv(2) = 2 over GF(9)
     assert h.row(0) == (1,) * 8 + (0, 0, 2)
-    assert generator_matrix(ex9).matmul(h.transpose()).is_zero()
+    assert not any(map(any, times_transpose(generator_matrix(ex9), h)))
     assert h.rank() == ex9.n + 3 - ex9.k
 
 
@@ -346,7 +353,7 @@ def test_parity_check_identity_randomized():
             b=rng.randrange(1, q), mix=random_nonsingular_2x2(ctx, rng),
         )
         h = parity_check_matrix(p)
-        assert generator_matrix(p).matmul(h.transpose()).is_zero()
+        assert not any(map(any, times_transpose(generator_matrix(p), h)))
         assert h.rank() == n + 3 - k
         assert (h.rows, h.cols) == (n - k + 3, n + 3)
 
@@ -421,7 +428,7 @@ def h_instances(draw):
 def test_parity_check_property(p):
     # The form holds at every 3 <= k <= n, not only the paper's 4 <= k <= n-1.
     h = parity_check_matrix(p)
-    assert generator_matrix(p).matmul(h.transpose()).is_zero()
+    assert not any(map(any, times_transpose(generator_matrix(p), h)))
     assert h.rank() == p.n + 3 - p.k
 
 
@@ -445,14 +452,13 @@ def small_h_instances(draw):
 @example(make_params(FieldCtx(5), (0, 1, 3), 3, [[0, 3], [2, 0]], v=(2, 1, 4)))  # anti-diagonal
 @example(make_params(FieldCtx.from_order(16), (0, 5, 9, 12), 4, [[7, 0], [3, 1]]))  # a12 = 0
 def test_parity_check_mixing_block_times_mix_transpose(p):
-    # R's entries are written in closed form; R M^T, by matmul, gives back
+    # R's entries are written in closed form; R M^T, by the dot-product oracle, gives back
     # [[0, -1], [-1, -sum(alpha)]].
     ctx, n = p.ctx, p.n
     h = parity_check_matrix(p)
     r = FieldMatrix(ctx, [h.row(i)[n : n + 2] for i in (h.rows - 2, h.rows - 1)])
     minus_one = ctx.neg(1)
-    assert r.matmul(p.mix.transpose()).to_lists() == [[0, minus_one],
-                                                      [minus_one, ctx.neg(ctx.sum(p.alpha))]]
+    assert times_transpose(r, p.mix) == [[0, minus_one], [minus_one, ctx.neg(ctx.sum(p.alpha))]]
 
 
 def test_parity_check_shape_refusals(gf13):
@@ -465,7 +471,7 @@ def test_parity_check_shape_refusals(gf13):
     p3 = make_params(gf13, (1, 2, 3, 4, 5), 5, EX13_MIX)  # k = n: accepted, 3 x 8
     h = parity_check_matrix(p3)
     assert (h.rows, h.cols) == (3, 8)
-    assert generator_matrix(p3).matmul(h.transpose()).is_zero() and h.rank() == 3
+    assert not any(map(any, times_transpose(generator_matrix(p3), h))) and h.rank() == 3
 
 
 # -- reduced generator ------------------------------------------------------------------
@@ -515,6 +521,28 @@ def test_egrl_code_admits_each_entry_once(ex13, monkeypatch):
     monkeypatch.setattr(FieldCtx, "_check", lambda self, c: admitted.append(c) or real(self, c))
     code = egrl_code(ex13)
     assert len(admitted) == code.k * code.n == 5 * 8
+
+
+def test_egrl_code_refused_above_the_cap_promptly(ex13, monkeypatch):
+    # The cap is inclusive at LIST_ENTRY_BYTES an entry of the k x (n+3) reduced generator.
+    need = LIST_ENTRY_BYTES * 5 * 8
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
+    assert egrl_code(ex13).k == 5
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
+    with pytest.raises(TableTooLarge, match=f"^the reduced generator needs {need} bytes, "
+                                            f"above the cap of {need - 1}$"):
+        egrl_code(ex13)
+    monkeypatch.undo()
+    # The special [65538, 30000] code's reduced generator would hold about 2e9 entries:
+    # refused before the O(k**2) product P over its first k points is built.
+    ctx = FieldCtx.from_order(65536)
+    p = special_construction(ctx, 30000, 1, FieldMatrix.from_flat(ctx, 2, 2, [1, 1, 1, 2]))
+    started = time.perf_counter()
+    with pytest.raises(TableTooLarge, match=f"^the reduced generator needs "
+                                            f"{LIST_ENTRY_BYTES * 30000 * 65538} bytes, "
+                                            f"above the cap of {MAX_TABLE_BYTES}$"):
+        egrl_code(p)
+    assert time.perf_counter() - started < 1.0
 
 
 # -- MDS / dual-AMDS criteria ---------------------------------------------------------

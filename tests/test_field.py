@@ -17,7 +17,6 @@ from egrl.cli import main
 from egrl.field import (
     MAX_ORDER,
     CompositeCharacteristic,
-    CtxMismatch,
     FieldCtx,
     FieldError,
     NonMonic,
@@ -436,13 +435,6 @@ def test_find_primitive():
 
 
 # -- contexts ------------------------------------------------------------------------
-
-
-def test_ctx_mismatch(gf9):
-    # Same order, different modulus: the element codes mean different things.
-    other = FieldCtx(3, 2, (1, 0, 1))
-    with pytest.raises(CtxMismatch):
-        FieldMatrix.identity(gf9, 2).matmul(FieldMatrix.identity(other, 2))
 
 
 @pytest.mark.parametrize("p,s", [(2, 10**12), (3, 16_000_000), (-3, 10**9 + 1)])

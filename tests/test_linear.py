@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -16,7 +17,7 @@ from egrl.construction import (
     min_weight_census,
     special_construction,
 )
-from egrl.field import FieldCtx, TableTooLarge
+from egrl.field import LIST_ENTRY_BYTES, MAX_TABLE_BYTES, FieldCtx, TableTooLarge
 from egrl.matrix import FieldMatrix
 from egrl.linear import (
     DEFAULT_BUDGET,
@@ -81,6 +82,28 @@ def test_dual_of_full_code_is_refused(gf5):
     # The full code walks itself, but its dual, the zero code, has no minimum weight.
     with pytest.raises(ZeroCode):
         full.classify()
+
+
+def test_dual_refused_above_the_cap_promptly(gf5, monkeypatch):
+    # The cap is inclusive at LIST_ENTRY_BYTES an entry of the (n-k) x n basis.
+    code = LinearCode(FieldMatrix(gf5, [[1, 0, 2, 4, 1, 3], [0, 1, 3, 2, 2, 4]]))
+    need = LIST_ENTRY_BYTES * 4 * 6
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
+    assert code.dual().k == 4
+    monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
+    with pytest.raises(TableTooLarge, match=f"^the dual generator needs {need} bytes, "
+                                            f"above the cap of {need - 1}$"):
+        code.dual()
+    monkeypatch.undo()
+    # A [65536, 1] code's dual basis would hold about 4.3e9 entries.
+    ctx = FieldCtx.from_order(65536)
+    code = LinearCode(FieldMatrix(ctx, [[1] * 65536]))
+    started = time.perf_counter()
+    with pytest.raises(TableTooLarge, match=f"^the dual generator needs "
+                                            f"{LIST_ENTRY_BYTES * 65535 * 65536} bytes, "
+                                            f"above the cap of {MAX_TABLE_BYTES}$"):
+        code.dual()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_dual_of_repetition_is_parity(gf2):
@@ -567,12 +590,12 @@ def test_min_distance_matches_column_independence():
                 continue
             d = code.n - code.k + 1 - code.classify().singleton_defect
             h = code.dual().gen
-            cols = h.transpose()
+            cols = list(zip(*h.to_lists()))
             for size, expect_full in ((d - 1, True), (d, False)):
                 if size == 0:
                     continue
                 full = all(
-                    FieldMatrix(ctx, [cols.row(j) for j in combo]).rank() == size
+                    FieldMatrix(ctx, [cols[j] for j in combo]).rank() == size
                     for combo in itertools.combinations(range(n), size)
                 )
                 assert full == expect_full, (q, n, code.k, d, size)
