@@ -12,7 +12,9 @@ int-to-str digit limit lifted, so counts of any length render under a
 caller's limit, restored afterwards.
 
 JSON reports carry a top-level ``"schema": 1``; every other numeric value
-is rendered as a decimal string so counts survive any magnitude.  Identical
+is rendered as a decimal string so counts survive any magnitude.  The closed
+weight counts are solved as ``decimal.Decimal`` integers, which render in
+linear time, and print exactly as the same ``int`` would.  Identical
 invocation and seed give byte-identical output (timing is only attached,
 to JSON reports, with --timing).
 """
@@ -27,6 +29,7 @@ import json
 import random
 import sys
 import time
+from decimal import Decimal
 from typing import Iterator, NamedTuple
 
 from .field import FieldCtx, FieldError
@@ -90,7 +93,7 @@ def _jsonable(value):
         value = value.counts
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Decimal)):
         return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -307,10 +310,12 @@ def cmd_weights(args) -> Report:
         params, code = _load_instance(args), None
         instance = params.to_dict()
 
-    # Distributions stay WeightDistribution values; _emit_report renders them.
+    # Distributions stay WeightDistribution values; _emit_report renders them, the closed
+    # ones from Decimal counts.
     results: dict = {"method": args.method}
     if args.method in ("formula", "both"):
-        results["distribution"], results["dual_distribution"] = special_nmds_distribution(params)
+        results["distribution"], results["dual_distribution"] = special_nmds_distribution(
+            params, Decimal)
     if args.method in ("brute", "both"):
         code = code or _instance_code(params, args.budget)
         results["brute_distribution"] = code.weight_distribution(args.budget)

@@ -530,10 +530,10 @@ def min_weight_census(params: EgrlParams) -> dict[tuple[bool, bool, bool], int]:
 
 
 def special_nmds_distribution(
-    params: EgrlParams,
+    params: EgrlParams, number: type = int,
 ) -> tuple[WeightDistribution, WeightDistribution]:
     """Full primal and dual weight distributions of an ell = 2, t = 0 instance
-    with nonzero evaluation points.
+    with nonzero evaluation points, counts of type ``number`` (int or Decimal).
 
     nmds_distribution of an [n+3, k] code, A_min the dual's weight-k count
     summed over min_weight_census: the code is MDS (A_min = 0) or NMDS, as
@@ -541,7 +541,7 @@ def special_nmds_distribution(
     instances.
     """
     amin = sum(min_weight_census(params).values())
-    return nmds_distribution(params.length, params.k, params.ctx, amin)
+    return nmds_distribution(params.length, params.k, params.ctx, amin, number)
 
 
 def dual_support_pattern_census(

@@ -43,13 +43,20 @@ Budgets count the side walked, q**min(k, n-k) codewords (q**n for the full
 code), which ``weight_distribution`` picks by ``walk_size`` before building
 a dual; a dual walk gives the code's counts by one MacWilliams transform.
 
-All counts are exact Python integers.
+All counts are exact Python integers, except that ``distribution_from_excess``
+(so ``nmds_distribution`` and ``special_nmds_distribution``) gives them as
+``decimal.Decimal`` integers on request, solved in a context that raises on any
+rounding.  Those render in decimal in linear time, where ``str`` of a Python
+integer is quadratic in its length.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from math import comb
 from typing import Iterator
 
@@ -70,6 +77,10 @@ _COLUMN_CELLS = 400
 # 4096 classes, 8 to 10 at 8192 and 16 at 16,384 (2-vCPU Xeon).
 _COUNT_CLASSES = 8192
 _COUNT_WEIGHTS = 8
+# Integer arithmetic on Decimal that never rounds: unbounded digits and exponents, and a
+# result that would need rounding raises (Inexact, Rounded) instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 MDS = "MDS"
 NMDS = "NMDS"
@@ -116,10 +127,11 @@ class NegativeCount(CodeError):
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Codeword counts A_0..A_n per Hamming weight."""
+    """Codeword counts A_0..A_n per Hamming weight: ints, or integral Decimals from
+    ``distribution_from_excess``; equal counts compare equal either way."""
 
     n: int
-    counts: tuple[int, ...]
+    counts: tuple[int | Decimal, ...]
 
     def __post_init__(self):
         if len(self.counts) != self.n + 1:
@@ -376,8 +388,8 @@ def macwilliams(dist: WeightDistribution, k: int, ctx: FieldCtx) -> WeightDistri
     return WeightDistribution(n, tuple(out))
 
 
-def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, int]
-                             ) -> tuple[WeightDistribution, WeightDistribution]:
+def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, int],
+                             number: type = int) -> tuple[WeightDistribution, WeightDistribution]:
     """Weight distributions of an [n, k] code and its dual from the code's excess {j: E_j}.
 
     E_j = sum_{|J| = j} (q**dim K(J) - q**max(k-j, 0)), K(J) the codewords zero on the
@@ -391,45 +403,61 @@ def distribution_from_excess(n: int, k: int, ctx: FieldCtx, excess: dict[int, in
 
     for 1 <= s <= d.  Complements swap the sides, dim K-dual(J^c) = dim K(J) + j - k, so the
     dual's excess is q**(j-k) E_j at n-j.  An MDS code is {}, an [n, k, n-k] NMDS code
-    {k: A_{n-k}}.  Cost: d O(1) big-integer steps per side plus j+1 per nonzero E_j; both
-    sides of the special [1026, 512] code over GF(1024) take 4 to 7 ms (2-vCPU Xeon).
-    Memory: a count is at most q**k and a dual count at most q**(n-k), so both sides take at
-    most (n+1)*n*ceil(log2 q) bits.  Above ``MAX_COUNT_BYTES`` = 128 MiB, TableTooLarge refuses
-    before any big-integer work: the special code at q = 2**16 (8 GiB) refuses, and at
-    q = 8192 (104 MiB) ``weights --method formula --json`` takes 57 s at 546 MiB peak RSS.
-    ValueError unless 0 <= k <= n, n >= 1 and every j is in 0..n; NegativeCount on a negative
-    excess or count; InconsistentInput on a side sum != q**k, A_0 != 1 or a fractional dual excess.
+    {k: A_{n-k}}.
+
+    ``number`` is int or decimal.Decimal, the type of every count: one solver runs the same
+    + - * // and compares on either, Decimal in an exact context it enters itself (any
+    rounding raises) with only q, the binomial seeds and E_j converted.  Decimal counts
+    render in linear time, int ones in quadratic (CPython 3.11), so Decimal suits output: the
+    special [4098, 8] code over GF(4096) solves in 0.68 s, not 0.27 s, and its 8,198 counts
+    render in 0.07 s, not 5.2 s (2-vCPU Xeon).  Cost: d O(1) big-integer steps per side plus
+    j+1 per nonzero E_j; both sides of the special [1026, 512] code over GF(1024) take 4 to
+    7 ms as ints.  Memory: a count is at most q**k and a dual count at most q**(n-k), so both
+    sides take at most (n+1)*n*ceil(log2 q) bits.  Above ``MAX_COUNT_BYTES`` = 128 MiB,
+    TableTooLarge refuses before any big-integer work: the special code at q = 2**16 (8 GiB)
+    refuses, and at q = 8192 (104 MiB) ``weights --method formula --json`` takes 8.1 s at
+    540 MiB peak RSS.  ValueError unless 0 <= k <= n, n >= 1, every j is in 0..n and
+    ``number`` is int or Decimal; NegativeCount on a negative excess or count;
+    InconsistentInput on a side sum != q**k, A_0 != 1 or a fractional dual excess.
     """
     if not (0 <= k <= n and n >= 1 and all(0 <= j <= n for j in excess)):
         raise ValueError(f"an [{n},{k}] code needs 0 <= k <= n, n >= 1 and excess at "
                          f"0..n, got {sorted(excess)}")
+    if number not in (int, Decimal):
+        raise ValueError(f"counts are int or Decimal, got {number!r}")
     require_table_bytes((n + 1) * n * (ctx.q - 1).bit_length() // 8, "the weight counts need",
                         MAX_COUNT_BYTES)
     if min(excess.values(), default=0) < 0:
         raise NegativeCount(f"excess must be nonnegative, got {_count_text(min(excess.values()))}")
-    q, dual = ctx.q, {}
-    primal = _from_excess(n, k, q, excess)
-    for j, e in excess.items():
-        val, rem = divmod(e, q ** (k - j)) if j < k else (e * q ** (j - k), 0)
-        if rem:
-            raise InconsistentInput(f"dual excess at {n - j} is not an integer")
-        dual[n - j] = val
-    return primal, _from_excess(n, n - k, q, dual)
+    q, dual = number(ctx.q), {}
+    excess = {j: number(operator.index(e)) for j, e in excess.items()}
+    with localcontext(_EXACT):
+        primal = _from_excess(n, k, q, excess)
+        for j, e in excess.items():
+            val, rem = divmod(e, q ** (k - j)) if j < k else (e * q ** (j - k), 0)
+            if rem:
+                raise InconsistentInput(f"dual excess at {n - j} is not an integer")
+            dual[n - j] = val
+        return primal, _from_excess(n, n - k, q, dual)
 
 
-def nmds_distribution(n: int, k: int, ctx: FieldCtx,
-                      a_min: int) -> tuple[WeightDistribution, WeightDistribution]:
-    """The [n, k, n-k] NMDS case {k: a_min} of distribution_from_excess (a_min = 0: MDS)."""
+def nmds_distribution(n: int, k: int, ctx: FieldCtx, a_min: int,
+                      number: type = int) -> tuple[WeightDistribution, WeightDistribution]:
+    """The [n, k, n-k] NMDS case {k: a_min} of distribution_from_excess (a_min = 0: MDS),
+    counts of type ``number``."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    return distribution_from_excess(n, k, ctx, {k: a_min})
+    return distribution_from_excess(n, k, ctx, {k: a_min}, number)
 
 
-def _from_excess(n: int, k: int, q: int, excess: dict[int, int]) -> WeightDistribution:
-    """One side of distribution_from_excess: the MDS recurrence, then each E_j's terms."""
+def _from_excess(n: int, k: int, q: int | Decimal, excess: dict) -> WeightDistribution:
+    """One side of distribution_from_excess: the MDS recurrence, then each E_j's terms,
+    all in the type of q.  Every // is exact, so Decimal's truncation is int's floor."""
+    number = type(q)
     d = min(k + 1, n)  # an MDS code's dual distance; n for the full code
-    counts = [1] + [0] * (n - d)
-    t, b, c_n, top = 0, 1, comb(n, d - 1), q ** (k - d + 1)  # T(s-1), b_s and C(n, d-s)
+    counts = [number(1)] + [number(0)] * (n - d)
+    # T(s-1), b_s, C(n, d-s) and q**(k-d+1)
+    t, b, c_n, top = number(0), number(1), number(comb(n, d - 1)), q ** (k - d + 1)
     for s in range(1, d + 1):
         t = (q - 1) * t + top * b
         counts.append(c_n * (t - b))

@@ -50,10 +50,6 @@ class FieldMatrix:
         self.data = tuple(map(ctx._check, (c for r in row_tuples for c in r)))
 
     @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "FieldMatrix":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_flat(cls, ctx: FieldCtx, rows: int, cols: int, data: Sequence[int]) -> "FieldMatrix":
         if rows < 0:
             raise DimMismatch(f"row count {rows} is negative")

@@ -28,11 +28,17 @@ subset_row turns limbs into a Python integer only for the cells read, and
 _dp_witness recovers the greedy witness of the first target reached.
 Every pass runs at size s = min(m, n-m): an m-subset sums to b exactly
 when its complement, an (n-m)-subset, sums to sum(domain) - b.  Exact
-counts are carry-save base-2**32 limbs in uint64, limbs =
-ceil(log2 C(n, s) / 32), normalised every 30 steps; existence is bool
-with one limb (+ is logical or).
+counts are carry-save base-2**32 limbs in uint64, normalised every 30
+steps.  The limbs grow with the pass: after e elements no cell exceeds
+max_{j<=s} C(e, j), so the table starts at one limb and, at each
+normalisation, is widened with zero limbs to what the next 30 steps can
+reach, up to L = ceil(log2 C(n, s) / 32) at the end.  A 30-step window at
+most multiplies a cell by 2**30, so it adds at most one limb.  Existence
+is bool with one limb (+ is logical or) and never widens.
 
-A count pass holds (s+1)*q*limbs*8 bytes and keeps its final row only.
+A count pass ends at (s+1)*q*L*8 bytes; while it widens, the table it is
+copied from is held too, so its peak is (s+1)*q*(2L-1)*8 bytes (L for a
+one-limb pass).  It keeps its final row only.
 The existence pass of _dp_witness keeps every seg-th table of (s+1)*q
 bytes, seg = isqrt(n)+1; only when a witness exists does recovery
 recompute the tables one segment at a time from those checkpoints, left
@@ -91,10 +97,17 @@ def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, targets: Sequence[int] 
 # a normalisation every limb is below 2**33 (a 32-bit remainder plus a carry
 # below 2**31); one DP step at most doubles the largest limb, so within
 # _NORMALISE_EVERY = 30 steps every limb stays below 2**63 and uint64 never
-# wraps.  The top limb never carries: with m <= n/2 a cell holds at most
-# max_{j<=m} C(n, j) = C(n, m) < 2**(32 * limbs), and no limb is negative.
+# wraps.  The top limb never carries: at the normalisation after e elements
+# the table has _limbs(e, m) limbs or more, a cell holds at most
+# max_{j<=m} C(e, j) < 2**(32 * limbs), and no limb is negative.  There the
+# table widens to _limbs(e + 30, m), which holds the next window's cells.
 _LIMB_BITS = 32
 _NORMALISE_EVERY = 30
+
+
+def _limbs(e: int, m: int) -> int:
+    """Limbs that hold every count of at most m of e elements, max_{j<=m} C(e, j)."""
+    return max(1, -(-comb(e, min(m, e // 2)).bit_length() // _LIMB_BITS))
 
 
 def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int, lo: int = 0
@@ -104,7 +117,9 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
     T_i[j, t] is #(j-subsets of codes[i:] summing to t), in limbs along the
     last axis; a bool table has one limb and + is logical or.  The one
     table is updated in place; copy what must be kept.  Rows below m - i
-    can no longer grow into an m-subset and are left stale.
+    can no longer grow into an m-subset and are left stale.  A count table
+    (uint64, hi = n) is normalised every 30 elements and replaced by a wider
+    copy when the next 30 can outgrow its limbs, so take the last one yielded.
     """
     n = len(codes)
     yield hi, tbl
@@ -113,11 +128,23 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
         if r0 <= r1:  # else m = 0 and no row changes
             shift = ctx.translate(ctx.neg(codes[i]))  # column t reads column t - x
             tbl[r0 : r1 + 1] += np.take(tbl[r0 - 1 : r1], shift, axis=1)
-        if tbl.shape[-1] > 1 and (n - i) % _NORMALISE_EVERY == 0:
-            carry = tbl >> _LIMB_BITS
-            tbl &= (1 << _LIMB_BITS) - 1
-            tbl[..., 1:] += carry[..., :-1]
+        if tbl.dtype != bool and (n - i) % _NORMALISE_EVERY == 0:
+            tbl = _normalised(tbl, _limbs(min(n - i + _NORMALISE_EVERY, n), m))
         yield i, tbl
+
+
+def _normalised(tbl: np.ndarray, limbs: int) -> np.ndarray:
+    """The count table with every limb below 2**33, widened with zero limbs to ``limbs``
+    if it has fewer: in place, or a new table (the old one is held while it is copied)."""
+    if tbl.shape[-1] > 1:
+        carry = tbl >> _LIMB_BITS
+        tbl &= (1 << _LIMB_BITS) - 1
+        tbl[..., 1:] += carry[..., :-1]
+    if limbs <= tbl.shape[-1]:
+        return tbl
+    wide = np.zeros((*tbl.shape[:-1], limbs), tbl.dtype)
+    wide[..., : tbl.shape[-1]] = tbl
+    return wide
 
 
 def _pass_size(ctx: FieldCtx, codes: Sequence[int], m: int) -> tuple[int, Callable[[int], int]]:
@@ -135,11 +162,12 @@ def subset_row(ctx: FieldCtx, domain: Domain, m: int) -> Callable[[int], int]:
     outlives the call."""
     codes, m, _ = _domain_codes(ctx, domain, m)
     m, read = _pass_size(ctx, codes, m)
-    limbs = -(-comb(len(codes), m).bit_length() // _LIMB_BITS)
-    require_table_bytes((m + 1) * ctx.q * limbs * 8, "DP tables need")
-    tbl = np.zeros((m + 1, ctx.q, limbs), np.uint64)
+    # At the last widening the final L limbs and the L-1 they are copied from.
+    limbs = _limbs(len(codes), m)
+    require_table_bytes((m + 1) * ctx.q * (2 * limbs - 1) * 8, "DP tables need")
+    tbl = np.zeros((m + 1, ctx.q, _limbs(min(_NORMALISE_EVERY, len(codes)), m)), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
-    for _ in _steps(ctx, codes, m, tbl, len(codes)):
+    for _, tbl in _steps(ctx, codes, m, tbl, len(codes)):
         pass
     row = tbl[m].copy()
 

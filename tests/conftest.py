@@ -255,6 +255,11 @@ def dot(ctx: FieldCtx, x, y) -> int:
     return acc
 
 
+def identity(ctx: FieldCtx, n: int) -> FieldMatrix:
+    """The n x n identity matrix over ctx."""
+    return FieldMatrix(ctx, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def times_transpose(a: FieldMatrix, b: FieldMatrix) -> list[list[int]]:
     """A B^T as row lists: entry (i, j) is the dot product of row i of A and row j of B."""
     return [[dot(a.ctx, x, y) for y in b.to_lists()] for x in a.to_lists()]

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from conftest import OutOfStatedRange, power, random_nonsingular_2x2, times_transpose, vanishes
+from egrl import cli
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.matrix import FieldMatrix
@@ -280,6 +281,34 @@ def test_c07_nmds_distribution_at_field_scale():
         primal.total() == 1024**512 and dual.total() == 1024**514
         and primal.counts[514] == dual.counts[512] == amin > 0 and elapsed < 1.0,
         f"A_min has {len(str(amin))} digits; both sides in {elapsed * 1e3:.1f} ms",
+    )
+
+
+def _main_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def test_c07_formula_report_at_field_scale(monkeypatch):
+    # weights --special --method formula --json for the special [4098, 8] code over
+    # GF(4096): 8,198 counts, 34 MB of JSON.  The CLI solves them as Decimal integers,
+    # whose str() is linear in the length where an int's is quadratic (5.2 s for these
+    # counts under CPython 3.11 on a 2-vCPU Xeon).
+    # The report is byte for byte the one the int solver's counts give.
+    argv = ["weights", "--q", "4096", "--k", "8", "--b", "1", "--M", "1,1,1,2", "--special",
+            "--method", "formula", "--json"]
+    started = time.time()
+    rc, out = _main_stdout(argv)
+    elapsed = time.time() - started
+    real = cli.special_nmds_distribution
+    monkeypatch.setattr(cli, "special_nmds_distribution", lambda params, *number: real(params))
+    as_int = _main_stdout(argv)
+    _report(
+        "C7 formula report of the special [4098, 8] code over GF(4096) under 4 s",
+        rc == 0 and (rc, out) == as_int and elapsed < 4.0,
+        f"{len(out) / 1e6:.1f} MB in {elapsed:.2f}s",
     )
 
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import egrl.cli
 import egrl.construction
 import egrl.subsetsum
-from conftest import poly_is_irreducible, times_transpose
+from conftest import identity, poly_is_irreducible, times_transpose
 from egrl.cli import main
 from egrl.field import FieldCtx
 from egrl.linear import InconsistentInput, NegativeCount
@@ -191,7 +191,8 @@ def test_weights_both_mismatch_exit4(capsys, monkeypatch):
     # A closed form that swaps primal and dual must be caught by the
     # brute-force comparison, with the report still emitted once.
     real = egrl.cli.special_nmds_distribution
-    monkeypatch.setattr(egrl.cli, "special_nmds_distribution", lambda p: real(p)[::-1])
+    monkeypatch.setattr(egrl.cli, "special_nmds_distribution",
+                        lambda p, *number: real(p, *number)[::-1])
     primal = ["1", "0", "0", "0", "0", "0", "224", "1520", "4880", "14040", "22240", "16144"]
     dual = ["1", "0", "0", "0", "0", "224", "2352", "11280", "47000", "125240", "199824",
             "145520"]
@@ -291,7 +292,7 @@ def test_weights_zero_generator_exit2(capsys, tmp_path):
 
 @pytest.mark.parametrize("error", [InconsistentInput, NegativeCount])
 def test_verification_errors_exit4(capsys, monkeypatch, error):
-    def broken(params):
+    def broken(params, *number):
         raise error("closed form failed its check")
 
     monkeypatch.setattr(egrl.cli, "special_nmds_distribution", broken)
@@ -357,6 +358,29 @@ def test_weights_formula_at_field_scale(capsys):
     primal, dual = (list(map(int, json.loads(line.split(": ")[1]))) for line in lines[1:])
     assert (sum(primal), sum(dual)) == (1024**512, 1024**514)
     assert primal[:514] == [1] + [0] * 513 and primal[514] == dual[512] > 0
+
+
+@pytest.mark.parametrize("k,mix,nmds", [(3, [1, 0, 0, 1], False), (8, [1, 1, 1, 2], True)],
+                         ids=["mds", "nmds"])
+def test_weights_formula_counts_are_plain_digits(capsys, k, mix, nmds):
+    # The CLI solves the closed counts as Decimal integers: each prints as str() of the
+    # library's int count, digits only (no sign, exponent, point or -0), in JSON and text.
+    ctx = FieldCtx.from_order(256)
+    primal, dual = egrl.construction.special_nmds_distribution(
+        egrl.construction.special_construction(ctx, k, 1, FieldMatrix.from_flat(ctx, 2, 2, mix)))
+    assert {type(c) for c in primal.counts + dual.counts} == {int}
+    assert primal.counts[258 - k] == dual.counts[k] and bool(dual.counts[k]) == nmds  # A_min
+    argv = ["weights", "--q", "256", "--k", str(k), "--b", "1", "--M", ",".join(map(str, mix)),
+            "--special", "--method", "formula"]
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, err) == (0, "")
+    results = json.loads(out)["results"]
+    for key, dist in (("distribution", primal), ("dual_distribution", dual)):
+        assert all(re.fullmatch("0|[1-9][0-9]*", c) for c in results[key])
+        assert results[key] == [str(c) for c in dist.counts]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == f"enumerator: {primal.poly_str()}"
 
 
 def test_weights_inline_high_rate_instance(capsys):
@@ -1217,12 +1241,25 @@ def test_inline_flags_exit_documented(argv):
 _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per mixing class
 
 
+def _last_row_broken(real):
+    """H with e_0 added to its last row only: still of full rank, but that row is no longer
+    orthogonal to G's first row, whose entry 0 is v_0 != 0."""
+    def fake(p):
+        rows = real(p).to_lists()
+        rows[-1][0] = p.ctx.add(rows[-1][0], 1)
+        h = FieldMatrix(p.ctx, rows)
+        assert h.rank() == len(rows)
+        return h
+    return fake
+
+
 @pytest.mark.parametrize("name,fake,line", [
-    ("parity_check_matrix", lambda real: lambda p: FieldMatrix.identity(p.ctx, p.n + 3),
+    ("parity_check_matrix", lambda real: lambda p: identity(p.ctx, p.n + 3),
      "parity-check identity failed"),
     # H less its last row: still orthogonal to G, but of rank n+2-k.
     ("parity_check_matrix", lambda real: lambda p: FieldMatrix(p.ctx, real(p).to_lists()[:-1]),
      "parity-check identity failed"),
+    ("parity_check_matrix", _last_row_broken, "parity-check identity failed"),
     ("min_weight_census", lambda real: lambda p: {**real(p), (True, True, True): 1},
      "minimum-weight census disagrees with brute force"),
     ("special_nmds_distribution", lambda real: lambda p: real(p)[::-1],
@@ -1230,7 +1267,8 @@ _SWEEP_PATTERNS = ["all-nonzero", "a22-zero", "a12-zero", "diagonal"]  # one per
     ("dual_support_pattern_census",
      lambda real: lambda p, budget: {**real(p, budget), (True, True, True): 1},
      "support-pattern census disagrees"),
-], ids=["parity-check", "parity-check-rank", "census", "closed-form", "support-pattern"])
+], ids=["parity-check", "parity-check-rank", "parity-check-later-row", "census", "closed-form",
+        "support-pattern"])
 def test_sweep_failure_lines_exit4(capsys, monkeypatch, name, fake, line):
     # Each check's failure line, forced by one broken library function as the CLI
     # sees it.  Every instance takes the one check path; the trial holds the

@@ -122,7 +122,7 @@ def _patched(name: str | None):
             "mds_flipped": "check_mds"}[name]
     real = getattr(egrl.cli, attr)
     fake = {
-        "nmds_swapped": lambda params: real(params)[::-1],
+        "nmds_swapped": lambda params, *number: real(params, *number)[::-1],
         "lw_off_by_one": lambda *a: real(*a) + 1,
         "mds_flipped": lambda params: MdsReport(is_mds=not real(params).is_mds),
     }[name]

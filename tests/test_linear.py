@@ -4,13 +4,15 @@ import random
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, Inexact, getcontext, localcontext
 from unittest import mock
 
 import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_excess, brute_weights, krawtchouk_transform, mds_formula, nmds_formula
+from conftest import (brute_excess, brute_weights, identity, krawtchouk_transform, mds_formula,
+                      nmds_formula)
 from egrl import field, linear
 from egrl.construction import (
     dual_support_pattern_census,
@@ -75,7 +77,7 @@ def test_equal_codes_hash_equal(gf5):
 
 
 def test_dual_of_full_code_is_refused(gf5):
-    full = LinearCode(FieldMatrix.identity(gf5, 3))
+    full = LinearCode(identity(gf5, 3))
     assert (full.n, full.k) == (3, 3)
     with pytest.raises(ZeroCode, match=r"^dual of the full \[3,3\] code is trivial$"):
         full.dual()
@@ -296,7 +298,7 @@ def test_public_walk_matches_brute_oracle_on_either_side(case):
 
 
 def test_budget_exceeded_reports_requirement(gf9):
-    code = LinearCode(FieldMatrix.identity(gf9, 5))
+    code = LinearCode(identity(gf9, 5))
     with pytest.raises(BudgetExceeded) as err:
         code.weight_distribution(budget=100)
     assert err.value.required == 9**5
@@ -407,7 +409,7 @@ def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
     monkeypatch.setattr(linear.itertools, "product",
                         lambda *a, repeat: list(real(*a, repeat=repeat))[:-1] if repeat
                         else real(*a, repeat=repeat))
-    code = LinearCode(FieldMatrix.identity(gf3, 3))
+    code = LinearCode(identity(gf3, 3))
     with pytest.raises(InconsistentInput, match="^enumeration walked 10 scalar classes$"):
         code.weight_distribution()
 
@@ -737,3 +739,52 @@ def test_distribution_from_excess_matches_brute_force(case):
     # E_j past q**k takes j * (that much) off weight n-j+1, whose count is at most q**k.
     with pytest.raises(NegativeCount, match=r"^excess infeasible: weight \d+ count is -"):
         distribution_from_excess(n, k, ctx, {**excess, j: excess.get(j, 0) + q**k + 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_defect_generators())
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example((3, [[1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 0, 1, 0, 0], [0, 0, 0, 1, 2, 0, 1, 1]]))
+def test_decimal_solve_equals_int_solve(case):
+    # The one solver on Decimal: the same counts, each printing as str() of the int count,
+    # and the same refusal of an infeasible excess.
+    q, rows = case
+    ctx = _FIELDS[q]
+    try:
+        code = LinearCode(FieldMatrix(ctx, rows))
+    except ZeroCode:
+        return
+    n, k = code.n, code.k
+    excess = brute_excess(ctx, code.gen.to_lists())
+    ints = distribution_from_excess(n, k, ctx, excess)
+    decimals = distribution_from_excess(n, k, ctx, excess, Decimal)
+    assert decimals == ints
+    for as_int, as_decimal in zip(ints, decimals):
+        assert {type(c) for c in as_int.counts} == {int}
+        assert {type(c) for c in as_decimal.counts} == {Decimal}
+        assert list(map(str, as_decimal.counts)) == list(map(str, as_int.counts))
+        assert as_decimal.poly_str() == as_int.poly_str()
+    j = max(excess, default=k)
+    infeasible = {**excess, j: excess.get(j, 0) + q**k + 1}
+    errors = []
+    for number in (int, Decimal):
+        with pytest.raises(NegativeCount) as err:
+            distribution_from_excess(n, k, ctx, infeasible, number)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and errors[0].startswith("excess infeasible: weight ")
+
+
+def test_decimal_solve_keeps_to_its_own_context(gf9):
+    # A caller's 3-digit context neither rounds the counts nor is changed by the solve.
+    with localcontext() as caller:
+        caller.prec, caller.traps[Inexact] = 3, False
+        primal, dual = nmds_distribution(11, 5, gf9, 224, Decimal)
+        assert (getcontext().prec, getcontext().traps[Inexact]) == (3, False)
+    assert primal.counts == (1, 0, 0, 0, 0, 0, 224, 1520, 4880, 14040, 22240, 16144)
+    assert str(primal.counts[-1]) == "16144" and dual.total() == 9**6
+
+
+def test_excess_solver_counts_are_int_or_decimal(gf9):
+    for number in (float, str, np.int64):
+        with pytest.raises(ValueError, match="^counts are int or Decimal, got "):
+            distribution_from_excess(11, 5, gf9, {5: 224}, number)

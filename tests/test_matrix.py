@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     DuplicateNodes,
     cofactor_det,
+    identity,
     modified_vandermonde,
     times_transpose,
     vandermonde_skip_det,
@@ -15,7 +16,7 @@ from egrl.matrix import DimMismatch, FieldMatrix, NotSquare
 
 
 def test_identity_det(gf5):
-    assert int(FieldMatrix.identity(gf5, 3).det()) == 1
+    assert int(identity(gf5, 3).det()) == 1
 
 
 def test_det_2x2_golden(gf5):

@@ -2,6 +2,7 @@ import itertools
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -266,7 +267,7 @@ def test_dp_counts_exact_beyond_64_bits(domain):
             assert count == count_li_wan(ctx, domain, m, b)
 
 
-_LIMB_FIELDS = {q: FieldCtx.from_order(q) for q in (27, 49, 81, 125, 128, 243, 256)}
+_LIMB_FIELDS = {q: FieldCtx.from_order(q) for q in (27, 49, 64, 81, 125, 128, 243, 256)}
 
 
 @st.composite
@@ -293,6 +294,61 @@ def test_dp_limbs_match_li_wan(case):
     if q >= 81:
         assert n >= 2 * _NORMALISE_EVERY
     assert count_dp(ctx, domain, m, b) == count_li_wan(ctx, domain, m, b)
+
+
+@pytest.mark.parametrize("domain", [STAR, FULL])
+@pytest.mark.parametrize("q", [64, 243])
+def test_dp_limbs_grow_with_the_pass(monkeypatch, q, domain):
+    # For every final width L (one and two limbs at q = 64, one to eight at q = 243), the
+    # first size that needs it and its complement past n/2: the table starts at one limb,
+    # widens by one limb at a time to L, and every count equals Li-Wan's.
+    ctx = FieldCtx.from_order(q)
+    n = q if domain == FULL else q - 1
+    first = {}
+    for m in range(n // 2 + 1):
+        first.setdefault(subsetsum._limbs(n, m), m)
+    assert sorted(first) == list(range(1, 3 if q == 64 else 9))
+    widths, normalised = [], subsetsum._normalised  # (limbs before, limbs after) a window
+
+    def spy(tbl, limbs):
+        out = normalised(tbl, limbs)
+        widths.append((tbl.shape[-1], out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(subsetsum, "_normalised", spy)
+    for limbs, m in first.items():
+        for size in (m, n - m):
+            widths.clear()
+            row = subset_row(ctx, domain, size)
+            assert [row(b) for b in range(q)] == [count_li_wan(ctx, domain, size, b)
+                                                  for b in range(q)]
+            assert [a for a, _ in widths] == [1] + [b for _, b in widths[:-1]]
+            assert {b - a for a, b in widths} <= {0, 1} and widths[-1][1] == limbs
+        assert count_dp(ctx, domain, m, 1) == count_li_wan(ctx, domain, m, 1)
+
+
+def _python_int_row(ctx, codes, m):
+    """N(m, b) for every b by the textbook DP on Python ints (object arrays), one element
+    at a time: row j gains row j-1 read at t - x."""
+    counts = np.zeros((m + 1, ctx.q), dtype=object)
+    counts[0, 0] = 1
+    for i, x in enumerate(codes):
+        back = [ctx.sub(t, x) for t in range(ctx.q)]
+        for j in range(min(i + 1, m), 0, -1):
+            counts[j] += counts[j - 1][back]
+    return [int(c) for c in counts[m]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([64, 128, 243]), st.data())
+def test_subset_row_matches_python_int_dp(q, data):
+    # Random explicit domains of 40 to 130 elements: two to five limbs, widened on the way,
+    # and sizes on both sides of n/2.
+    ctx = _LIMB_FIELDS[q]
+    codes = data.draw(st.lists(st.integers(0, q - 1), min_size=40, max_size=130, unique=True))
+    m = data.draw(st.integers(0, len(codes)))
+    row = subset_row(ctx, codes, m)
+    assert [row(b) for b in range(q)] == _python_int_row(ctx, codes, m)
 
 
 @pytest.mark.parametrize("q", [2, 9, 16, 27, 31, 243])
