@@ -28,17 +28,24 @@ subset_row turns limbs into a Python integer only for the cells read, and
 _dp_witness recovers the greedy witness of the first target reached.
 Every pass runs at size s = min(m, n-m): an m-subset sums to b exactly
 when its complement, an (n-m)-subset, sums to sum(domain) - b.  Exact
-counts are carry-save base-2**32 limbs in uint64, normalised every 30
-steps.  The limbs grow with the pass: after e elements no cell exceeds
+counts are carry-save base-2**48 limbs in uint64, normalised every 14
+steps: a normalisation leaves every limb below 2**49, so 14 doublings stay
+below 2**63.  The carries move along the flattened table, which is exact
+because the top limb never carries; a top carry raises InconsistentInput.
+The limbs grow with the pass: after e elements no cell exceeds
 max_{j<=s} C(e, j), so the table starts at one limb and, at each
-normalisation, is widened with zero limbs to what the next 30 steps can
-reach, up to L = ceil(log2 C(n, s) / 32) at the end.  A 30-step window at
-most multiplies a cell by 2**30, so it adds at most one limb.  Existence
-is bool with one limb (+ is logical or) and never widens.
+normalisation, is widened with zero limbs to what the next 14 steps can
+reach, up to L = ceil(log2 C(n, s) / 48) limbs at the end.  A 14-step
+window at most multiplies a cell by 2**14, so it adds at most one limb.
+Three limbs are rounded up to four (L too), because numpy gathers 32-byte
+items with a fixed-size loop and 24-byte ones with memmove.  Existence is
+bool with one limb (+ is logical or) and never widens.
 
-A count pass ends at (s+1)*q*L*8 bytes; while it widens, the table it is
-copied from is held too, so its peak is (s+1)*q*(2L-1)*8 bytes (L for a
-one-limb pass).  It keeps its final row only.
+A count pass is sized at (s+1)*q*2L*8 bytes: the final table of L limbs
+and a step's gather of up to s of its rows, the largest temporary; a
+normalisation holds the table and its carries, and a widening the table
+and the at most L-1 limbs it is copied from (the carries already freed).
+It keeps its final row only.
 The existence pass of _dp_witness keeps every seg-th table of (s+1)*q
 bytes, seg = isqrt(n)+1; only when a witness exists does recovery
 recompute the tables one segment at a time from those checkpoints, left
@@ -93,21 +100,31 @@ def _domain_codes(ctx: FieldCtx, domain: Domain, m: int, targets: Sequence[int] 
     return codes, m, targets
 
 
-# Counts are carry-save base-2**32 numbers along the last table axis.  After
-# a normalisation every limb is below 2**33 (a 32-bit remainder plus a carry
-# below 2**31); one DP step at most doubles the largest limb, so within
-# _NORMALISE_EVERY = 30 steps every limb stays below 2**63 and uint64 never
-# wraps.  The top limb never carries: at the normalisation after e elements
-# the table has _limbs(e, m) limbs or more, a cell holds at most
-# max_{j<=m} C(e, j) < 2**(32 * limbs), and no limb is negative.  There the
-# table widens to _limbs(e + 30, m), which holds the next window's cells.
-_LIMB_BITS = 32
-_NORMALISE_EVERY = 30
+# Counts are carry-save base-2**48 numbers along the last table axis.  A
+# normalisation takes limbs below 2**63, so every carry is below 2**15 and
+# every limb leaves below 2**48 + 2**15 < 2**49; one DP step at most doubles
+# the largest limb, so within _NORMALISE_EVERY = 14 steps every limb stays
+# below 2**63 and uint64 never wraps.  The top limb never carries: at the
+# normalisation after e elements the table has _limbs(e, m) limbs or more, a
+# cell holds at most max_{j<=m} C(e, j) < 2**(48 * limbs), and no limb is
+# negative.  So the carries move along the flattened table, each cell's top
+# carry (zero) landing on the next cell's low limb, and a nonzero top carry
+# raises.  There the table widens to _limbs(e + 14, m), which holds the next
+# window's cells; 14 steps multiply a cell by at most 2**14, so a window needs
+# at most one more exact limb.  Three limbs are rounded up to four: np.take
+# moves 8-, 16- and 32-byte items with a fixed-size loop and any other size
+# with memmove (60 x 243 cells, 2-vCPU Xeon: 55 us at 24 bytes, 19 us at 32).
+# Five limbs and more stay exact: six rounded up to eight made q = 256,
+# m = 120 slower (19.4 ms, not 17.6).
+_LIMB_BITS = 48
+_NORMALISE_EVERY = 14
 
 
 def _limbs(e: int, m: int) -> int:
-    """Limbs that hold every count of at most m of e elements, max_{j<=m} C(e, j)."""
-    return max(1, -(-comb(e, min(m, e // 2)).bit_length() // _LIMB_BITS))
+    """Limbs that hold every count of at most m of e elements, max_{j<=m} C(e, j),
+    three rounded up to four."""
+    limbs = max(1, -(-comb(e, min(m, e // 2)).bit_length() // _LIMB_BITS))
+    return 4 if limbs == 3 else limbs
 
 
 def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int, lo: int = 0
@@ -118,8 +135,8 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
     last axis; a bool table has one limb and + is logical or.  The one
     table is updated in place; copy what must be kept.  Rows below m - i
     can no longer grow into an m-subset and are left stale.  A count table
-    (uint64, hi = n) is normalised every 30 elements and replaced by a wider
-    copy when the next 30 can outgrow its limbs, so take the last one yielded.
+    (uint64, hi = n) is normalised every 14 elements and replaced by a wider
+    copy when the next 14 can outgrow its limbs, so take the last one yielded.
     """
     n = len(codes)
     yield hi, tbl
@@ -134,12 +151,16 @@ def _steps(ctx: FieldCtx, codes: Sequence[int], m: int, tbl: np.ndarray, hi: int
 
 
 def _normalised(tbl: np.ndarray, limbs: int) -> np.ndarray:
-    """The count table with every limb below 2**33, widened with zero limbs to ``limbs``
-    if it has fewer: in place, or a new table (the old one is held while it is copied)."""
+    """The count table with every limb below 2**49, widened with zero limbs to ``limbs``
+    if it has fewer: in place, or a new table (the old one is held while it is copied).
+    A top limb that would carry means the table is too narrow: InconsistentInput."""
+    if int(tbl[..., -1].max()) >> _LIMB_BITS:
+        raise InconsistentInput(f"a count outgrew its {tbl.shape[-1]} limbs")
     if tbl.shape[-1] > 1:
         carry = tbl >> _LIMB_BITS
         tbl &= (1 << _LIMB_BITS) - 1
-        tbl[..., 1:] += carry[..., :-1]
+        tbl.reshape(-1)[1:] += carry.reshape(-1)[:-1]  # tbl is C-contiguous: a view
+        del carry  # not held through the widening copy
     if limbs <= tbl.shape[-1]:
         return tbl
     wide = np.zeros((*tbl.shape[:-1], limbs), tbl.dtype)
@@ -162,9 +183,10 @@ def subset_row(ctx: FieldCtx, domain: Domain, m: int) -> Callable[[int], int]:
     outlives the call."""
     codes, m, _ = _domain_codes(ctx, domain, m)
     m, read = _pass_size(ctx, codes, m)
-    # At the last widening the final L limbs and the L-1 they are copied from.
+    # The final L limbs and a step's gather of up to m rows (the last widening
+    # holds fewer: L and the at most L-1 they are copied from).
     limbs = _limbs(len(codes), m)
-    require_table_bytes((m + 1) * ctx.q * (2 * limbs - 1) * 8, "DP tables need")
+    require_table_bytes((m + 1) * ctx.q * 2 * limbs * 8, "DP tables need")
     tbl = np.zeros((m + 1, ctx.q, _limbs(min(_NORMALISE_EVERY, len(codes)), m)), np.uint64)
     tbl[0, 0, 0] = 1  # the empty subset
     for _, tbl in _steps(ctx, codes, m, tbl, len(codes)):

@@ -95,6 +95,9 @@ CASES = [
      None),
     (["subsetsum", "--q", "27", "--domain", "full", "--m", "9", "--b", "5", "--method", "dp"],
      None),
+    # A count of four 48-bit limbs, widened from two on the way.
+    (["subsetsum", "--q", "243", "--domain", "star", "--m", "60", "--b", "5", "--method", "dp"],
+     None),
     (["subsetsum", *SS5], "lw_off_by_one"),
     (["subsetsum", "--q", "6", "--domain", "star", "--m", "2", "--b", "1"], None),
     (["sweep", *SWEEP], None),

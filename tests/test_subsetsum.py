@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import OutOfStatedRange, brute_subset_count, vanishes
 from egrl import subsetsum
 from egrl.field import FieldCtx
+from egrl.linear import InconsistentInput
 from egrl.subsetsum import (
     _LIMB_BITS,
     _NORMALISE_EVERY,
@@ -278,53 +281,76 @@ def limb_instances(draw):
     return q, domain, draw(st.integers(n // 4, n - n // 4)), draw(st.integers(0, q - 1))
 
 
+@contextlib.contextmanager
+def _normalisations():
+    """Record (limbs before, limbs after) of every _normalised call while checking its
+    headroom: every limb enters below 2**63 and leaves below 2**(_LIMB_BITS + 1)."""
+    widths, normalised = [], subsetsum._normalised
+
+    def spy(tbl, limbs):
+        before = tbl.shape[-1]
+        assert int(tbl.max()) < 1 << 63
+        out = normalised(tbl, limbs)
+        assert int(out.max()) < 1 << _LIMB_BITS + 1
+        widths.append((before, out.shape[-1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subsetsum, "_normalised", spy)
+        yield widths
+
+
+def _width(limbs):
+    """The width rule: three limbs are gathered as four."""
+    return 4 if limbs == 3 else limbs
+
+
 @settings(max_examples=60, deadline=None)
 @given(limb_instances())
 @example((81, STAR, 40, 0))
+@example((243, STAR, 60, 5))
 @example((256, FULL, 128, 1))
 def test_dp_limbs_match_li_wan(case):
-    # Middle sizes: from q = 49 on the counts span several 32-bit limbs, and
-    # from q = 81 on the n >= 80 steps normalise at least twice (q = 27 keeps
-    # one limb and never normalises).
+    # Middle sizes: from q = 81 on every pass needs several limbs (C(63, 15) < 2**48 <=
+    # C(80, 20)), and from q = 49 on the n >= 48 steps normalise at least three times
+    # (q = 27 keeps one limb and normalises once).
     q, domain, m, b = case
     ctx = _LIMB_FIELDS[q]
     n = q if domain == FULL else q - 1
-    if q >= 49:
-        assert math.comb(n, min(m, n // 2)).bit_length() > _LIMB_BITS
     if q >= 81:
-        assert n >= 2 * _NORMALISE_EVERY
+        assert math.comb(n, min(m, n - m)).bit_length() > _LIMB_BITS  # at the pass size
+    if q >= 49:
+        assert n >= 3 * _NORMALISE_EVERY
     assert count_dp(ctx, domain, m, b) == count_li_wan(ctx, domain, m, b)
 
 
 @pytest.mark.parametrize("domain", [STAR, FULL])
 @pytest.mark.parametrize("q", [64, 243])
-def test_dp_limbs_grow_with_the_pass(monkeypatch, q, domain):
-    # For every final width L (one and two limbs at q = 64, one to eight at q = 243), the
-    # first size that needs it and its complement past n/2: the table starts at one limb,
-    # widens by one limb at a time to L, and every count equals Li-Wan's.
+def test_dp_limbs_grow_with_the_pass(q, domain):
+    # For every final width L ({1, 2} at q = 64, {1, 2, 4, 5} at q = 243), the first size
+    # that needs it and its complement past n/2: the table starts at one limb, widens by
+    # one limb at a time to L (three limbs are skipped: 2 -> 4), normalises every
+    # _NORMALISE_EVERY steps within its headroom, and every count equals Li-Wan's.
     ctx = FieldCtx.from_order(q)
     n = q if domain == FULL else q - 1
     first = {}
     for m in range(n // 2 + 1):
         first.setdefault(subsetsum._limbs(n, m), m)
-    assert sorted(first) == list(range(1, 3 if q == 64 else 9))
-    widths, normalised = [], subsetsum._normalised  # (limbs before, limbs after) a window
-
-    def spy(tbl, limbs):
-        out = normalised(tbl, limbs)
-        widths.append((tbl.shape[-1], out.shape[-1]))
-        return out
-
-    monkeypatch.setattr(subsetsum, "_normalised", spy)
-    for limbs, m in first.items():
-        for size in (m, n - m):
-            widths.clear()
-            row = subset_row(ctx, domain, size)
-            assert [row(b) for b in range(q)] == [count_li_wan(ctx, domain, size, b)
-                                                  for b in range(q)]
-            assert [a for a, _ in widths] == [1] + [b for _, b in widths[:-1]]
-            assert {b - a for a, b in widths} <= {0, 1} and widths[-1][1] == limbs
-        assert count_dp(ctx, domain, m, 1) == count_li_wan(ctx, domain, m, 1)
+    top = -(-math.comb(n, n // 2).bit_length() // _LIMB_BITS)  # exact limbs of the widest
+    assert sorted(first) == sorted({_width(limbs) for limbs in range(1, top + 1)})
+    assert sorted(first) == ([1, 2] if q == 64 else [1, 2, 4, 5])
+    with _normalisations() as widths:
+        for limbs, m in first.items():
+            for size in (m, n - m):
+                widths.clear()
+                row = subset_row(ctx, domain, size)
+                assert [row(b) for b in range(q)] == [count_li_wan(ctx, domain, size, b)
+                                                      for b in range(q)]
+                assert len(widths) == n // _NORMALISE_EVERY
+                assert [a for a, _ in widths] == [1] + [b for _, b in widths[:-1]]
+                assert {(a, b) for a, b in widths if b != a} <= {(1, 2), (2, 4), (4, 5)}
+                assert widths[-1][1] == limbs
+            assert count_dp(ctx, domain, m, 1) == count_li_wan(ctx, domain, m, 1)
 
 
 def _python_int_row(ctx, codes, m):
@@ -342,13 +368,47 @@ def _python_int_row(ctx, codes, m):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([64, 128, 243]), st.data())
 def test_subset_row_matches_python_int_dp(q, data):
-    # Random explicit domains of 40 to 130 elements: two to five limbs, widened on the way,
-    # and sizes on both sides of n/2.
+    # Random explicit domains of 40 to 130 elements: one to four limbs, widened on the way
+    # within the normalisation headroom, and sizes on both sides of n/2.
     ctx = _LIMB_FIELDS[q]
     codes = data.draw(st.lists(st.integers(0, q - 1), min_size=40, max_size=130, unique=True))
     m = data.draw(st.integers(0, len(codes)))
-    row = subset_row(ctx, codes, m)
+    with _normalisations() as widths:
+        row = subset_row(ctx, codes, m)
+    assert len(widths) == len(codes) // _NORMALISE_EVERY
     assert [row(b) for b in range(q)] == _python_int_row(ctx, codes, m)
+
+
+@pytest.mark.parametrize("q, domain, m", [(81, FULL, 40), (243, STAR, 60), (243, FULL, 121)])
+def test_too_narrow_table_raises(monkeypatch, q, domain, m):
+    # One limb short of the width rule (2 -> 1, 4 -> 3, 5 -> 4): the top limb outgrows
+    # 48 bits before the pass ends, and the flat carry would move it into the next
+    # cell; the normalisation refuses instead of returning a wrong count.
+    limbs = subsetsum._limbs
+    monkeypatch.setattr(subsetsum, "_limbs", lambda e, m: max(1, limbs(e, m) - 1))
+    with pytest.raises(InconsistentInput, match=r"^a count outgrew its \d+ limbs$"):
+        subset_row(FieldCtx.from_order(q), domain, m)
+
+
+@pytest.mark.parametrize("domain, m", [(STAR, 60), (FULL, 182)])
+def test_dp_peak_memory_within_its_sizing(monkeypatch, domain, m):
+    # The tracemalloc peak of a pass stays within the bytes require_table_bytes was asked
+    # for, (s+1)*q*2L*8: the table and a step's gather of up to s rows, or at a widening
+    # the two tables, plus 16 KiB for the translation rows and Python objects.
+    # (243, STAR, 60) widens 1 -> 2 -> 4; (243, FULL, 182) runs at size 61, 1 -> ... -> 5.
+    ctx, sized = FieldCtx.from_order(243), []
+    subset_row(ctx, domain, m)  # the field's tables are built outside the traced pass
+    require = subsetsum.require_table_bytes
+    monkeypatch.setattr(subsetsum, "require_table_bytes",
+                        lambda nbytes, *rest: sized.append(nbytes) or require(nbytes, *rest))
+    tracemalloc.start()
+    try:
+        row = subset_row(ctx, domain, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row(5) == count_li_wan(ctx, domain, m, 5)
+    assert len(sized) == 1 and peak <= sized[0] + (16 << 10), (peak, sized)
 
 
 @pytest.mark.parametrize("q", [2, 9, 16, 27, 31, 243])
@@ -359,7 +419,7 @@ def test_shift_table_is_field_subtraction(q):
 
 
 def test_oversized_tables_refused_before_allocation():
-    # (m+1)*q*limbs*8 = 2001*4096*128*8 bytes for the count; 129 bool
+    # (m+1)*q*2L*8 = 2001*4096*2*86*8 bytes for the count; 129 bool
     # tables of 2048*4096 bytes for the witness DP on 4,094 of the units:
     # both above 1 GiB.
     ctx = FieldCtx.from_order(4096)
