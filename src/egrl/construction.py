@@ -66,8 +66,8 @@ import numpy as np
 
 from .field import LIST_ENTRY_BYTES, FieldCtx, require_table_bytes
 from .matrix import FieldMatrix
-from .linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, WeightDistribution,
-                     nmds_distribution)
+from .linear import (DEFAULT_BUDGET, BudgetExceeded, InconsistentInput, LinearCode,
+                     WeightDistribution, nmds_distribution)
 from .subsetsum import STAR, count_li_wan, find_subset, subset_row
 
 
@@ -557,16 +557,29 @@ def dual_support_pattern_census(
     min_weight_census (the module docstring's proof).  The walk
     is the dual itself, q**(n+3-k) codewords: BudgetExceeded above ``budget``,
     before any row reduction.
+
+    The walk's masks cover the dual's free columns only, and the three tail
+    columns are the last of them.  The dual's reduced form pivots on the first
+    columns that raise its rank, so all three tail columns are free exactly when
+    the first n columns have the dual's full rank n+3-k: when no nonzero dual
+    codeword is supported on the tail alone.  Such a codeword would be a linear
+    relation among the three tail columns of G, and they are independent: the b
+    column holds b != 0 at row 0 (t = 0) and 0 elsewhere, and the mixing columns
+    hold the columns of the nonsingular M at rows k-2 and k-1 (k >= 3) and 0 at
+    row 0.  Should a tail column still be a pivot, InconsistentInput.
     """
     _require_shape(params)
     n, k, q = params.n, params.k, params.q
     if q ** (params.length - k) > budget:
         raise BudgetExceeded(q ** (params.length - k), budget)
+    dual = egrl_code(params).dual()
+    if dual.pivots[-1] >= n:
+        raise InconsistentInput(f"the dual pivots on tail column {dual.pivots[-1]}")
     counts = {pat: 0 for pat in _TAIL_PATTERNS}
     # Scaling preserves the weight and the tail zero pattern, so each
     # enumerated scalar class stands for q-1 codewords.
-    for mask, weights in egrl_code(params).dual().codeword_blocks():
-        tails = mask[weights == k, n : params.length]
+    for mask, weights in dual.codeword_blocks():
+        tails = mask[weights == k, -3:]
         idx = tails[:, 0] * 4 + tails[:, 1] * 2 + tails[:, 2]
         for pat, c in zip(_TAIL_PATTERNS, np.bincount(idx, minlength=8)):
             counts[pat] += (q - 1) * int(c)

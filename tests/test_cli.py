@@ -833,8 +833,8 @@ def test_oversized_addition_table_exit2_promptly(capsys):
 
 def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
     # A [8192, 2] code at q = 2**16 passes the budget, but the multiples table
-    # of its second row alone takes 1 GiB; the walk adds up its tables and
-    # refuses before building.
+    # of its second row on the 8190 free columns alone takes 1 GiB; the walk adds
+    # up its tables and refuses before building.
     gen = tmp_path / "g.txt"
     gen.write_text("2 8192\n" + " ".join(map(str, range(1, 8193))) + "\n"
                    + " ".join(["1"] * 8192) + "\n")
@@ -843,7 +843,7 @@ def test_oversized_enumeration_tables_exit2_promptly(capsys, tmp_path):
                        "--method", "brute", "--budget", "4294967296")
     assert time.perf_counter() - started < 1.0
     assert (rc, out) == (2, "")
-    assert err == ("TableTooLarge: the enumeration tables need 5368709120 bytes, "
+    assert err == ("TableTooLarge: the enumeration tables need 5367529472 bytes, "
                    "above the cap of 1073741824\n")
 
 

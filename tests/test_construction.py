@@ -20,8 +20,8 @@ from conftest import (
 )
 from egrl.field import LIST_ENTRY_BYTES, MAX_TABLE_BYTES, FieldCtx, TableTooLarge
 from egrl.matrix import FieldMatrix
-from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, LinearCode, distribution_from_excess,
-                         macwilliams)
+from egrl.linear import (DEFAULT_BUDGET, BudgetExceeded, InconsistentInput, LinearCode,
+                         distribution_from_excess, macwilliams)
 from egrl import field, subsetsum
 from egrl.subsetsum import STAR, count_dp, count_li_wan, find_subset
 from egrl.construction import (
@@ -894,6 +894,20 @@ def test_closed_form_property(p):
         assert dual_support_pattern_census(p) == min_weight_census(p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(walkable_instances(0))
+def test_egrl_walk_masks_cover_the_free_columns(p):
+    # Each side small enough to walk yields masks over its n+3-k' free columns only,
+    # k' its dimension, and whole-codeword weights: k' pivot symbols at most.
+    code = egrl_code(p)
+    for side in (code, code.dual()):
+        if p.q**side.k <= 1 << 16:
+            for mask, weights in side.codeword_blocks():
+                assert mask.shape == (len(weights), p.length - side.k)
+                assert (weights >= mask.sum(axis=1) + 1).all()
+                assert (weights <= mask.sum(axis=1) + side.k).all()
+
+
 _LEMMA_FIELDS = {q: FieldCtx.from_order(q) for q in (4, 5, 7, 8, 9, 11)}
 
 
@@ -992,6 +1006,29 @@ def test_census_refuses_before_any_row_reduction(monkeypatch):
         with pytest.raises(BudgetExceeded) as err:
             dual_support_pattern_census(p)
         assert (err.value.required, err.value.budget) == (p.q ** (p.q - 6), DEFAULT_BUDGET)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_h_instances())
+@example(make_params(FieldCtx(5), (0, 1, 3), 3, [[0, 3], [2, 0]], v=(2, 1, 4)))  # k = n, 0 a point
+def test_dual_pivots_before_the_tail(p):
+    # The census reads the tail from the dual walk's free-column masks: the three tail
+    # columns of G are independent, so the dual's reduced form pivots within the first
+    # n columns, zero points included.  The code itself pivots on its first k columns.
+    code = egrl_code(p)
+    assert code.pivots == tuple(range(p.k))
+    assert code.dual().pivots[-1] < p.n
+
+
+def test_census_refuses_a_dual_pivot_on_the_tail(ex9, monkeypatch):
+    # A dual whose reduced form pivots on the last six columns would put tail
+    # columns out of the masks; the census refuses it before walking.
+    ctx = ex9.ctx
+    last = LinearCode(FieldMatrix(ctx, [[int(c == r + 5) for c in range(11)] for r in range(6)]))
+    monkeypatch.setattr(LinearCode, "dual", lambda self: last)
+    monkeypatch.setattr(LinearCode, "codeword_blocks", lambda self: pytest.fail("walked"))
+    with pytest.raises(InconsistentInput, match="^the dual pivots on tail column 10$"):
+        dual_support_pattern_census(ex9)
 
 
 def test_census_budget_is_the_dual_size(gf7):

@@ -170,15 +170,17 @@ def walk_supports(ctx, rows):
 
 
 def assert_walk_matches_oracles(code, block_limit):
-    """The blocks, concatenated, hold the supports in walk order row by row and their
-    weights; counted per scalar class they give the plain enumeration's histogram."""
+    """The blocks, concatenated, hold the supports at the free columns in walk order row
+    by row and the whole supports' weights; counted per scalar class they give the
+    plain enumeration's histogram."""
     with mock.patch.object(linear, "_BLOCK_LIMIT", block_limit):
         blocks = list(code.codeword_blocks())
     masks = np.concatenate([mask for mask, _ in blocks])
     weights = np.concatenate([w for _, w in blocks])
     rows = code.gen.to_lists()
     supports = walk_supports(code.ctx, rows)
-    assert masks.shape == supports.shape and (masks == supports).all()
+    free = [c for c in range(code.n) if c not in code.pivots]
+    assert masks.shape == supports[:, free].shape and (masks == supports[:, free]).all()
     assert (weights == supports.sum(axis=1)).all()
     if code.ctx.q ** code.k <= 1 << 12:
         classes = np.bincount(weights, minlength=code.n + 1)
@@ -201,6 +203,26 @@ def test_projective_enumeration_matches_python_oracle(case, block_limit):
         code = LinearCode(FieldMatrix(_FIELDS[q], rows))
     except ZeroCode:
         return
+    assert_walk_matches_oracles(code, block_limit)
+
+
+@pytest.mark.parametrize("block_limit", [1, 8, linear._BLOCK_LIMIT])
+@pytest.mark.parametrize("q,rows,pivots", [
+    # A zero first column: the pivots start at column 1.
+    (5, [[0, 1, 0, 2, 3], [0, 0, 1, 4, 1]], (1, 2)),
+    # k = 1 with its pivot past the first column.
+    (7, [[0, 0, 1, 6, 2]], (2,)),
+    # The full code k = n: no free column, so masks of width 0 and weights from the
+    # message symbols alone.
+    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 1, 2)),
+    (4, [[1, 2], [0, 3]], (0, 1)),
+    # Pivots between free columns, not the leading ones.
+    (5, [[1, 2, 0, 3, 0, 1], [0, 0, 1, 4, 0, 2], [0, 0, 0, 0, 1, 1]], (0, 2, 4)),
+    (3, [[0, 1, 1, 0, 0, 2, 1], [0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 0, 1, 2, 2]], (1, 3, 4)),
+])
+def test_walk_reads_the_free_columns_wherever_the_pivots_are(q, rows, pivots, block_limit):
+    code = LinearCode(FieldMatrix(_FIELDS[q], rows))
+    assert code.pivots == pivots
     assert_walk_matches_oracles(code, block_limit)
 
 
@@ -388,17 +410,38 @@ def test_length_256_weights_do_not_wrap(gf2):
 
 def test_walk_refuses_a_message_giving_the_zero_codeword(gf5, monkeypatch):
     # A [6, 2] generator made rank-deficient after construction: row 1 is twice
-    # row 0, so the message (1, 2) gives the zero codeword.  The public walk
-    # takes it as the code itself, then as the dual of a [6, 4] code.
+    # row 0, so the message (1, 2) gives the zero codeword.  Its pivot columns
+    # no longer hold the identity, which the walk checks before building anything.
+    # The public walk takes it as the code itself, then as the dual of a [6, 4] code.
     bad = LinearCode(FieldMatrix(gf5, [[1, 0, 1, 1, 1, 0], [0, 1, 1, 2, 0, 0]]))
     bad.gen = FieldMatrix(gf5, [[1, 2, 3, 4, 1, 0], [2, 4, 1, 3, 2, 0]])
     high_rate = LinearCode(FieldMatrix(gf5, [[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2],
                                              [0, 0, 1, 0, 1, 3], [0, 0, 0, 1, 1, 4]]))
-    with pytest.raises(InconsistentInput, match="^a nonzero message gave the zero codeword$"):
+    with pytest.raises(InconsistentInput, match="^generator row 0 is not reduced at the "
+                                                "pivot columns$"):
         bad.weight_distribution()
     monkeypatch.setattr(LinearCode, "dual", lambda self: bad)
-    with pytest.raises(InconsistentInput, match="^a nonzero message gave the zero codeword$"):
+    with pytest.raises(InconsistentInput, match="^generator row 0 is not reduced at the "
+                                                "pivot columns$"):
         high_rate.weight_distribution()
+
+
+@pytest.mark.parametrize("rows", [
+    # Full rank, but row 0 holds 3 at row 1's pivot column: the pivot symbols would
+    # not be the message, and the weights would be miscounted.
+    [[1, 3, 1, 1, 1, 0], [0, 1, 1, 2, 0, 0]],
+    # Full rank, but row 1's pivot holds 2, not 1.
+    [[1, 0, 1, 1, 1, 0], [0, 2, 1, 2, 0, 0]],
+])
+def test_walk_refuses_a_full_rank_generator_that_is_not_reduced(gf5, rows):
+    code = LinearCode(FieldMatrix(gf5, [[1, 0, 1, 1, 1, 0], [0, 1, 1, 2, 0, 0]]))
+    assert code.pivots == (0, 1)
+    code.gen = FieldMatrix(gf5, rows)
+    assert code.gen.rank() == 2
+    row = 0 if rows[0][1] else 1
+    with pytest.raises(InconsistentInput, match=f"^generator row {row} is not reduced at the "
+                                                "pivot columns$"):
+        next(code.codeword_blocks())
 
 
 def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
@@ -423,15 +466,18 @@ def test_walk_checks_its_scalar_class_count(gf3, monkeypatch):
 ])
 def test_walk_counts_its_tables_against_the_cap(q, n, weights, monkeypatch):
     # A table-bound walk (two rows, q*n large): the multiples table of row 1,
-    # one int32 index sum, the tail span and two block masks are counted before
-    # any is built (row 0 only leads, so it needs no table), at c bytes a code
-    # (2 at q = 4096, 1 at q = 256), and the cap is inclusive.  Its second block
-    # is one column wide, so the peak allocation stays within the count of one
-    # mask up to 1 MiB of O(n) vectors and numpy's gather buffers.
+    # one int32 index sum, the tail span and two block masks, all on the n-2 free
+    # columns, and the tail's q pivot weights (2 bytes each, as n > 255) are counted
+    # before any is built (row 0 only leads, so it needs no table), at c bytes a
+    # code (2 at q = 4096, 1 at q = 256), and the cap is inclusive.  Its second
+    # block is one column wide, so the peak allocation stays within the count of
+    # one mask up to 1 MiB of O(n) vectors and numpy's gather buffers.
     ctx = FieldCtx.from_order(q)
     c = ctx.dtype.itemsize
     code = LinearCode(FieldMatrix(ctx, [[1] * n, [i % q for i in range(n)]]))
-    need = (c + 4) * q * n + (c + 2) * n * q
+    assert code.pivots == (0, 1)
+    free = n - 2
+    need = (c + 4) * q * free + ((c + 2) * free + 2) * q
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need)
     tracemalloc.start()
     try:
@@ -440,7 +486,7 @@ def test_walk_counts_its_tables_against_the_cap(q, n, weights, monkeypatch):
     finally:
         tracemalloc.stop()
     assert {w: a for w, a in enumerate(counts) if a and w} == weights
-    assert peak <= need - n * q + (1 << 20)
+    assert peak <= need - free * q + (1 << 20)
     monkeypatch.setattr(field, "MAX_TABLE_BYTES", need - 1)
     monkeypatch.setattr(FieldCtx, "multiples", lambda self, vec: pytest.fail("table built"))
     with pytest.raises(TableTooLarge, match=f"^the enumeration tables need {need} bytes"):
@@ -484,8 +530,10 @@ def test_walk_counts_both_block_masks_it_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(counted) == 1 and peak <= counted[0] + (1 << 20)
-    # Byte codes: five multiples tables, the int32 index sum, the span and two masks.
-    assert counted == [(5 + 4) * 16 * 64 + (1 + 2) * 64 * (1 << 16)]
+    # Byte codes on the 58 free columns: five multiples tables, the int32 index sum,
+    # the span and two masks, and one byte of pivot weight a span column.
+    assert code.pivots == tuple(range(6))
+    assert counted == [(5 + 4) * 16 * 58 + ((1 + 2) * 58 + 1) * (1 << 16)]
 
 
 def test_macwilliams_known_pair(gf2):
@@ -788,3 +836,22 @@ def test_excess_solver_counts_are_int_or_decimal(gf9):
     for number in (float, str, np.int64):
         with pytest.raises(ValueError, match="^counts are int or Decimal, got "):
             distribution_from_excess(11, 5, gf9, {5: 224}, number)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 23, 25, 27, 32, 64, 256])
+def test_span_column_path_equals_the_gather(q, monkeypatch):
+    # The column path takes rows with mode="clip", which skips numpy's bounds check;
+    # the indices are field codes, so it never clips and gives the 2-index gather's
+    # span.  Each field spans as many rows as fit 2**16 codewords, at most 5.
+    ctx = FieldCtx.from_order(q)
+    rng = random.Random(q)
+    m = min(5, int(math.log(1 << 16, q) + 1e-9))
+    assert m >= 2 and q**m <= 1 << 16
+    tables = [ctx.multiples([rng.randrange(q) for _ in range(6)]).T for _ in range(m)]
+    add_t = ctx.add_table()
+    monkeypatch.setattr(linear, "_COLUMN_CELLS", 0)
+    by_column = linear._span(add_t, tables)
+    monkeypatch.setattr(linear, "_COLUMN_CELLS", q**m + 1)
+    gathered = linear._span(add_t, tables)
+    assert by_column.shape == gathered.shape == (6, q**m)
+    assert by_column.dtype == gathered.dtype and (by_column == gathered).all()
